@@ -11,10 +11,17 @@ Arrays are numpy float64 throughout; integer index arrays (token ids, masks)
 enter operations as attributes, never as differentiable inputs. Any primitive
 that produces a non-finite value from finite inputs raises instead of
 propagating NaN/Inf.
+
+Inside a ``no_graph()`` scope primitives still compute their values eagerly
+and still raise ``NonFiniteError``, but the nodes they return link no
+inputs, so nothing is kept alive for a backward pass that will never come
+(inference). The scope also enters numpy's error state once, where recorded
+ops enter it once each.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -23,6 +30,7 @@ import numpy as np
 __all__ = [
     "Node",
     "Graph",
+    "no_graph",
     "ShapeError",
     "NonFiniteError",
     "leaf",
@@ -141,8 +149,36 @@ PRIMITIVE_OPS = frozenset(
 )
 
 
+# False inside a no_graph() scope. Module state, so not thread-safe; the
+# package is single-threaded.
+_recording = True
+
+
+@contextmanager
+def no_graph():
+    """Evaluate primitives without recording a graph (inference only).
+
+    Nodes built inside carry their op id and value but ``inputs == ()``, so
+    they cannot be differentiated through. Finiteness checks still apply.
+    Scopes nest; the previous recording state and numpy error state are
+    restored on exit, also when an op raises.
+    """
+    global _recording
+    outer = _recording
+    _recording = False
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        _recording = outer
+
+
 def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node:
     fwd, _ = _OPS[op_id]
+    if not _recording:
+        value = fwd(attrs, *[n.value for n in inputs])
+        _check_finite(value, f"output of {op_id!r}")
+        return Node(op_id, (), attrs, value)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = fwd(attrs, *(n.value for n in inputs))
     _check_finite(value, f"output of {op_id!r}")

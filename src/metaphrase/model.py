@@ -6,10 +6,15 @@ trainable set during meta-training and fine-tuning). Adapters are bottleneck
 feed-forward layers with a residual connection, initialized so that they are
 an exact identity map; enabling them changes nothing until they are trained.
 
-Forward passes build autodiff graphs, so the same code serves training
-(teacher-forced NLL) and decoding. Parameters may be passed either as a
-ParamStore or as a name -> Node mapping, which is how adapted (inner-loop
-updated) parameters flow through without touching the store.
+Training runs ``forward_batch``, which builds an autodiff graph for the
+teacher-forced NLL. Decoding runs the same encoder and decoder-layer code
+one position at a time (``encode_source`` then ``decoder_step``), normally
+inside ``autodiff.no_graph()``: the encoder memory's per-head keys and
+values are projected once per source, and each layer's self-attention keys
+and values grow by one position per step (``KVCache``). Parameters may be
+passed either as a ParamStore or as a name -> Node mapping, which is how
+adapted (inner-loop updated) parameters flow through without touching the
+store.
 """
 
 from __future__ import annotations
@@ -123,10 +128,6 @@ class ParamStore:
         for name, arr in self._arrays.items():
             out.add(name, arr.copy(), self._partitions[name])
         return out
-
-    def values_snapshot(self, names=None) -> dict[str, np.ndarray]:
-        names = self.names() if names is None else names
-        return {n: self._arrays[n].copy() for n in names}
 
 
 def partition_params(store: ParamStore) -> tuple[list[str], list[str]]:
@@ -321,7 +322,8 @@ def adapter_apply(adapter: AdapterLayer, z: Node) -> Node:
     return ad.add(ad.add(ad.matmul(hidden, adapter.w_up), adapter.b_up), z)
 
 
-def _as_nodes(params) -> Mapping[str, Node]:
+def as_nodes(params) -> Mapping[str, Node]:
+    """Parameter leaves of a ParamStore; a name -> Node mapping passes through."""
     if isinstance(params, ParamStore):
         return params.leaves()
     return params
@@ -342,19 +344,29 @@ def _maybe_adapter(p, prefix, x):
     return adapter_apply(layer, x)
 
 
-def _attention(p, prefix, config, queries, keys, mask, trace):
-    """Multi-head attention; heads are slices of the projected width."""
+def _project_kv(p, prefix, keys):
+    """One attention block's key and value projections, full width."""
+    return _linear(p, f"{prefix}.wk", keys), _linear(p, f"{prefix}.wv", keys)
+
+
+def _split_heads(config, k, v):
+    """Per-head (transposed keys, values): heads are slices of the width."""
+    dh = config.d_head
+    return [
+        (ad.transpose_last2(ad.slice_axis(k, -1, h * dh, (h + 1) * dh)),
+         ad.slice_axis(v, -1, h * dh, (h + 1) * dh))
+        for h in range(config.n_heads)
+    ]
+
+
+def _attend(p, prefix, config, queries, kv, mask, trace):
+    """Multi-head attention of the queries over per-head (K^T, V)."""
     q = _linear(p, f"{prefix}.wq", queries)
-    k = _linear(p, f"{prefix}.wk", keys)
-    v = _linear(p, f"{prefix}.wv", keys)
     dh = config.d_head
     heads = []
-    for h in range(config.n_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ad.slice_axis(q, -1, lo, hi)
-        kh = ad.slice_axis(k, -1, lo, hi)
-        vh = ad.slice_axis(v, -1, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose_last2(kh)), 1.0 / np.sqrt(dh))
+    for h, (kt, vh) in enumerate(kv):
+        qh = ad.slice_axis(q, -1, h * dh, (h + 1) * dh)
+        scores = ad.scale(ad.matmul(qh, kt), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = ad.mask_fill(scores, mask, NEG_FILL)
         probs = ad.softmax_lastdim(scores)
@@ -365,14 +377,15 @@ def _attention(p, prefix, config, queries, keys, mask, trace):
     return _linear(p, f"{prefix}.wo", merged)
 
 
-def _embed(p, table_name, ids, pos_name, config):
-    seq_len = ids.shape[-1]
-    if seq_len > config.max_len:
-        raise ValueError(f"sequence length {seq_len} exceeds max_len {config.max_len}")
+def _embed(p, table_name, ids, pos_name, config, start=0):
+    """Token plus position embeddings; ``ids`` sit at positions start, start+1, ..."""
+    end = start + ids.shape[-1]
+    if end > config.max_len:
+        raise ValueError(f"sequence length {end} exceeds max_len {config.max_len}")
     if ids.size and ids.max() >= config.vocab_size:
         raise ValueError(f"token id {ids.max()} out of range for vocab {config.vocab_size}")
     tok = ad.embed_lookup(p[table_name], ids)
-    pos = ad.embed_lookup(p[pos_name], np.arange(seq_len))
+    pos = ad.embed_lookup(p[pos_name], np.arange(start, end))
     return ad.add(tok, pos)
 
 
@@ -384,12 +397,45 @@ def _encode(p, config, src, src_mask, trace):
     for i in range(config.n_enc_layers):
         prefix = f"enc.{i}"
         h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
-        attn = _attention(p, f"{prefix}.attn", config, h, h, key_mask, trace)
+        kv = _split_heads(config, *_project_kv(p, f"{prefix}.attn", h))
+        attn = _attend(p, f"{prefix}.attn", config, h, kv, key_mask, trace)
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
         h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
         ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
     return _norm(p, "enc.final_ln", x, config.ln_eps)
+
+
+def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask, trace):
+    """One pre-norm decoder layer; returns (output, self-attention (K, V)).
+
+    ``past_kv`` is the full-width self-attention (K, V) of earlier positions
+    that ``x`` does not contain (incremental decoding), or None when ``x``
+    spans the whole prefix. ``memory_kv`` is the cross-attention's per-head
+    (K^T, V) of the encoder memory.
+    """
+    prefix = f"dec.{i}"
+    h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
+    k, v = _project_kv(p, f"{prefix}.self", h)
+    if past_kv is not None:
+        k = ad.concat([past_kv[0], k], axis=-2)
+        v = ad.concat([past_kv[1], v], axis=-2)
+    attn = _attend(p, f"{prefix}.self", config, h, _split_heads(config, k, v), self_mask, trace)
+    x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
+    h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
+    cross = _attend(p, f"{prefix}.cross", config, h, memory_kv, cross_mask, trace)
+    x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_cross", cross))
+    h = _norm(p, f"{prefix}.ln3", x, config.ln_eps)
+    ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
+    x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
+    return x, (k, v)
+
+
+def _output_logits(p, config, x):
+    x = _norm(p, "dec.final_ln", x, config.ln_eps)
+    if config.tie_embeddings:
+        return ad.matmul(x, ad.transpose_last2(p["tok_embed"]))
+    return ad.matmul(x, p["out_proj"])
 
 
 def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask=None, trace=None) -> Node:
@@ -398,7 +444,7 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
     ``src``/``tgt`` are int arrays (batch, len); the boolean masks flag real
     (non-pad) positions. Causal masking applies in decoder self-attention.
     """
-    p = _as_nodes(params)
+    p = as_nodes(params)
     src = np.asarray(src, dtype=np.int64)
     tgt = np.asarray(tgt, dtype=np.int64)
     if src.ndim != 2 or tgt.ndim != 2:
@@ -417,21 +463,9 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
         cross_mask = ~src_mask[:, None, :]
 
     for i in range(config.n_dec_layers):
-        prefix = f"dec.{i}"
-        h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
-        attn = _attention(p, f"{prefix}.self", config, h, h, self_mask, trace)
-        x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
-        h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
-        cross = _attention(p, f"{prefix}.cross", config, h, memory, cross_mask, trace)
-        x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_cross", cross))
-        h = _norm(p, f"{prefix}.ln3", x, config.ln_eps)
-        ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
-        x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
-
-    x = _norm(p, "dec.final_ln", x, config.ln_eps)
-    if config.tie_embeddings:
-        return ad.matmul(x, ad.transpose_last2(p["tok_embed"]))
-    return ad.matmul(x, p["out_proj"])
+        memory_kv = _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
+        x, _ = _decoder_layer(p, config, i, x, None, memory_kv, self_mask, cross_mask, trace)
+    return _output_logits(p, config, x)
 
 
 def forward(params, config: ModelConfig, src_tokens, tgt_prefix_tokens, trace=None) -> Node:
@@ -440,6 +474,63 @@ def forward(params, config: ModelConfig, src_tokens, tgt_prefix_tokens, trace=No
     tgt = np.asarray(tgt_prefix_tokens, dtype=np.int64)[None, :]
     logits = forward_batch(params, config, src, tgt, trace=trace)
     return ad.reshape(logits, logits.value.shape[1:])
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KVCache:
+    """Attention keys and values for decoding one source.
+
+    ``memory[i]`` is decoder layer i's cross-attention per-head (K^T, V),
+    projected once from the encoder memory (batch 1, broadcast over the
+    hypotheses). ``prefix[i]`` is its full-width self-attention (K, V) over
+    the ``length`` positions decoded so far, one row per hypothesis (None
+    before the first step).
+    """
+
+    memory: list
+    prefix: list
+    length: int
+
+    def select(self, rows) -> "KVCache":
+        """The cache with its hypotheses reordered (or repeated) by ``rows``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        prefix = [(ad.constant(k.value[rows]), ad.constant(v.value[rows])) for k, v in self.prefix]
+        return KVCache(self.memory, prefix, self.length)
+
+
+def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
+    """Encode one source and project its cross-attention keys and values."""
+    p = as_nodes(params)
+    src = np.asarray(src_tokens, dtype=np.int64)[None, :]
+    memory = _encode(p, config, src, None, None)
+    kv = [
+        _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
+        for i in range(config.n_dec_layers)
+    ]
+    return KVCache(kv, [None] * config.n_dec_layers, 0)
+
+
+def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[Node, KVCache]:
+    """Logits (B, 1, vocab) for the position after ``tokens``, and the grown cache.
+
+    ``tokens`` (B,) are the hypotheses' last tokens, at position
+    ``cache.length``; the cache holds the positions before it. Runs the same
+    layer code as ``forward_batch``: no mask is needed, since a cache holds
+    only earlier positions and the source has no padding.
+    """
+    p = as_nodes(params)
+    x = _embed(p, "tok_embed", np.asarray(tokens, dtype=np.int64)[:, None], "pos_dec",
+               config, start=cache.length)
+    prefix = []
+    for i in range(config.n_dec_layers):
+        x, kv = _decoder_layer(p, config, i, x, cache.prefix[i], cache.memory[i], None, None, None)
+        prefix.append(kv)
+    return _output_logits(p, config, x), KVCache(cache.memory, prefix, cache.length + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,40 @@ class TestGraph:
         assert graph.eval({"x": np.array([3.0, 4.0])})[0] == pytest.approx(25.0)
         # original node values untouched
         assert out.value == pytest.approx(5.0)
+
+
+class TestNoGraph:
+    def test_nodes_link_no_inputs_and_match_recorded_values(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        recorded = ad.softmax_lastdim(ad.matmul(a, b))
+        with ad.no_graph():
+            inner = ad.matmul(a, b)
+            out = ad.softmax_lastdim(inner)
+        assert inner.inputs == () and out.inputs == ()
+        assert out.op == "softmax_lastdim"
+        np.testing.assert_array_equal(out.value, recorded.value)
+        assert recorded.inputs  # recording resumes after the scope
+
+    def test_nested_scopes_restore_recording(self):
+        with ad.no_graph():
+            with ad.no_graph():
+                assert ad.add(1.0, 2.0).inputs == ()
+            assert ad.add(1.0, 2.0).inputs == ()
+        assert len(ad.add(1.0, 2.0).inputs) == 2
+
+    def test_overflow_raises_naming_the_op_and_restores_state(self):
+        errstate = np.geterr()
+        big = ad.leaf("w", np.full((2, 2), 1e200))
+        with pytest.raises(ad.NonFiniteError, match="'matmul'"):
+            with ad.no_graph():
+                ad.matmul(big, big)
+        assert np.geterr() == errstate
+        assert len(ad.matmul(np.ones((2, 2)), np.eye(2)).inputs) == 2
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_any_non_finite_entry_raises(self, bad):
+        x = np.array([1.0, bad, -1e308])
+        with pytest.raises(ad.NonFiniteError, match="'scale'"):
+            with ad.no_graph():
+                ad.scale(x, 1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaphrase import autodiff as ad
 from metaphrase import data as dt
 from metaphrase import decoding as dec
 from metaphrase import model as mm
@@ -113,6 +114,102 @@ class TestBeam:
         src = np.array([dt.BOS, 5, 9, dt.EOS])
         dc = dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=9)
         assert np.array_equal(dec.decode(store, cfg, src, dc), dec.decode(store, cfg, src, dc))
+
+
+def random_model(seed, **kw):
+    """Seeded weights large enough that every block, adapters included, matters."""
+    cfg = toy_config(**kw)
+    store = mm.build_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for name, arr in store.items():
+        if store.partition(name) == "norm":
+            store.set(name, arr + 0.1 * rng.standard_normal(arr.shape))
+        else:
+            store.set(name, 0.3 * rng.standard_normal(arr.shape))
+    return cfg, store
+
+
+def full_prefix_logprobs(store, cfg, src, prefixes):
+    """Reference: last-position log-probs of forward_batch over whole prefixes."""
+    src_batch = np.tile(src, (len(prefixes), 1))
+    logits = mm.forward_batch(store, cfg, src_batch, np.asarray(prefixes)).value[:, -1, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+EQUIVALENCE_CONFIGS = [
+    dict(),  # tied embeddings, default adapter placement, two heads
+    dict(tie_embeddings=False, adapter_placement=frozenset(mm.ADAPTER_SITES)),
+    dict(n_heads=1, adapter_placement=frozenset(), adapter_hidden=0),
+    dict(n_heads=1, tie_embeddings=False, adapter_placement=frozenset({"dec_cross"})),
+    dict(n_dec_layers=2, adapter_placement=frozenset({"dec_attn", "dec_cross"})),
+]
+
+
+class TestIncrementalDecoding:
+    @pytest.mark.parametrize("kw", EQUIVALENCE_CONFIGS)
+    def test_cached_steps_match_full_prefix_forward(self, kw, monkeypatch):
+        cfg, store = random_model(7, **kw)
+        src = np.array([dt.BOS, 5, 9, 4, 7, dt.EOS])
+        steps, reorders = [], []
+        original_step = dec._next_logprobs
+        original_select = mm.KVCache.select
+
+        def checked_step(params, config, cache, prefixes):
+            rows, grown = original_step(params, config, cache, prefixes)
+            steps.append(([list(ids) for ids in prefixes], rows))
+            return rows, grown
+
+        def recorded_select(cache, rows):
+            reorders.append(list(rows))
+            return original_select(cache, rows)
+
+        monkeypatch.setattr(dec, "_next_logprobs", checked_step)
+        monkeypatch.setattr(mm.KVCache, "select", recorded_select)
+        for dc in (dec.DecodeConfig(strategy="greedy", max_decode_len=10),
+                   dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10)):
+            dec.decode(store, cfg, src, dc)
+        assert len(steps) > 10
+        assert any(rows != sorted(rows) or len(set(rows)) < len(rows) for rows in reorders)
+        for prefixes, rows in steps:
+            expected = full_prefix_logprobs(store, cfg, src, prefixes)
+            np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kw", EQUIVALENCE_CONFIGS[:2])
+    def test_hypothesis_score_matches_per_prefix_sum(self, kw):
+        cfg, store = random_model(8, **kw)
+        src = np.array([dt.BOS, 6, 8, dt.EOS])
+        ids = [dt.BOS, 7, 5, 9, 11, dt.EOS]
+        for penalty in (0.0, 0.7):
+            dc = dec.DecodeConfig(strategy="beam", length_penalty=penalty)
+            per_prefix = sum(full_prefix_logprobs(store, cfg, src, [ids[:t]])[0, ids[t]]
+                             for t in range(1, len(ids)))
+            expected = per_prefix / (len(ids) - 1) ** penalty
+            assert dec.hypothesis_score(store, cfg, src, ids, dc) == pytest.approx(
+                expected, rel=0, abs=1e-12)
+        assert dec.hypothesis_score(store, cfg, src, [dt.BOS], dc) == 0.0
+
+    def test_decoding_records_no_graph(self, monkeypatch):
+        cfg, store = random_model(9)
+        seen = []
+        original_step = mm.decoder_step
+
+        def recorded_step(params, config, cache, tokens):
+            logits, grown = original_step(params, config, cache, tokens)
+            seen.append(logits)
+            return logits, grown
+
+        monkeypatch.setattr(mm, "decoder_step", recorded_step)
+        dec.decode(store, cfg, np.array([dt.BOS, 5, dt.EOS]),
+                   dec.DecodeConfig(strategy="beam", beam_width=2, max_decode_len=6))
+        assert seen and all(logits.inputs == () for logits in seen)
+
+    def test_overflowing_weight_raises_naming_the_op(self):
+        cfg, store = random_model(10)
+        store.set("dec.0.ffn.w1.w", np.full(store["dec.0.ffn.w1.w"].shape, 1e200))
+        store.set("dec.0.ffn.w2.w", np.full(store["dec.0.ffn.w2.w"].shape, 1e200))
+        with pytest.raises(ad.NonFiniteError, match="'matmul'"):
+            dec.decode(store, cfg, np.array([dt.BOS, 5, dt.EOS]), dec.DecodeConfig())
 
 
 class TestGenerateFile:
