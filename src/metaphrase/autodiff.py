@@ -17,6 +17,13 @@ and still raise ``NonFiniteError``, but the nodes they return link no
 inputs, so nothing is kept alive for a backward pass that will never come
 (inference). The scope also enters numpy's error state once, where recorded
 ops enter it once each.
+
+A ``backward`` run inside ``no_graph()`` is a value-only pass: the same VJPs
+compute the same gradient values bit for bit, but build no gradient graph.
+``gradient_values`` wraps this for callers that only read the numbers (every
+training step except the inner loop of second-order MAML, whose gradients
+the outer pass differentiates). ``backward`` drops each interior adjoint as
+soon as its VJP has run, so a value-only pass holds only its frontier.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "constant",
     "apply_primitive",
     "backward",
+    "gradient_values",
     "grad_check",
     "GradCheckReport",
     "PRIMITIVE_OPS",
@@ -819,6 +827,10 @@ def backward(output: Node, wrt) -> dict[str, Node]:
     gradient at an interior node (say, an updated parameter expression)
     returns the adjoint there, still expressed as differentiable nodes, which
     is what differentiating through a parameter-update step relies on.
+
+    Inside ``no_graph()`` the returned gradients link no inputs (a value-only
+    pass). Either way each interior adjoint is released once its VJP has run;
+    only the adjoints of requested entries are kept.
     """
     if output.value.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
@@ -843,6 +855,8 @@ def backward(output: Node, wrt) -> dict[str, Node]:
             continue
         _, vjp = _OPS[n.op]
         grads = vjp(n, g)
+        if id(n) not in wanted:
+            del adjoint[id(n)]
         for inp, gi in zip(n.inputs, grads):
             if gi is None or id(inp) not in relevant:
                 continue
@@ -859,6 +873,13 @@ def backward(output: Node, wrt) -> dict[str, Node]:
         _check_finite(g.value, f"gradient of {name!r}")
         result[name] = g
     return result
+
+
+def gradient_values(output: Node, wrt) -> dict[str, np.ndarray]:
+    """Gradient values of ``backward(output, wrt)`` from a value-only pass."""
+    with no_graph():
+        grads = backward(output, wrt)
+    return {name: g.value for name, g in grads.items()}
 
 
 @dataclass

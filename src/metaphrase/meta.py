@@ -8,7 +8,8 @@ closed-form meta-gradients, while the pipeline plugs in the transformer NLL.
 Two outer-gradient modes:
 
 * ``second``: inner updates are built as graph expressions, so the outer
-  gradient differentiates through them (exact MAML).
+  gradient differentiates through them (exact MAML). The outer pass itself
+  is value-only: its result is only read as numbers.
 * ``first``: inner updates run on detached values and the outer gradient is
   taken at the adapted parameters (FOMAML). An adaptive inner optimizer
   forces this mode, since its update is not differentiated.
@@ -20,7 +21,7 @@ by construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -130,10 +131,10 @@ def inner_adapt(params, phi_names: Sequence[str], support, hyper: TrainHyper,
     for _ in range(hyper.inner_steps):
         loss = loss_fn(current, support)
         losses.append(float(loss.value))
-        grads = ad.backward(loss, {n: current[n] for n in phi_names})
+        wrt = {n: current[n] for n in phi_names}
         if detached:
+            grad_values = ad.gradient_values(loss, wrt)
             values = {n: current[n].value for n in phi_names}
-            grad_values = {n: grads[n].value for n in phi_names}
             if inner_state is not None:
                 new = adamw_step(inner_state, values, grad_values, hyper.alpha)
             else:
@@ -141,6 +142,7 @@ def inner_adapt(params, phi_names: Sequence[str], support, hyper: TrainHyper,
             for n in phi_names:
                 current[n] = ad.leaf(n, new[n])
         else:
+            grads = ad.backward(loss, wrt)
             for n in phi_names:
                 current[n] = ad.sub(current[n], ad.scale(grads[n], hyper.alpha))
     return current, losses
@@ -171,8 +173,7 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
             q = loss_fn(adapted, task.query)
             query_losses.append(float(q.value))
             total = q if total is None else ad.add(total, q)
-        grads = ad.backward(total, {n: base[n] for n in phi_names})
-        grad_values = {n: grads[n].value for n in phi_names}
+        grad_values = ad.gradient_values(total, {n: base[n] for n in phi_names})
     else:
         grad_values = {n: np.zeros(base[n].value.shape) for n in phi_names}
         for task in tasks:
@@ -180,9 +181,9 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
             support_losses.extend(sup)
             q = loss_fn(adapted, task.query)
             query_losses.append(float(q.value))
-            task_grads = ad.backward(q, {n: adapted[n] for n in phi_names})
+            task_grads = ad.gradient_values(q, {n: adapted[n] for n in phi_names})
             for n in phi_names:
-                grad_values[n] = grad_values[n] + task_grads[n].value
+                grad_values[n] = grad_values[n] + task_grads[n]
 
     metrics = {
         "support_loss": float(np.mean(support_losses)),
@@ -223,7 +224,7 @@ def evaluate_adaptation(params, phi_names: Sequence[str], tasks: Sequence,
     Inner updates run detached; this is evaluation only.
     """
     base = _as_param_nodes(params)
-    eval_hyper = TrainHyper(**{**hyper.__dict__, "order_mode": "first"})
+    eval_hyper = replace(hyper, order_mode="first")
     losses = []
     for task in tasks:
         adapted, _ = inner_adapt(base, phi_names, task.support, eval_hyper, loss_fn)

@@ -18,6 +18,7 @@ import hashlib
 import io
 import os
 import struct
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -261,12 +262,26 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> str:
-    """Atomic write (temp file + rename); returns the content hash."""
+    """Atomic write; returns the content hash.
+
+    The bytes go to a uniquely named temp file in the target directory,
+    which is flushed and fsynced before it replaces ``path``. A failed write
+    removes the temp file and leaves any existing checkpoint untouched.
+    """
     blob = checkpoint_bytes(ckpt)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+        dir=os.path.dirname(path) or ".",
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -316,8 +331,7 @@ def _plain_train(store, phi_names, train_pairs, valid_pairs, hyper, steps,
         batch = [train_pairs[int(i)] for i in idx]
         leaves = store.leaves()
         loss = loss_fn(leaves, batch)
-        grads = ad.backward(loss, {n: leaves[n] for n in phi_names})
-        grad_values = {n: grads[n].value for n in phi_names}
+        grad_values = ad.gradient_values(loss, {n: leaves[n] for n in phi_names})
         grad_values, norm = mt.clip_global_norm(grad_values, hyper.clip_norm)
         values = {n: store[n] for n in phi_names}
         if opt_state is not None:
@@ -385,9 +399,8 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
             batch.append(dt.ParaphrasePair(src=src, tgt=tokens))
         leaves = store.leaves()
         loss = loss_fn(leaves, batch)
-        grads = ad.backward(loss, {n: leaves[n] for n in trainable})
         grad_values, norm = mt.clip_global_norm(
-            {n: grads[n].value for n in trainable}, hyper.clip_norm
+            ad.gradient_values(loss, {n: leaves[n] for n in trainable}), hyper.clip_norm
         )
         new = mt.adamw_step(opt_state, {n: store[n] for n in trainable}, grad_values, lr)
         for n in trainable:
@@ -506,9 +519,7 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
         if mode == "maml":
             task_hyper = hyper
             if hyper.task_batch_size > len(splits.train):
-                task_hyper = mt.TrainHyper(
-                    **{**hyper.__dict__, "task_batch_size": len(splits.train)}
-                )
+                task_hyper = replace(hyper, task_batch_size=len(splits.train))
             sampler = lambda n: [
                 dt.sample_meta_task(target, task_hyper, rng) for _ in range(n)
             ]
@@ -525,7 +536,7 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
             # Deployment step: the meta-trained phi is optimized for its
             # post-adaptation loss, so adapt it on the target train set
             # before freezing the checkpoint.
-            deploy_hyper = mt.TrainHyper(**{**task_hyper.__dict__, "order_mode": "first"})
+            deploy_hyper = replace(task_hyper, order_mode="first")
             adapted, _ = mt.inner_adapt(store, phi_names, splits.train,
                                         deploy_hyper, loss_fn)
             for n in phi_names:

@@ -314,3 +314,40 @@ class TestNoGraph:
         with pytest.raises(ad.NonFiniteError, match="'scale'"):
             with ad.no_graph():
                 ad.scale(x, 1.0)
+
+
+class TestValueOnlyBackward:
+    def test_pair_loss_gradients_bitwise_equal_recorded(self, tiny_transformer):
+        leaves = tiny_transformer.store.leaves()
+        loss = tiny_transformer.loss_fn(leaves, tiny_transformer.pairs)
+        recorded = ad.backward(loss, leaves)
+        values = ad.gradient_values(loss, leaves)
+        assert values.keys() == recorded.keys() == leaves.keys()
+        for name, g in recorded.items():
+            np.testing.assert_array_equal(values[name], g.value, err_msg=name)
+        assert all(np.any(values[n] != 0.0) for n in leaves if "adapter" in n)
+        with ad.no_graph():
+            value_only = ad.backward(loss, leaves)
+        assert all(g.inputs == () for g in value_only.values())
+        assert any(g.inputs for g in recorded.values())
+
+    def test_interior_wrt_keeps_its_full_adjoint(self):
+        # h feeds the output twice: through h * h and directly.
+        x = ad.leaf("x", np.array([0.5, -1.5, 2.0]))
+        h = ad.scale(x, 3.0)
+        out = ad.sum_all(ad.add(ad.mul(h, h), h))
+        wrt = {"h": h, "x": x}
+        expected_h = 2.0 * h.value + 1.0
+        recorded = {n: g.value for n, g in ad.backward(out, wrt).items()}
+        for grads in (recorded, ad.gradient_values(out, wrt)):
+            np.testing.assert_array_equal(grads["h"], expected_h)
+            np.testing.assert_array_equal(grads["x"], 3.0 * expected_h)
+
+    def test_non_finite_vjp_output_raises_naming_the_op(self):
+        # Forward values stay finite (1e-200 * 1e300 * 1e10); the adjoint of x
+        # is 1e10 * 1e300, which overflows in the VJP of the inner scale.
+        x = ad.leaf("x", np.array([1e-200, 2e-200]))
+        out = ad.sum_all(ad.scale(ad.scale(x, 1e300), 1e10))
+        with pytest.raises(ad.NonFiniteError, match="'scale'"):
+            ad.gradient_values(out, [x])
+        assert len(ad.add(1.0, 2.0).inputs) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from metaphrase import autodiff as ad
 from metaphrase import meta as mt
+from metaphrase import model as mm
 from metaphrase.model import ParamStore
 
 
@@ -166,6 +167,46 @@ class TestOuterGradient:
         with pytest.raises(ValueError, match="query"):
             mt.outer_gradient(store, ["phi"], [Task(support=[0.1], query=[])],
                               hyper(), quadratic_loss)
+
+
+def recorded_outer_gradient(store, phi, tasks, hy, loss_fn):
+    """The meta-gradient with every backward pass recorded, as a reference."""
+    base = store.leaves()
+    if hy.order_mode == "second":
+        total = None
+        for task in tasks:
+            adapted, _ = mt.inner_adapt(base, phi, task.support, hy, loss_fn)
+            q = loss_fn(adapted, task.query)
+            total = q if total is None else ad.add(total, q)
+        grads = ad.backward(total, {n: base[n] for n in phi})
+        return {n: grads[n].value for n in phi}
+    out = {n: np.zeros(base[n].shape) for n in phi}
+    for task in tasks:
+        current = dict(base)
+        for _ in range(hy.inner_steps):
+            grads = ad.backward(loss_fn(current, task.support), {n: current[n] for n in phi})
+            for n in phi:
+                current[n] = ad.leaf(n, current[n].value - hy.alpha * grads[n].value)
+        grads = ad.backward(loss_fn(current, task.query), {n: current[n] for n in phi})
+        for n in phi:
+            out[n] = out[n] + grads[n].value
+    return out
+
+
+class TestTransformerOuterGradient:
+    @pytest.mark.parametrize("order", ["second", "first"])
+    def test_matches_fully_recorded_reference(self, tiny_transformer, order):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
+                 Task(support=t.pairs[4:6], query=t.pairs[6:])]
+        hy = hyper(alpha=0.05, inner_steps=2, meta_batch_tasks=2, order_mode=order)
+        grads, _ = mt.outer_gradient(t.store, phi, tasks, hy, t.loss_fn)
+        reference = recorded_outer_gradient(t.store, phi, tasks, hy, t.loss_fn)
+        assert grads.keys() == reference.keys()
+        for n in phi:
+            np.testing.assert_array_equal(grads[n], reference[n], err_msg=n)
+        assert all(np.any(g != 0.0) for g in grads.values())
 
 
 class TestMetaStep:

@@ -155,6 +155,31 @@ class TestCheckpointFormat:
         pl.save_checkpoint(ckpt, path)
         assert not (tmp_path / "model.ckpt.tmp").exists()
 
+    def test_save_keeps_a_stray_tmp_and_leaves_no_temp_file(self, tmp_path):
+        stray = tmp_path / "model.ckpt.tmp"
+        stray.write_bytes(b"not ours")
+        path = tmp_path / "model.ckpt"
+        digest = pl.save_checkpoint(self.make_ckpt(), path)
+        assert stray.read_bytes() == b"not ours"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.tmp"]
+        assert pl.load_checkpoint(path).content_hash() == digest
+
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        pl.save_checkpoint(self.make_ckpt(), path)
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pl.os, "fsync", failing_fsync)
+        other = self.make_ckpt()
+        other.store.set("tok_embed", other.store["tok_embed"] + 1.0)
+        with pytest.raises(OSError, match="disk full"):
+            pl.save_checkpoint(other, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
 
 @pytest.fixture(scope="module")
 def world():
