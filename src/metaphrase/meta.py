@@ -16,6 +16,14 @@ Two outer-gradient modes:
 
 Only the requested (phi) names are ever written; everything else is frozen
 by construction.
+
+``train_loop`` is the one optimiser loop of all three pipeline stages. A
+caller supplies ``step_fn()``, which returns one step's gradients and
+losses, and optionally ``validate()``; the loop clips, steps and writes
+back, records the history, keeps the best-validation parameters and raises
+``DivergenceError``. ``meta_train`` is ``train_loop`` over sampled
+meta-batches; the pipeline's pretraining and plain training run it over
+sampled pair batches.
 """
 
 from __future__ import annotations
@@ -192,10 +200,9 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
     return grad_values, metrics
 
 
-def meta_step(params, phi_names: Sequence[str], tasks: Sequence, hyper: TrainHyper,
-              opt_state: OptimizerState | None, loss_fn: LossFn) -> dict:
-    """One outer update: adapt per task, evaluate queries, update phi in place."""
-    grads, metrics = outer_gradient(params, phi_names, tasks, hyper, loss_fn)
+def _apply_update(params, phi_names: Sequence[str], grads: dict[str, np.ndarray],
+                 hyper: TrainHyper, opt_state: OptimizerState | None) -> float:
+    """Clip, take one outer-optimizer step and write phi back; returns the grad norm."""
     grads, norm = clip_global_norm(grads, hyper.clip_norm)
     values = {n: params[n] for n in phi_names}
     if hyper.outer_optimizer == "adamw":
@@ -206,7 +213,14 @@ def meta_step(params, phi_names: Sequence[str], tasks: Sequence, hyper: TrainHyp
         new = sgd_step(values, grads, hyper.beta)
     for n in phi_names:
         params.set(n, new[n])
-    metrics["grad_norm"] = norm
+    return norm
+
+
+def meta_step(params, phi_names: Sequence[str], tasks: Sequence, hyper: TrainHyper,
+              opt_state: OptimizerState | None, loss_fn: LossFn) -> dict:
+    """One outer update: adapt per task, evaluate queries, update phi in place."""
+    grads, metrics = outer_gradient(params, phi_names, tasks, hyper, loss_fn)
+    metrics["grad_norm"] = _apply_update(params, phi_names, grads, hyper, opt_state)
     return metrics
 
 
@@ -236,7 +250,6 @@ def evaluate_adaptation(params, phi_names: Sequence[str], tasks: Sequence,
 class StopCriteria:
     max_steps: int
     eval_every: int = 20
-    patience: int | None = None
 
 
 @dataclass
@@ -251,73 +264,79 @@ class HistoryRow:
 
 @dataclass
 class MetaTrainResult:
-    best_phi: dict[str, np.ndarray]
     best_val_loss: float | None
     history: list[HistoryRow] = field(default_factory=list)
 
 
 class DivergenceError(RuntimeError):
-    """Validation loss became non-finite during meta-training."""
+    """Validation loss became non-finite during training."""
 
 
-def meta_train(params, phi_names: Sequence[str], task_sampler, hyper: TrainHyper,
-               stop: StopCriteria, loss_fn: LossFn,
-               validation_sampler=None, opt_state: OptimizerState | None = None) -> MetaTrainResult:
-    """Loop meta_step over sampled meta-batches, tracking validation loss.
+StepFn = Callable[[], tuple[dict[str, np.ndarray], float, float]]
 
-    ``task_sampler(n)`` returns a list of n tasks; ``validation_sampler()``
-    returns a fixed list of held-out tasks. The best-validation phi is
-    written back into params before returning. With no validation sampler
-    the final phi stands.
+
+def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
+               stop: StopCriteria, validate: Callable[[], float] | None = None
+               ) -> MetaTrainResult:
+    """Run ``stop.max_steps`` updates of ``names``, tracking validation loss.
+
+    ``step_fn()`` returns ``(grads, support_loss, query_loss)`` for one step;
+    the outer optimizer (learning rate ``hyper.beta``) applies the clipped
+    gradients. ``validate()`` returns a held-out loss and runs every
+    ``stop.eval_every`` steps and at the last step. The best-validation
+    parameters are written back into params before returning; with no
+    ``validate`` the final parameters stand.
     """
-    if opt_state is None and hyper.outer_optimizer == "adamw":
-        opt_state = OptimizerState({n: params[n].shape for n in phi_names}, hyper)
+    opt_state = None
+    if hyper.outer_optimizer == "adamw":
+        opt_state = OptimizerState({n: params[n].shape for n in names}, hyper)
 
     history: list[HistoryRow] = []
-    best_phi = {n: np.array(params[n], copy=True) for n in phi_names}
-    best_val = None
-    bad_evals = 0
+    best, best_val = None, None
     t0 = time.perf_counter()
 
     for step in range(1, stop.max_steps + 1):
-        tasks = task_sampler(hyper.meta_batch_tasks)
-        metrics = meta_step(params, phi_names, tasks, hyper, opt_state, loss_fn)
+        grads, support_loss, query_loss = step_fn()
+        norm = _apply_update(params, names, grads, hyper, opt_state)
 
         val_loss = None
-        if validation_sampler is not None and (
-            step % stop.eval_every == 0 or step == stop.max_steps
-        ):
-            val_loss = evaluate_adaptation(
-                params, phi_names, validation_sampler(), hyper, loss_fn
-            )
+        if validate is not None and (step % stop.eval_every == 0 or step == stop.max_steps):
+            val_loss = validate()
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss diverged at step {step}: {val_loss}")
             if best_val is None or val_loss < best_val:
                 best_val = val_loss
-                best_phi = {n: np.array(params[n], copy=True) for n in phi_names}
-                bad_evals = 0
-            else:
-                bad_evals += 1
+                best = {n: np.array(params[n], copy=True) for n in names}
 
-        history.append(
-            HistoryRow(
-                step=step,
-                support_loss=metrics["support_loss"],
-                query_loss=metrics["query_loss"],
-                val_loss=val_loss,
-                grad_norm=metrics["grad_norm"],
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        if stop.patience is not None and bad_evals > stop.patience:
-            break
+        history.append(HistoryRow(step, support_loss, query_loss, val_loss, norm,
+                                  time.perf_counter() - t0))
 
-    if validation_sampler is not None and best_val is not None:
-        for n in phi_names:
-            params.set(n, best_phi[n])
-    else:
-        best_phi = {n: np.array(params[n], copy=True) for n in phi_names}
-    return MetaTrainResult(best_phi=best_phi, best_val_loss=best_val, history=history)
+    if best is not None:
+        for n in names:
+            params.set(n, best[n])
+    return MetaTrainResult(best_val_loss=best_val, history=history)
+
+
+def meta_train(params, phi_names: Sequence[str], task_sampler, hyper: TrainHyper,
+               stop: StopCriteria, loss_fn: LossFn,
+               validation_sampler=None) -> MetaTrainResult:
+    """``train_loop`` over sampled meta-batches.
+
+    ``task_sampler(n)`` returns a list of n tasks; ``validation_sampler()``
+    returns a fixed list of held-out tasks, scored by ``evaluate_adaptation``.
+    """
+
+    def step_fn():
+        tasks = task_sampler(hyper.meta_batch_tasks)
+        grads, metrics = outer_gradient(params, phi_names, tasks, hyper, loss_fn)
+        return grads, metrics["support_loss"], metrics["query_loss"]
+
+    validate = None
+    if validation_sampler is not None:
+        def validate():
+            return evaluate_adaptation(params, phi_names, validation_sampler(), hyper, loss_fn)
+
+    return train_loop(params, phi_names, step_fn, hyper, stop, validate)
 
 
 def write_history_csv(history: Sequence[HistoryRow], path) -> None:

@@ -149,26 +149,6 @@ def partition_params(store: ParamStore) -> tuple[list[str], list[str]]:
 _INIT_STD = 0.02
 
 
-def _add_linear(store, rng, prefix, n_in, n_out, partition="backbone"):
-    store.add(f"{prefix}.w", rng.normal(0.0, _INIT_STD, (n_in, n_out)), partition)
-    store.add(f"{prefix}.b", np.zeros(n_out), partition)
-
-
-def _add_norm(store, prefix, d):
-    store.add(f"{prefix}.gain", np.ones(d), "norm")
-    store.add(f"{prefix}.bias", np.zeros(d), "norm")
-
-
-def _add_adapter(store, rng, prefix, d_model, hidden):
-    # W_u and both biases start at zero so the residual makes the adapter an
-    # exact identity at insertion.
-    bound = 1.0 / np.sqrt(d_model)
-    store.add(f"{prefix}.wd", rng.uniform(-bound, bound, (d_model, hidden)), "adapter")
-    store.add(f"{prefix}.bd", np.zeros(hidden), "adapter")
-    store.add(f"{prefix}.wu", np.zeros((hidden, d_model)), "adapter")
-    store.add(f"{prefix}.bu", np.zeros(d_model), "adapter")
-
-
 def _adapter_prefixes(config: ModelConfig) -> list[str]:
     out = []
     for i in range(config.n_enc_layers):
@@ -189,8 +169,9 @@ def _adapter_prefixes(config: ModelConfig) -> list[str]:
 def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
     """(name, shape, partition) for every parameter, without allocating.
 
-    Single source of truth for checkpoint validation and accounting; the
-    builder produces exactly these names and shapes.
+    Single source of truth for initialization, checkpoint validation and
+    accounting: ``build_model`` and ``insert_adapters`` create exactly these
+    names and shapes, in this order.
     """
     d, dff = config.d_model, config.d_ff
     out: list[tuple[str, tuple, str]] = [
@@ -242,50 +223,45 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
     return out
 
 
+def _init_value(name: str, shape: tuple, rng: np.random.Generator,
+                rng_adapter: np.random.Generator) -> np.ndarray:
+    """Initial array for one parameter, keyed on the last name component.
+
+    W_u and both adapter biases start at zero so the residual makes each
+    adapter an exact identity at insertion; layer norms start at unit gain.
+    """
+    kind = name.rsplit(".", 1)[-1]
+    if kind == "gain":
+        return np.ones(shape)
+    if kind == "wd":
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng_adapter.uniform(-bound, bound, shape)
+    if kind in ("b", "bias", "bd", "wu", "bu"):
+        return np.zeros(shape)
+    return rng.normal(0.0, _INIT_STD, shape)
+
+
+def _init_into(store: ParamStore, config: ModelConfig, seed: int, partitions) -> ParamStore:
+    """Add every missing ``param_layout`` entry of the given partitions, in layout order.
+
+    Backbone weights draw from the stream ``[seed, 0]`` and adapter
+    down-projections from ``[seed, 1]``.
+    """
+    rng = np.random.default_rng([int(seed), 0])
+    rng_adapter = np.random.default_rng([int(seed), 1])
+    for name, shape, partition in param_layout(config):
+        if partition in partitions and name not in store:
+            store.add(name, _init_value(name, shape, rng, rng_adapter), partition)
+    return store
+
+
 def build_model(config: ModelConfig, seed: int) -> ParamStore:
     """Deterministically initialize a ParamStore from (config, seed).
 
     Backbone and adapter parameters draw from independent seeded streams, so
     the backbone is bit-identical whether or not adapters are placed.
     """
-    rng = np.random.default_rng([int(seed), 0])
-    store = ParamStore()
-    d, dff = config.d_model, config.d_ff
-
-    store.add("tok_embed", rng.normal(0.0, _INIT_STD, (config.vocab_size, d)), "backbone")
-    store.add("pos_enc", rng.normal(0.0, _INIT_STD, (config.max_len, d)), "backbone")
-    store.add("pos_dec", rng.normal(0.0, _INIT_STD, (config.max_len, d)), "backbone")
-
-    for i in range(config.n_enc_layers):
-        p = f"enc.{i}"
-        _add_norm(store, f"{p}.ln1", d)
-        for proj in ("wq", "wk", "wv", "wo"):
-            _add_linear(store, rng, f"{p}.attn.{proj}", d, d)
-        _add_norm(store, f"{p}.ln2", d)
-        _add_linear(store, rng, f"{p}.ffn.w1", d, dff)
-        _add_linear(store, rng, f"{p}.ffn.w2", dff, d)
-    _add_norm(store, "enc.final_ln", d)
-
-    for i in range(config.n_dec_layers):
-        p = f"dec.{i}"
-        _add_norm(store, f"{p}.ln1", d)
-        for proj in ("wq", "wk", "wv", "wo"):
-            _add_linear(store, rng, f"{p}.self.{proj}", d, d)
-        _add_norm(store, f"{p}.ln2", d)
-        for proj in ("wq", "wk", "wv", "wo"):
-            _add_linear(store, rng, f"{p}.cross.{proj}", d, d)
-        _add_norm(store, f"{p}.ln3", d)
-        _add_linear(store, rng, f"{p}.ffn.w1", d, dff)
-        _add_linear(store, rng, f"{p}.ffn.w2", dff, d)
-    _add_norm(store, "dec.final_ln", d)
-
-    if not config.tie_embeddings:
-        store.add("out_proj", rng.normal(0.0, _INIT_STD, (d, config.vocab_size)), "backbone")
-
-    rng_adapter = np.random.default_rng([int(seed), 1])
-    for prefix in _adapter_prefixes(config):
-        _add_adapter(store, rng_adapter, prefix, d, config.adapter_hidden)
-    return store
+    return _init_into(ParamStore(), config, seed, PARTITIONS)
 
 
 def insert_adapters(store: ParamStore, config: ModelConfig, seed: int) -> ParamStore:
@@ -294,12 +270,7 @@ def insert_adapters(store: ParamStore, config: ModelConfig, seed: int) -> ParamS
     Used when a checkpoint was trained without adapters (stage a) and the
     next stage needs them. Existing arrays are copied bit-exactly.
     """
-    out = store.copy()
-    rng = np.random.default_rng([int(seed), 1])
-    for prefix in _adapter_prefixes(config):
-        if f"{prefix}.wd" not in out:
-            _add_adapter(out, rng, prefix, config.d_model, config.adapter_hidden)
-    return out
+    return _init_into(store.copy(), config, seed, ("adapter",))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ import io
 import os
 import struct
 import tempfile
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -115,69 +114,67 @@ class Checkpoint:
         return hashlib.sha256(checkpoint_bytes(self)).hexdigest()
 
 
+def _encode_field(value) -> str:
+    if isinstance(value, frozenset):
+        return " ".join(sorted(value))
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _decode_field(text: str, kind: str):
+    """Inverse of ``_encode_field`` for a ModelConfig field annotated ``kind``."""
+    if kind == "frozenset":
+        return frozenset(text.split())
+    if kind == "bool":
+        return bool(int(text))
+    return {"int": int, "float": float}[kind](text)
+
+
 def _config_text(ckpt: Checkpoint) -> str:
-    cfg = ckpt.config
     lines = [
         f"stage = {ckpt.stage}",
         f"provenance = {' '.join(ckpt.provenance)}",
     ]
     for name in sorted(ckpt.seeds):
         lines.append(f"seed.{name} = {ckpt.seeds[name]}")
-    lines += [
-        f"model.d_model = {cfg.d_model}",
-        f"model.n_heads = {cfg.n_heads}",
-        f"model.n_enc_layers = {cfg.n_enc_layers}",
-        f"model.n_dec_layers = {cfg.n_dec_layers}",
-        f"model.d_ff = {cfg.d_ff}",
-        f"model.vocab_size = {cfg.vocab_size}",
-        f"model.max_len = {cfg.max_len}",
-        f"model.adapter_hidden = {cfg.adapter_hidden}",
-        f"model.adapter_placement = {' '.join(sorted(cfg.adapter_placement))}",
-        f"model.tie_embeddings = {int(cfg.tie_embeddings)}",
-        f"model.ln_eps = {cfg.ln_eps!r}",
-    ]
+    for f in fields(mm.ModelConfig):
+        lines.append(f"model.{f.name} = {_encode_field(getattr(ckpt.config, f.name))}")
     if ckpt.vocab is not None:
         lines.append(f"vocab = {' '.join(ckpt.vocab.tokens())}")
     return "\n".join(lines) + "\n"
 
 
 def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.Vocab | None]:
-    fields: dict[str, str] = {}
+    entries: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:
             raise CheckpointError(f"malformed config line {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
+        entries[key] = value
 
     try:
-        config = mm.ModelConfig(
-            d_model=int(fields["model.d_model"]),
-            n_heads=int(fields["model.n_heads"]),
-            n_enc_layers=int(fields["model.n_enc_layers"]),
-            n_dec_layers=int(fields["model.n_dec_layers"]),
-            d_ff=int(fields["model.d_ff"]),
-            vocab_size=int(fields["model.vocab_size"]),
-            max_len=int(fields["model.max_len"]),
-            adapter_hidden=int(fields["model.adapter_hidden"]),
-            adapter_placement=frozenset(fields["model.adapter_placement"].split()),
-            tie_embeddings=bool(int(fields["model.tie_embeddings"])),
-            ln_eps=float(fields["model.ln_eps"]),
-        )
-        stage = fields["stage"]
+        config = mm.ModelConfig(**{
+            f.name: _decode_field(entries[f"model.{f.name}"], f.type)
+            for f in fields(mm.ModelConfig)
+        })
+        stage = entries["stage"]
     except KeyError as exc:
         raise CheckpointError(f"config text missing field {exc}") from exc
 
     seeds = {
         key[len("seed."):]: int(value)
-        for key, value in fields.items()
+        for key, value in entries.items()
         if key.startswith("seed.")
     }
-    provenance = fields.get("provenance", "").split()
+    provenance = entries.get("provenance", "").split()
     vocab = None
-    if "vocab" in fields:
-        tokens = fields["vocab"].split()
+    if "vocab" in entries:
+        tokens = entries["vocab"].split()
         if tokens[: len(dt.RESERVED)] != list(dt.RESERVED):
             raise CheckpointError("embedded vocab is missing reserved tokens")
         vocab = dt.Vocab(tokens[len(dt.RESERVED):])
@@ -291,8 +288,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# training loops shared by the stages
+# training steps shared by the stages
 # ---------------------------------------------------------------------------
+# Every stage trains with ``meta.train_loop``. Pretraining and plain training
+# give it a ``_pair_step`` over their own batch sampler; MAML stages go
+# through ``meta.meta_train``.
 
 
 def make_pair_loss(config: mm.ModelConfig):
@@ -314,50 +314,34 @@ class StageResult:
     history: list = field(default_factory=list)
 
 
-def _plain_train(store, phi_names, train_pairs, valid_pairs, hyper, steps,
+def _pair_step(store, names, loss_fn, sample_batch):
+    """A ``train_loop`` step: the NLL gradient of ``names`` on one sampled batch."""
+
+    def step_fn():
+        leaves = store.leaves()
+        loss = loss_fn(leaves, sample_batch())
+        grads = ad.gradient_values(loss, {n: leaves[n] for n in names})
+        value = float(loss.value)
+        return grads, value, value
+
+    return step_fn
+
+
+def _plain_train(store, phi_names, train_pairs, valid_pairs, hyper, stop,
                  loss_fn, rng) -> list[mt.HistoryRow]:
     """Minimize NLL over a pair set with the outer optimizer, best-val kept."""
-    opt_state = None
-    if hyper.outer_optimizer == "adamw":
-        opt_state = mt.OptimizerState({n: store[n].shape for n in phi_names}, hyper)
-    history: list[mt.HistoryRow] = []
-    best = {n: store[n].copy() for n in phi_names}
-    best_val = None
-    eval_every = 20
-    t0 = time.perf_counter()
 
-    for step in range(1, steps + 1):
-        idx = rng.choice(len(train_pairs), size=min(hyper.task_batch_size, len(train_pairs)), replace=False)
-        batch = [train_pairs[int(i)] for i in idx]
-        leaves = store.leaves()
-        loss = loss_fn(leaves, batch)
-        grad_values = ad.gradient_values(loss, {n: leaves[n] for n in phi_names})
-        grad_values, norm = mt.clip_global_norm(grad_values, hyper.clip_norm)
-        values = {n: store[n] for n in phi_names}
-        if opt_state is not None:
-            new = mt.adamw_step(opt_state, values, grad_values, hyper.beta)
-        else:
-            new = mt.sgd_step(values, grad_values, hyper.beta)
-        for n in phi_names:
-            store.set(n, new[n])
+    def sample_batch():
+        size = min(hyper.task_batch_size, len(train_pairs))
+        return [train_pairs[int(i)] for i in rng.choice(len(train_pairs), size=size, replace=False)]
 
-        val_loss = None
-        if valid_pairs and (step % eval_every == 0 or step == steps):
-            val_loss = float(loss_fn(store.leaves(), valid_pairs).value)
-            if not np.isfinite(val_loss):
-                raise mt.DivergenceError(f"validation loss diverged at step {step}")
-            if best_val is None or val_loss < best_val:
-                best_val = val_loss
-                best = {n: store[n].copy() for n in phi_names}
-        history.append(
-            mt.HistoryRow(step, float(loss.value), float(loss.value), val_loss,
-                          norm, time.perf_counter() - t0)
-        )
+    validate = None
+    if valid_pairs:
+        def validate():
+            return float(loss_fn(store.leaves(), valid_pairs).value)
 
-    if best_val is not None:
-        for n in phi_names:
-            store.set(n, best[n])
-    return history
+    step_fn = _pair_step(store, phi_names, loss_fn, sample_batch)
+    return mt.train_loop(store, phi_names, step_fn, hyper, stop, validate).history
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +365,13 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
     base_config = replace(config, adapter_placement=frozenset())
     store = mm.build_model(base_config, seed=derive_seed(seed, "init"))
     loss_fn = make_pair_loss(base_config)
-    hyper = mt.TrainHyper(beta=lr, task_batch_size=batch_size)
+    hyper = mt.TrainHyper(beta=lr)
     trainable = store.names()  # stage (a) trains everything present
 
     rng = np.random.default_rng(derive_seed(seed, "pretrain_data"))
     noise_rng = np.random.default_rng(derive_seed(seed, "noise"))
-    opt_state = mt.OptimizerState({n: store[n].shape for n in trainable}, hyper)
-    history: list[mt.HistoryRow] = []
-    t0 = time.perf_counter()
-    for step in range(1, steps + 1):
+
+    def sample_batch():
         idx = rng.choice(len(corpus), size=min(batch_size, len(corpus)), replace=False)
         batch = []
         for i in idx:
@@ -397,18 +379,10 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
             keep_clean = noise_rng.random() < clean_frac
             src = tokens if keep_clean else corrupt(tokens, noise, noise_rng)
             batch.append(dt.ParaphrasePair(src=src, tgt=tokens))
-        leaves = store.leaves()
-        loss = loss_fn(leaves, batch)
-        grad_values, norm = mt.clip_global_norm(
-            ad.gradient_values(loss, {n: leaves[n] for n in trainable}), hyper.clip_norm
-        )
-        new = mt.adamw_step(opt_state, {n: store[n] for n in trainable}, grad_values, lr)
-        for n in trainable:
-            store.set(n, new[n])
-        history.append(
-            mt.HistoryRow(step, float(loss.value), float(loss.value), None, norm,
-                          time.perf_counter() - t0)
-        )
+        return batch
+
+    step_fn = _pair_step(store, trainable, loss_fn, sample_batch)
+    history = mt.train_loop(store, trainable, step_fn, hyper, mt.StopCriteria(steps)).history
 
     ckpt = Checkpoint(
         config=base_config, stage="pretrained",
@@ -468,7 +442,7 @@ def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
                             for p in validation.domains[label].valid
                             + validation.domains[label].train]
         history = _plain_train(store, phi_names, train_pairs, valid_pairs[:64],
-                               hyper, stop.max_steps, loss_fn, rng)
+                               hyper, stop, loss_fn, rng)
 
     ckpt = Checkpoint(
         config=full_config, stage="meta_trained",
@@ -543,7 +517,7 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
                 store.set(n, adapted[n].value)
         else:
             history = _plain_train(store, phi_names, splits.train, splits.valid,
-                                   hyper, stop.max_steps, loss_fn, rng)
+                                   hyper, stop, loss_fn, rng)
 
     ckpt = Checkpoint(
         config=full_config, stage="finetuned",

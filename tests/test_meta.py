@@ -336,3 +336,34 @@ class TestMetaTrain:
         with pytest.raises(ad.NonFiniteError):
             mt.meta_step(store, ["phi"], [Task(support=0.0, query=0.0)],
                          hyper(), None, quadratic_loss)
+
+
+class TestTrainLoop:
+    """The one optimiser loop behind all three pipeline stages."""
+
+    def run(self, val_losses, eval_every=1):
+        store = make_store(phi=([0.0], "adapter"), theta=([5.0], "backbone"))
+        losses = iter(val_losses)
+        result = mt.train_loop(
+            store, ["phi"], lambda: ({"phi": np.array([-1.0])}, 0.5, 0.25), hyper(beta=1.0),
+            mt.StopCriteria(max_steps=len(val_losses), eval_every=eval_every),
+            validate=lambda: next(losses),
+        )
+        return store, result
+
+    def test_best_validation_parameters_restored(self):
+        store, result = self.run([3.0, 1.0, 2.0])
+        assert store["phi"][0] == 2.0  # after the second of three SGD steps
+        assert store["theta"][0] == 5.0
+        assert result.best_val_loss == 1.0
+        assert [(r.step, r.support_loss, r.query_loss, r.val_loss, r.grad_norm)
+                for r in result.history] == [(1, 0.5, 0.25, 3.0, 1.0), (2, 0.5, 0.25, 1.0, 1.0),
+                                             (3, 0.5, 0.25, 2.0, 1.0)]
+
+    def test_validates_every_eval_every_steps_and_at_the_last(self):
+        _, result = self.run([3.0, 2.0, 1.0, 0.5, 0.25], eval_every=2)
+        assert [r.val_loss for r in result.history] == [None, 3.0, None, 2.0, 1.0]
+
+    def test_non_finite_validation_raises(self):
+        with pytest.raises(mt.DivergenceError, match="step 2"):
+            self.run([1.0, float("nan")])

@@ -400,3 +400,17 @@ class TestInsertAdapters:
         a = mm.forward(store, cfg_off, src, tgt).value
         b = mm.forward(grown, cfg_on, src, tgt).value
         assert np.array_equal(a, b)
+
+    def test_existing_adapters_kept_and_missing_sites_added(self):
+        store = mm.build_model(toy_config(), seed=2)
+        trained = store.copy()
+        for name in trained.names():
+            if trained.partition(name) == "adapter":
+                trained.set(name, trained[name] + 0.5)
+        cfg_all = toy_config(adapter_placement=frozenset(mm.ADAPTER_SITES))
+        grown = mm.insert_adapters(trained, cfg_all, seed=2)
+        for name, arr in trained.items():
+            assert np.array_equal(grown[name], arr), name
+        added = [n for n in grown.names() if n not in trained]
+        assert added == [f"dec.0.adapter_cross.{k}" for k in ("wd", "bd", "wu", "bu")]
+        assert np.all(grown["dec.0.adapter_cross.wu"] == 0.0)

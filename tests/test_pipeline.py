@@ -1,9 +1,13 @@
 """Stage orchestration, corruption, and checkpoint format tests."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from metaphrase import data as dt
+from metaphrase import experiments as ex
 from metaphrase import meta as mt
 from metaphrase import model as mm
 from metaphrase import pipeline as pl
@@ -126,6 +130,29 @@ class TestCheckpointFormat:
         patched = blob.replace(b"model.d_ff = 16", b"model.d_ff = 32")
         with pytest.raises(pl.CheckpointError, match="do not match"):
             pl.checkpoint_from_bytes(patched)
+
+    def test_missing_config_field_rejected(self):
+        blob = pl.checkpoint_bytes(self.make_ckpt())
+        patched = blob.replace(b"model.ln_eps = ", b"model.ln_epz = ")
+        with pytest.raises(pl.CheckpointError, match="missing field 'model.ln_eps'"):
+            pl.checkpoint_from_bytes(patched)
+
+    def test_config_text_encoding(self):
+        config = tiny_config(adapter_placement=frozenset({"enc_ffn", "dec_attn"}),
+                             tie_embeddings=False, ln_eps=1e-6)
+        ckpt = pl.Checkpoint(config=config, stage="pretrained", seeds={"b": 2, "a": 1},
+                             provenance=[], store=mm.build_model(config, seed=3))
+        blob = pl.checkpoint_bytes(ckpt)
+        text = blob[12:12 + int.from_bytes(blob[8:12], "little")].decode()
+        assert text == (
+            "stage = pretrained\nprovenance = \nseed.a = 1\nseed.b = 2\n"
+            "model.d_model = 8\nmodel.n_heads = 2\nmodel.n_enc_layers = 1\n"
+            "model.n_dec_layers = 1\nmodel.d_ff = 16\nmodel.vocab_size = 40\n"
+            "model.max_len = 12\nmodel.adapter_hidden = 4\n"
+            "model.adapter_placement = dec_attn enc_ffn\nmodel.tie_embeddings = 0\n"
+            "model.ln_eps = 1e-06\n"
+        )
+        assert pl.checkpoint_from_bytes(blob).config == config
 
     def test_vocab_embedded(self, tmp_path):
         vocab = dt.Vocab(["alpha", "beta"])
@@ -375,3 +402,73 @@ class TestFinetuneStage:
             return pl.checkpoint_bytes(fin.checkpoint)
 
         assert run() == run()
+
+
+class TestEvalCadence:
+    """Plain training validates on the caller's ``StopCriteria.eval_every``."""
+
+    STOP = mt.StopCriteria(max_steps=3, eval_every=1)
+
+    def test_plain_meta_train_validates_every_step(self, world, pretrained):
+        vocab, corpora, _ = world
+        source = corpus_from(corpora, sorted(corpora)[:1], "src", n_valid=4)
+        hyper = mt.TrainHyper(task_batch_size=4)
+        result = pl.meta_train_stage(pretrained.checkpoint, source, hyper, self.STOP,
+                                     seed=3, mode="plain")
+        assert [r.step for r in result.history] == [1, 2, 3]
+        assert all(r.val_loss is not None for r in result.history)
+
+    def test_plain_finetune_validates_every_step(self, world, pretrained):
+        vocab, corpora, _ = world
+        tgt_name = sorted(corpora)[1]
+        target = dt.CorpusSet(
+            role="tgt", domains={tgt_name: dt.split_pairs(corpora[tgt_name], 4, 0)}
+        )
+        hyper = mt.TrainHyper(task_batch_size=4)
+        result = pl.finetune_stage(pretrained.checkpoint, target, hyper, self.STOP,
+                                   seed=3, mode="plain", allow_pretrained=True)
+        assert [r.step for r in result.history] == [1, 2, 3]
+        assert all(r.val_loss is not None for r in result.history)
+
+
+CHAIN_HASHES = Path(__file__).parent / "data" / "chain_hashes.json"
+
+
+def golden_chain(world_dir) -> dict[str, str]:
+    """Checkpoint content hashes of a tiny chain that runs every training loop.
+
+    Stage (a); stage (b) ``maml`` in both orders with meta-validation and
+    stage (c) ``maml`` from each; stage (b) ``plain`` with validation and
+    stage (c) ``plain`` with SGD from it.
+    """
+    settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
+                               target_valid=6, target_test=2, source_valid=8, pre_cap=60)
+    ex.build_world_files(settings, world_dir)
+    world = ex.load_world(world_dir)
+    config = mm.ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=32,
+                            vocab_size=len(world.vocab), max_len=24, adapter_hidden=4)
+    pre = pl.pretrain_stage(config, world.pre_corpus, pl.NoiseConfig(), steps=3, seed=31,
+                            batch_size=8, vocab=world.vocab).checkpoint
+    out = {"pre": pre.content_hash()}
+    stop = mt.StopCriteria(3, eval_every=2)
+    for order in ("second", "first"):
+        hyper = mt.TrainHyper(inner_steps=1, meta_batch_tasks=2, task_batch_size=4,
+                              order_mode=order)
+        b = pl.meta_train_stage(pre, world.source, hyper, stop, seed=32,
+                                validation=world.validation).checkpoint
+        c = pl.finetune_stage(b, world.target, hyper, stop, seed=33).checkpoint
+        out[f"b-{order}"], out[f"c-{order}"] = b.content_hash(), c.content_hash()
+    hyper = mt.TrainHyper(task_batch_size=4)
+    b = pl.meta_train_stage(pre, world.source, hyper, mt.StopCriteria(4), seed=34,
+                            validation=world.validation, mode="plain").checkpoint
+    sgd = mt.TrainHyper(beta=0.05, outer_optimizer="sgd", task_batch_size=2)
+    c = pl.finetune_stage(b, world.target, sgd, mt.StopCriteria(4), seed=35,
+                          mode="plain").checkpoint
+    out["b-plain"], out["c-plain"] = b.content_hash(), c.content_hash()
+    return out
+
+
+class TestChainGolden:
+    def test_checkpoint_hashes_pinned(self, tmp_path):
+        expected = json.loads(CHAIN_HASHES.read_text())
+        assert golden_chain(tmp_path / "world") == expected
