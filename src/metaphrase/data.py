@@ -308,70 +308,6 @@ def domain_family(n_domains: int, seed: int, nouns: int = 6, verbs: int = 4,
 
 
 # ---------------------------------------------------------------------------
-# domain spec file format (key = value sections)
-# ---------------------------------------------------------------------------
-
-
-def write_domain_spec(spec: DomainSpec) -> str:
-    lines = ["[domain]", f"name = {spec.name}", f"seed = {spec.seed}",
-             f"subst_prob = {spec.subst_prob}", f"reorder_prob = {spec.reorder_prob}", ""]
-    lines.append("[vocabulary]")
-    for group, ws in spec.words.items():
-        lines.append(f"{group} = {' '.join(ws)}")
-    lines.append("")
-    lines.append("[synonyms]")
-    for word, alts in spec.synonyms.items():
-        lines.append(f"{word} = {' '.join(alts)}")
-    lines.append("")
-    lines.append("[templates]")
-    for i, template in enumerate(spec.templates):
-        lines.append(f"t{i} = " + " | ".join(" ".join(seg) for seg in template))
-    lines.append("")
-    lines.append("[reorders]")
-    for i, rule in enumerate(spec.reorders):
-        lines.append(f"r{i} = {' '.join(str(x) for x in rule)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_domain_spec(text: str) -> DomainSpec:
-    sections: dict[str, list[tuple[str, str]]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections.setdefault(current, [])
-            continue
-        if current is None or "=" not in line:
-            raise CorpusFormatError(f"line {lineno}: expected 'key = value' inside a section")
-        key, value = (part.strip() for part in line.split("=", 1))
-        sections[current].append((key, value))
-
-    known = {"domain", "vocabulary", "synonyms", "templates", "reorders"}
-    unknown = set(sections) - known
-    if unknown:
-        raise CorpusFormatError(f"unknown sections: {sorted(unknown)}")
-
-    head = dict(sections.get("domain", []))
-    templates = [
-        [segment.split() for segment in value.split("|")]
-        for _, value in sections.get("templates", [])
-    ]
-    return DomainSpec(
-        name=head.get("name", "domain"),
-        seed=int(head.get("seed", "0")),
-        words={k: v.split() for k, v in sections.get("vocabulary", [])},
-        synonyms={k: v.split() for k, v in sections.get("synonyms", [])},
-        templates=templates,
-        reorders=[tuple(int(x) for x in value.split()) for _, value in sections.get("reorders", [])],
-        subst_prob=float(head.get("subst_prob", "1.0")),
-        reorder_prob=float(head.get("reorder_prob", "0.5")),
-    )
-
-
-# ---------------------------------------------------------------------------
 # corpora and meta-task sampling
 # ---------------------------------------------------------------------------
 

@@ -7,14 +7,20 @@ hypotheses by length-penalized summed log-probabilities and always includes
 the greedy hypothesis among its candidates, so its returned score never
 falls below greedy's.
 
-Decoding is incremental and records no autodiff graph: each source is
+Decoding is incremental and records no autodiff graph: sources are
 encoded once, inside ``autodiff.no_graph()``, into a ``model.KVCache`` that
-serves both the greedy and the beam pass. The cache keeps the encoder
-memory's per-head cross-attention keys and values, plus each decoder
-layer's self-attention keys and values, which grow by one position per
-step; beam search reorders them by parent hypothesis. A step therefore
-runs the decoder on one new position per hypothesis, with the same layer
-code as ``model.forward_batch``.
+serves both the greedy and the beam pass. The cache keeps, one row per
+hypothesis, the source's per-head cross-attention keys and values plus each
+decoder layer's self-attention keys and values, which grow by one position
+per step; beam search reorders the rows by parent hypothesis. A step
+therefore runs the decoder on one new position per hypothesis, with the
+same layer code as ``model.forward_batch``.
+
+``decode_batch`` decodes sources of exactly equal token length together:
+their hypotheses are stacked into one decoder step, with no padding. Every
+op of a step is row-wise or a stacked matmul that computes each row with the
+same kernel call as a batch of one, so each source gets bit for bit the ids
+and log-probs it gets when decoded alone; ``decode`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from . import autodiff as ad
 from . import data as dt
 from . import model as mm
 from . import pipeline as pl
+
+# Sources per lockstep batch: bounds the cache at this many times the beam
+# width rows.
+_MAX_BATCH = 64
 
 
 @dataclass
@@ -68,69 +78,115 @@ def _hyp_score(logprob_sum: float, n_emitted: int, length_penalty: float) -> flo
     return logprob_sum / (n_emitted**length_penalty)
 
 
-def _greedy(params, config, cache, dc: DecodeConfig) -> tuple[list[int], float]:
-    ids = [dt.BOS]
-    logprob = 0.0
-    while len(ids) < dc.max_decode_len:
-        rows, cache = _next_logprobs(params, config, cache, [ids])
-        row = rows[0]
-        nxt = int(np.argmax(row))  # first occurrence: ties go to the lowest id
-        logprob += float(row[nxt])
-        ids.append(nxt)
-        if nxt == dt.EOS:
-            break
-    return ids, logprob
+def _greedy(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[list[int], float]]:
+    """Greedy (ids, summed log-prob) for each of the cache's ``n`` rows.
+
+    A row that emits the end marker leaves the batch.
+    """
+    ids = [[dt.BOS] for _ in range(n)]
+    logprobs = [0.0] * n
+    active = list(range(n))
+    while active and len(ids[active[0]]) < dc.max_decode_len:
+        rows, cache = _next_logprobs(params, config, cache, [ids[s] for s in active])
+        best = np.argmax(rows, axis=-1)  # first occurrence: ties go to the lowest id
+        keep = []
+        for r, s in enumerate(active):
+            tok = int(best[r])
+            logprobs[s] += float(rows[r, tok])
+            ids[s].append(tok)
+            if tok != dt.EOS:
+                keep.append(r)
+        if len(keep) < len(active):
+            active = [active[r] for r in keep]
+            if active:
+                cache = cache.select(keep)
+    return list(zip(ids, logprobs))
 
 
-def _beam(params, config, cache, dc: DecodeConfig) -> list[tuple[list[int], float]]:
-    live = [([dt.BOS], 0.0)]
-    done: list[tuple[list[int], float]] = []
-    while live and len(live[0][0]) < dc.max_decode_len:
-        rows, cache = _next_logprobs(params, config, cache, [ids for ids, _ in live])
-        candidates = []
-        for parent, ((ids, logprob), row) in enumerate(zip(live, rows)):
-            top = np.argsort(-row, kind="stable")[: dc.beam_width]
-            for tok in top:
-                candidates.append((ids + [int(tok)], logprob + float(row[tok]), parent))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        live, parents = [], []
-        for ids, logprob, parent in candidates:
-            if ids[-1] == dt.EOS:
-                done.append((ids, logprob))
-            elif len(live) < dc.beam_width:
-                live.append((ids, logprob))
-                parents.append(parent)
-            if len(live) >= dc.beam_width and len(done) >= dc.beam_width:
-                break
-        if live:
+def _beam(params, config, cache, n: int, dc: DecodeConfig) -> list[list[tuple[list[int], float]]]:
+    """Finished and live hypotheses of a beam search from each of the cache's ``n`` rows.
+
+    Every source's live hypotheses share one decoder step; candidates are
+    ranked and pruned per source.
+    """
+    live = [[([dt.BOS], 0.0)] for _ in range(n)]
+    done = [[] for _ in range(n)]
+    length = 1
+    while length < dc.max_decode_len and any(live):
+        rows, cache = _next_logprobs(params, config, cache,
+                                     [ids for hyps in live for ids, _ in hyps])
+        tops = np.argsort(-rows, axis=-1, kind="stable")[:, : dc.beam_width]
+        parents = []
+        offset = 0
+        for s, hyps in enumerate(live):
+            candidates = []
+            for r, (ids, logprob) in enumerate(hyps, start=offset):
+                for tok in tops[r]:
+                    candidates.append((ids + [int(tok)], logprob + float(rows[r, tok]), r))
+            offset += len(hyps)
+            candidates.sort(key=lambda c: (-c[1], c[0]))
+            kept = []
+            for ids, logprob, r in candidates:
+                if ids[-1] == dt.EOS:
+                    done[s].append((ids, logprob))
+                elif len(kept) < dc.beam_width:
+                    kept.append((ids, logprob))
+                    parents.append(r)
+                if len(kept) >= dc.beam_width and len(done[s]) >= dc.beam_width:
+                    break
+            live[s] = kept
+        length += 1
+        if parents:
             cache = cache.select(parents)
-    done.extend(live)
-    return done
+    return [finished + hyps for finished, hyps in zip(done, live)]
+
+
+def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[list[int]]:
+    """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep."""
+    n = src.shape[0]
+    with ad.no_graph():
+        cache = mm.encode_source(params, config, src)
+        greedy = _greedy(params, config, cache, n, dc)
+        if dc.strategy == "greedy" or dc.beam_width == 1:
+            return [ids for ids, _ in greedy]
+        pools = _beam(params, config, cache, n, dc)
+    out = []
+    for pool, greedy_hyp in zip(pools, greedy):
+        scored = [(_hyp_score(lp, len(ids) - 1, dc.length_penalty), ids)
+                  for ids, lp in pool + [greedy_hyp]]
+        scored.sort(key=lambda s: (-s[0], s[1]))
+        out.append(scored[0][1])
+    return out
+
+
+def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> list[np.ndarray]:
+    """Token ids for each source, in order, marker-wrapped.
+
+    Each output equals ``decode`` of that source alone. Sources of equal
+    token length decode together, at most ``_MAX_BATCH`` at a time.
+    ``params`` is a ParamStore or a name -> Node mapping. A sequence cut
+    off at the length cap carries no closing marker.
+    """
+    if dc.max_decode_len > config.max_len:
+        raise ValueError("max_decode_len exceeds the model's max_len")
+    sources = [np.asarray(src, dtype=np.int64) for src in sources]
+    params = mm.as_nodes(params)
+    by_length: dict[int, list[int]] = {}
+    for i, src in enumerate(sources):
+        by_length.setdefault(len(src), []).append(i)
+    out: list[np.ndarray] = [None] * len(sources)
+    for indices in by_length.values():
+        for start in range(0, len(indices), _MAX_BATCH):
+            group = indices[start : start + _MAX_BATCH]
+            decoded = _decode_group(params, config, np.stack([sources[i] for i in group]), dc)
+            for i, ids in zip(group, decoded):
+                out[i] = np.asarray(ids, dtype=np.int64)
+    return out
 
 
 def decode(params, config: mm.ModelConfig, src_tokens, dc: DecodeConfig) -> np.ndarray:
-    """Produce token ids for one source sentence, marker-wrapped.
-
-    ``params`` is a ParamStore or a name -> Node mapping (pass the latter,
-    built once, when decoding many sources). A sequence cut off at the
-    length cap carries no closing marker.
-    """
-    src = np.asarray(src_tokens, dtype=np.int64)
-    if dc.max_decode_len > config.max_len:
-        raise ValueError("max_decode_len exceeds the model's max_len")
-    params = mm.as_nodes(params)
-    with ad.no_graph():
-        cache = mm.encode_source(params, config, src)
-        greedy_ids, greedy_logprob = _greedy(params, config, cache, dc)
-        if dc.strategy == "greedy" or dc.beam_width == 1:
-            return np.asarray(greedy_ids, dtype=np.int64)
-        pool = _beam(params, config, cache, dc)
-    pool.append((greedy_ids, greedy_logprob))
-    scored = [
-        (_hyp_score(lp, len(ids) - 1, dc.length_penalty), ids) for ids, lp in pool
-    ]
-    scored.sort(key=lambda s: (-s[0], s[1]))
-    return np.asarray(scored[0][1], dtype=np.int64)
+    """Produce token ids for one source sentence: ``decode_batch`` of one."""
+    return decode_batch(params, config, [src_tokens], dc)[0]
 
 
 def hypothesis_score(params, config, src_tokens, ids, dc: DecodeConfig) -> float:
@@ -151,21 +207,15 @@ def hypothesis_score(params, config, src_tokens, ids, dc: DecodeConfig) -> float
 
 
 def generate_file(checkpoint_path, input_path, output_path, dc: DecodeConfig) -> int:
-    """Decode every input line to the output file, aligned; returns the count."""
+    """Decode every non-blank input line to the output file, in order; returns the count."""
     ckpt = pl.load_checkpoint(checkpoint_path)
     if ckpt.vocab is None:
         raise ValueError(f"checkpoint {checkpoint_path} carries no vocabulary")
-    params = ckpt.store.leaves()
-    count = 0
-    with open(input_path, encoding="utf-8") as fin, open(
-        output_path, "w", encoding="utf-8"
-    ) as fout:
-        for line in fin:
-            line = line.strip()
-            if not line:
-                continue
-            src = dt.preprocess(line, ckpt.vocab)
-            out = decode(params, ckpt.config, src, dc)
+    with open(input_path, encoding="utf-8") as fin:
+        lines = [line.strip() for line in fin]
+    sources = [dt.preprocess(line, ckpt.vocab) for line in lines if line]
+    outputs = decode_batch(ckpt.store, ckpt.config, sources, dc)
+    with open(output_path, "w", encoding="utf-8") as fout:
+        for out in outputs:
             fout.write(dt.detokenize(out, ckpt.vocab) + "\n")
-            count += 1
-    return count
+    return len(outputs)

@@ -1,6 +1,6 @@
 """Synthetic multi-domain experiment harness.
 
-Builds the on-disk world (domain specs, pair TSVs, unlabeled corpus, vocab),
+Builds the on-disk world (pair TSVs, unlabeled corpus, vocab),
 loads it back, runs the three training variants that make up the ablation
 ladder, and scores target-dev generations:
 
@@ -67,7 +67,6 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
     """Materialize the synthetic world under out_dir (synth-data command)."""
     if settings.n_domains < 3:
         raise ValueError("need at least one source, one validation and one target domain")
-    os.makedirs(os.path.join(out_dir, "domains"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "pairs"), exist_ok=True)
 
     specs = dt.domain_family(
@@ -75,10 +74,6 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
         verbs=settings.verbs, places=settings.places,
         subst_prob=settings.subst_prob, reorder_prob=settings.reorder_prob,
     )
-    for spec in specs:
-        with open(os.path.join(out_dir, "domains", f"{spec.name}.spec"), "w") as fh:
-            fh.write(dt.write_domain_spec(spec))
-
     unlabeled: list[str] = []
     source_train_texts: list[str] = []
 

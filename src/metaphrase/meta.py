@@ -251,6 +251,12 @@ class StopCriteria:
     max_steps: int
     eval_every: int = 20
 
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+
 
 @dataclass
 class HistoryRow:

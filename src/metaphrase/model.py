@@ -11,7 +11,9 @@ teacher-forced NLL. Decoding runs the same encoder and decoder-layer code
 one position at a time (``encode_source`` then ``decoder_step``), normally
 inside ``autodiff.no_graph()``: the encoder memory's per-head keys and
 values are projected once per source, and each layer's self-attention keys
-and values grow by one position per step (``KVCache``). Parameters may be
+and values grow by one position per step (``KVCache``). A cache holds one
+row per hypothesis, so hypotheses of several equal-length sources decode in
+one step; each row carries its own source's memory. Parameters may be
 passed either as a ParamStore or as a name -> Node mapping, which is how
 adapted (inner-loop updated) parameters flow through without touching the
 store.
@@ -454,13 +456,13 @@ def forward(params, config: ModelConfig, src_tokens, tgt_prefix_tokens, trace=No
 
 @dataclass(frozen=True)
 class KVCache:
-    """Attention keys and values for decoding one source.
+    """Attention keys and values for decoding, one row per hypothesis.
 
     ``memory[i]`` is decoder layer i's cross-attention per-head (K^T, V),
-    projected once from the encoder memory (batch 1, broadcast over the
-    hypotheses). ``prefix[i]`` is its full-width self-attention (K, V) over
-    the ``length`` positions decoded so far, one row per hypothesis (None
-    before the first step).
+    projected from the encoder memory of each row's source. ``prefix[i]`` is
+    its full-width self-attention (K, V) over the ``length`` positions
+    decoded so far (None before the first step). Every row sits at the same
+    position, and no row is broadcast over others.
     """
 
     memory: list
@@ -468,16 +470,28 @@ class KVCache:
     length: int
 
     def select(self, rows) -> "KVCache":
-        """The cache with its hypotheses reordered (or repeated) by ``rows``."""
+        """The cache with its rows reordered (or repeated) by ``rows``.
+
+        Memory rows move together with prefix rows, so each hypothesis keeps
+        its own source.
+        """
         rows = np.asarray(rows, dtype=np.int64)
-        prefix = [(ad.constant(k.value[rows]), ad.constant(v.value[rows])) for k, v in self.prefix]
-        return KVCache(self.memory, prefix, self.length)
+        memory = [_take_rows(heads, rows) for heads in self.memory]
+        return KVCache(memory, _take_rows(self.prefix, rows), self.length)
+
+
+def _take_rows(pairs, rows):
+    return [(ad.constant(a.value[rows]), ad.constant(b.value[rows])) for a, b in pairs]
 
 
 def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
-    """Encode one source and project its cross-attention keys and values."""
+    """Encode (B, S) equal-length sources into a cache of B rows.
+
+    Each row gets its source's cross-attention keys and values; the sources
+    carry no padding, so no mask is needed.
+    """
     p = as_nodes(params)
-    src = np.asarray(src_tokens, dtype=np.int64)[None, :]
+    src = np.asarray(src_tokens, dtype=np.int64)
     memory = _encode(p, config, src, None, None)
     kv = [
         _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
@@ -489,10 +503,10 @@ def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
 def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[Node, KVCache]:
     """Logits (B, 1, vocab) for the position after ``tokens``, and the grown cache.
 
-    ``tokens`` (B,) are the hypotheses' last tokens, at position
-    ``cache.length``; the cache holds the positions before it. Runs the same
-    layer code as ``forward_batch``: no mask is needed, since a cache holds
-    only earlier positions and the source has no padding.
+    ``tokens`` (B,) are the rows' last tokens, at position ``cache.length``;
+    the cache holds the positions before it. Runs the same layer code as
+    ``forward_batch``: no mask is needed, since a cache holds only earlier
+    positions and the sources have no padding.
     """
     p = as_nodes(params)
     x = _embed(p, "tok_embed", np.asarray(tokens, dtype=np.int64)[:, None], "pos_dec",

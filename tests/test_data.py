@@ -147,22 +147,6 @@ class TestSynthDomain:
             small_spec(reorders=[(0, 2)])
 
 
-class TestDomainSpecFile:
-    def test_roundtrip(self):
-        spec = small_spec()
-        text = dt.write_domain_spec(spec)
-        parsed = dt.parse_domain_spec(text)
-        assert parsed == spec
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(dt.CorpusFormatError, match="unknown sections"):
-            dt.parse_domain_spec("[domain]\nname = x\n[extras]\nfoo = 1\n")
-
-    def test_key_outside_section_rejected(self):
-        with pytest.raises(dt.CorpusFormatError, match="section"):
-            dt.parse_domain_spec("name = x\n")
-
-
 def pairs_from_texts(texts, vocab):
     return [
         dt.ParaphrasePair(dt.preprocess(a, vocab), dt.preprocess(b, vocab))

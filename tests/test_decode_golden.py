@@ -13,7 +13,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from metaphrase import autodiff as ad
 from metaphrase import data as dt
 from metaphrase import decoding as dec
 from metaphrase import model as mm
@@ -80,14 +82,72 @@ def load_golden_model():
     return config, store
 
 
-def test_decoder_reproduces_recorded_ids():
+@pytest.fixture(scope="module")
+def golden():
+    """(config, store, ids from decoding each source alone)."""
+    config, store = load_golden_model()
+    return config, store, decode_all(config, store)
+
+
+def test_decoder_reproduces_recorded_ids(golden):
     expected = json.loads(GOLDEN_IDS.read_text())
-    got = decode_all(*load_golden_model())
+    got = golden[2]
     assert set(got) == set(expected)
     for name in CASES:
         assert len(got[name]) == len(expected[name])
         mismatches = [i for i, (a, b) in enumerate(zip(got[name], expected[name])) if a != b]
         assert not mismatches, f"{name}: sources {mismatches[:10]} decode differently"
+
+
+def test_batch_decoding_equals_one_at_a_time(golden):
+    config, store, single = golden
+    expected = json.loads(GOLDEN_IDS.read_text())
+    sources = golden_sources()
+    assert len({len(src) for src in sources}) < 10  # equal lengths do share batches
+    for name, dc in CASES.items():
+        n = len(single[name])
+        batched = [[int(i) for i in ids] for ids in dec.decode_batch(store, config, sources[:n], dc)]
+        assert batched == single[name] == expected[name], name
+
+
+def test_batched_hypotheses_and_logprobs_equal_single_source(golden):
+    config, store, _ = golden
+    params = mm.as_nodes(store)
+    by_length = {}
+    for src in golden_sources()[:60]:
+        by_length.setdefault(len(src), []).append(src)
+    dc = CASES["beam4"]
+
+    def search(batch):
+        """(greedy (ids, log-prob), beam pool) of each row of a (B, S) batch."""
+        cache = mm.encode_source(params, config, batch)
+        return list(zip(dec._greedy(params, config, cache, len(batch), dc),
+                        dec._beam(params, config, cache, len(batch), dc)))
+
+    with ad.no_graph():
+        for group in by_length.values():
+            assert search(np.stack(group)) == [search(src[None, :])[0] for src in group]
+
+
+def test_generate_file_keeps_input_order_across_lengths(golden, tmp_path):
+    config, store, _ = golden
+    vocab, _, sentences = golden_domain()
+    path = tmp_path / "golden.ckpt"
+    pl.save_checkpoint(pl.Checkpoint(config=config, stage="pretrained", seeds={}, provenance=[],
+                                     store=store, vocab=vocab), path)
+    ckpt = pl.load_checkpoint(path)
+    mixed = sentences[:4] + ["", sentences[4], "   "] + sentences[5:12]
+    assert len({len(line.split()) for line in mixed if line.strip()}) > 1
+    inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    for lines in (mixed, sentences[:1]):
+        inp.write_text("\n".join(lines) + "\n")
+        for dc in (CASES["greedy"], CASES["beam3_lp0.7"]):
+            expected = [dt.detokenize(dec.decode(ckpt.store, ckpt.config,
+                                                 dt.preprocess(line, vocab), dc), vocab)
+                        for line in lines if line.strip()]
+            assert dec.generate_file(path, inp, out, dc) == len(expected)
+            assert out.read_text().splitlines() == expected
+            assert len(lines) == 1 or len(set(expected)) > 2
 
 
 def _train_golden_model():

@@ -204,6 +204,28 @@ class TestIncrementalDecoding:
                    dec.DecodeConfig(strategy="beam", beam_width=2, max_decode_len=6))
         assert seen and all(logits.inputs == () for logits in seen)
 
+    def test_select_moves_memory_rows_with_prefix_rows(self):
+        cfg, store = random_model(11, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        src = np.array([[dt.BOS, 5, 9, 4, dt.EOS],
+                        [dt.BOS, 7, 7, 6, dt.EOS],
+                        [dt.BOS, 11, 4, 8, dt.EOS]])
+        rows = [2, 0, 2, 1]
+        with ad.no_graph():
+            cache = mm.encode_source(params, cfg, src)
+            for tokens in ([dt.BOS] * 3, [5, 6, 7]):
+                _, cache = mm.decoder_step(params, cfg, cache, tokens)
+            selected = cache.select(rows)
+            same = np.array([8, 8, 8])
+            logits, _ = mm.decoder_step(params, cfg, cache, same)
+            permuted, _ = mm.decoder_step(params, cfg, selected, same[rows])
+        for layer, moved in zip(cache.memory, selected.memory):
+            for (kt, v), (kt_moved, v_moved) in zip(layer, moved):
+                np.testing.assert_array_equal(kt_moved.value, kt.value[rows])
+                np.testing.assert_array_equal(v_moved.value, v.value[rows])
+        assert len({row.tobytes() for row in logits.value}) == 3
+        np.testing.assert_array_equal(permuted.value, logits.value[rows])
+
     def test_overflowing_weight_raises_naming_the_op(self):
         cfg, store = random_model(10)
         store.set("dec.0.ffn.w1.w", np.full(store["dec.0.ffn.w1.w"].shape, 1e200))

@@ -208,6 +208,51 @@ class TestTransformerOuterGradient:
             np.testing.assert_array_equal(grads[n], reference[n], err_msg=n)
         assert all(np.any(g != 0.0) for g in grads.values())
 
+    def test_second_order_matches_finite_differences(self, tiny_transformer):
+        # Central differences are meaningless across a ReLU kink, and with
+        # zero adapter biases some pre-activations sit within 1e-6 of zero.
+        # Biases of +-0.5 keep every kink far outside the step.
+        t = tiny_transformer
+        store = t.store.copy()
+        rng = np.random.default_rng(4)
+        for name in store.names():
+            if name.endswith(".bd"):
+                store.set(name, rng.choice([-0.5, 0.5], size=store[name].shape))
+        _, phi = mm.partition_params(store)
+        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
+                 Task(support=t.pairs[4:6], query=t.pairs[6:])]
+        hy = hyper(alpha=0.05, inner_steps=2)
+        base = store.leaves()
+        total = None
+        for task in tasks:
+            adapted, _ = mt.inner_adapt(base, phi, task.support, hy, t.loss_fn)
+            q = t.loss_fn(adapted, task.query)
+            total = q if total is None else ad.add(total, q)
+        step = 1e-3
+        kink_gap = min(np.abs(n.inputs[0].value).min()
+                       for n in ad.Graph(total).nodes if n.op == "relu")
+        assert kink_gap > 100 * step
+        report = ad.grad_check(total, {n: base[n] for n in phi}, step=step, max_elements=1,
+                               rng=np.random.default_rng(0))
+        assert report.passed, report.per_leaf
+
+        # grad_check replays the recorded graph, so values a VJP captured as
+        # constants stay frozen there. Rebuilding the objective checks those.
+        grads, _ = mt.outer_gradient(store, phi, tasks, hy, t.loss_fn)
+        direction = {n: rng.standard_normal(store[n].shape) for n in phi}
+        norm = np.sqrt(sum(np.sum(d * d) for d in direction.values()))
+        direction = {n: d / norm for n, d in direction.items()}
+
+        def objective(sign):
+            moved = store.copy()
+            for n in phi:
+                moved.set(n, store[n] + sign * step * direction[n])
+            return len(tasks) * mt.evaluate_adaptation(moved, phi, tasks, hy, t.loss_fn)
+
+        along = (objective(1) - objective(-1)) / (2 * step)
+        assert along == pytest.approx(sum(np.sum(grads[n] * direction[n]) for n in phi),
+                                      rel=1e-6)
+
 
 class TestMetaStep:
     def test_theta_untouched(self):
@@ -367,3 +412,10 @@ class TestTrainLoop:
     def test_non_finite_validation_raises(self):
         with pytest.raises(mt.DivergenceError, match="step 2"):
             self.run([1.0, float("nan")])
+
+    def test_stop_criteria_reject_negative_steps_and_zero_interval(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            mt.StopCriteria(max_steps=-2)
+        with pytest.raises(ValueError, match="eval_every"):
+            mt.StopCriteria(max_steps=3, eval_every=0)
+        assert mt.StopCriteria(max_steps=0).max_steps == 0
