@@ -82,8 +82,8 @@ class Node:
 
     Leaves have ``op is None``; named leaves are trainable/checkable
     parameters, unnamed leaves are constants. Interior nodes record the
-    primitive id, input nodes and attributes so the graph can be re-evaluated
-    under perturbed leaf values (finite differences) and differentiated.
+    primitive id, input nodes and attributes so the graph can be
+    differentiated.
     """
 
     __slots__ = ("op", "inputs", "attrs", "value", "name")
@@ -133,29 +133,6 @@ def _check_finite(arr, context: str) -> None:
 # op_id -> (forward, vjp). forward(attrs, *input_values) -> ndarray.
 # vjp(node, upstream) -> tuple of gradient Nodes (or None) per input.
 _OPS: dict[str, tuple[Callable, Callable]] = {}
-
-PRIMITIVE_OPS = frozenset(
-    {
-        "matmul",
-        "add",
-        "mul",
-        "scale",
-        "relu",
-        "gelu",
-        "softmax_lastdim",
-        "layer_norm",
-        "embed_lookup",
-        "concat",
-        "slice",
-        "reshape",
-        "transpose_last2",
-        "cross_entropy_with_logits",
-        "mask_fill",
-        "mean",
-        "sum",
-    }
-)
-
 
 # False inside a no_graph() scope. Module state, so not thread-safe; the
 # package is single-threaded.
@@ -659,6 +636,10 @@ def _vjp_cross_entropy(node, g):
 
 _OPS["cross_entropy_with_logits"] = (_fwd_cross_entropy, _vjp_cross_entropy)
 
+# The ops that apply_primitive accepts: every registered op except the private
+# helpers (leading underscore) that VJPs build.
+PRIMITIVE_OPS = frozenset(op for op in _OPS if not op.startswith("_"))
+
 
 # ---------------------------------------------------------------------------
 # functional wrappers
@@ -771,40 +752,16 @@ def _topo_order(outputs: Sequence[Node]) -> list[Node]:
 
 
 class Graph:
-    """A traced view of the DAG reaching a set of output nodes.
+    """The nodes reaching a set of outputs, in topological order (inputs first).
 
-    ``nodes`` lists every node in topological order (inputs first),
-    ``leaves`` maps every named leaf reachable from the outputs.
-    The graph can be re-evaluated with leaf values overridden, which is what
-    the finite-difference checker uses; re-evaluation never mutates nodes.
+    Only a view for counting and inspecting nodes. Nothing re-evaluates a
+    recorded graph: ``grad_check`` rebuilds its objective instead.
     """
 
     def __init__(self, outputs: Sequence[Node] | Node):
         if isinstance(outputs, Node):
             outputs = (outputs,)
-        self.outputs = tuple(outputs)
-        self.nodes = _topo_order(self.outputs)
-        self.leaves: dict[str, Node] = {}
-        for n in self.nodes:
-            if n.op is None and n.name is not None:
-                if n.name in self.leaves and self.leaves[n.name] is not n:
-                    raise ValueError(f"duplicate leaf name {n.name!r} in graph")
-                self.leaves[n.name] = n
-
-    def eval(self, overrides: Mapping[str, np.ndarray] | None = None) -> list[np.ndarray]:
-        """Recompute output values with some leaf values replaced."""
-        overrides = overrides or {}
-        values: dict[int, np.ndarray] = {}
-        for n in self.nodes:
-            if n.op is None:
-                if n.name is not None and n.name in overrides:
-                    values[id(n)] = np.asarray(overrides[n.name], dtype=np.float64)
-                else:
-                    values[id(n)] = n.value
-            else:
-                fwd, _ = _OPS[n.op]
-                values[id(n)] = fwd(n.attrs, *(values[id(i)] for i in n.inputs))
-        return [values[id(o)] for o in self.outputs]
+        self.nodes = _topo_order(tuple(outputs))
 
 
 def _normalize_wrt(wrt) -> dict[str, Node]:
@@ -895,27 +852,38 @@ class GradCheckReport:
 
 
 def grad_check(
-    output: Node,
-    wrt,
+    f: Callable[[Mapping[str, Node]], Node],
+    values: Mapping[str, np.ndarray],
     step: float = 1e-5,
     tolerance: float = 1e-4,
     rng: np.random.Generator | None = None,
     max_elements: int | None = None,
 ) -> GradCheckReport:
-    """Compare backward() against central finite differences, per leaf.
+    """Compare backward() against central finite differences, per entry of ``values``.
+
+    ``f`` maps named leaves, one per entry of ``values``, to a scalar node.
+    The analytic gradient is ``gradient_values(f(leaves), leaves)``. Each
+    finite difference calls ``f`` again on freshly built leaves with one entry
+    perturbed, so every node is rebuilt by its primitive: a VJP that captured
+    a differentiable value as a constant shows up as a mismatch. These calls
+    record a graph, so an ``f`` that runs ``backward`` itself (a
+    Hessian-vector product, second-order MAML) is checked to second order.
 
     Relative error uses a small magnitude floor so exact-zero gradients do
     not divide by zero. ``max_elements`` caps the number of perturbed entries
     per leaf (sampled with ``rng``) for large parameters.
     """
-    leaves = _normalize_wrt(wrt)
-    graph = Graph(output)
-    analytic = backward(output, leaves)
+    values = {name: np.asarray(v, dtype=np.float64) for name, v in values.items()}
+    leaves = {name: leaf(name, v) for name, v in values.items()}
+    analytic = gradient_values(f(leaves), leaves)
+
+    def at(name, pert):
+        moved = {n: leaf(n, pert if n == name else v) for n, v in values.items()}
+        return float(f(moved).value.reshape(()))
 
     per_leaf: dict[str, float] = {}
-    for name, node in leaves.items():
-        base = node.value
-        grad = analytic[name].value
+    for name, base in values.items():
+        grad = analytic[name]
         flat_idx = np.arange(base.size)
         if max_elements is not None and base.size > max_elements:
             gen = rng or np.random.default_rng(0)
@@ -925,10 +893,10 @@ def grad_check(
         for i in flat_idx:
             pert = base.copy().reshape(-1)
             pert[i] += step
-            hi = graph.eval({name: pert.reshape(base.shape)})[0]
+            hi = at(name, pert.reshape(base.shape))
             pert[i] -= 2.0 * step
-            lo = graph.eval({name: pert.reshape(base.shape)})[0]
-            fd = float((hi - lo).reshape(()) / (2.0 * step))
+            lo = at(name, pert.reshape(base.shape))
+            fd = (hi - lo) / (2.0 * step)
             a = float(grad.reshape(-1)[i])
             err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
             if err > worst:

@@ -21,6 +21,7 @@ store.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -548,36 +549,10 @@ def batch_nll(logits: Node, targets, target_mask) -> Node:
 
 
 def param_counts(config: ModelConfig) -> tuple[int, int, float]:
-    """Closed-form (total, trainable, ratio) for a config.
-
-    Must agree with exhaustively enumerating the built ParamStore; a test
-    pins that equivalence.
-    """
-    d, dff, v = config.d_model, config.d_ff, config.vocab_size
-    linear = lambda n_in, n_out: n_in * n_out + n_out
-    attn = 4 * linear(d, d)
-    ffn = linear(d, dff) + linear(dff, d)
-    norm = 2 * d
-
-    embeddings = v * d + 2 * config.max_len * d
-    if not config.tie_embeddings:
-        embeddings += d * v
-    backbone = (
-        embeddings
-        + config.n_enc_layers * (attn + ffn)
-        + config.n_dec_layers * (2 * attn + ffn)
-    )
-
-    norms = (
-        config.n_enc_layers * 2 * norm
-        + config.n_dec_layers * 3 * norm
-        + 2 * norm
-    )
-    adapter = linear(d, config.adapter_hidden) + linear(config.adapter_hidden, d)
-    n_adapters = len(_adapter_prefixes(config))
-    trainable = norms + n_adapters * adapter
-
-    total = backbone + trainable
+    """(total, trainable, ratio) for a config, summed over ``param_layout``."""
+    sizes = [(math.prod(shape), part) for _, shape, part in param_layout(config)]
+    total = sum(n for n, _ in sizes)
+    trainable = sum(n for n, part in sizes if part != "backbone")
     return total, trainable, trainable / total
 
 

@@ -223,35 +223,23 @@ class TestTransformerOuterGradient:
                  Task(support=t.pairs[4:6], query=t.pairs[6:])]
         hy = hyper(alpha=0.05, inner_steps=2)
         base = store.leaves()
-        total = None
-        for task in tasks:
-            adapted, _ = mt.inner_adapt(base, phi, task.support, hy, t.loss_fn)
-            q = t.loss_fn(adapted, task.query)
-            total = q if total is None else ad.add(total, q)
+
+        def objective(params):
+            leaves = {**base, **params}
+            total = None
+            for task in tasks:
+                adapted, _ = mt.inner_adapt(leaves, phi, task.support, hy, t.loss_fn)
+                q = t.loss_fn(adapted, task.query)
+                total = q if total is None else ad.add(total, q)
+            return total
+
         step = 1e-3
         kink_gap = min(np.abs(n.inputs[0].value).min()
-                       for n in ad.Graph(total).nodes if n.op == "relu")
+                       for n in ad.Graph(objective(base)).nodes if n.op == "relu")
         assert kink_gap > 100 * step
-        report = ad.grad_check(total, {n: base[n] for n in phi}, step=step, max_elements=1,
+        report = ad.grad_check(objective, {n: store[n] for n in phi}, step=step, max_elements=1,
                                rng=np.random.default_rng(0))
         assert report.passed, report.per_leaf
-
-        # grad_check replays the recorded graph, so values a VJP captured as
-        # constants stay frozen there. Rebuilding the objective checks those.
-        grads, _ = mt.outer_gradient(store, phi, tasks, hy, t.loss_fn)
-        direction = {n: rng.standard_normal(store[n].shape) for n in phi}
-        norm = np.sqrt(sum(np.sum(d * d) for d in direction.values()))
-        direction = {n: d / norm for n, d in direction.items()}
-
-        def objective(sign):
-            moved = store.copy()
-            for n in phi:
-                moved.set(n, store[n] + sign * step * direction[n])
-            return len(tasks) * mt.evaluate_adaptation(moved, phi, tasks, hy, t.loss_fn)
-
-        along = (objective(1) - objective(-1)) / (2 * step)
-        assert along == pytest.approx(sum(np.sum(grads[n] * direction[n]) for n in phi),
-                                      rel=1e-6)
 
 
 class TestMetaStep:
