@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,12 +42,10 @@ __all__ = [
     "NonFiniteError",
     "leaf",
     "constant",
-    "apply_primitive",
     "backward",
     "gradient_values",
     "grad_check",
     "GradCheckReport",
-    "PRIMITIVE_OPS",
     "matmul",
     "add",
     "sub",
@@ -168,18 +166,6 @@ def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node
         value = fwd(attrs, *(n.value for n in inputs))
     _check_finite(value, f"output of {op_id!r}")
     return Node(op_id, tuple(inputs), attrs, value)
-
-
-def apply_primitive(op_id: str, inputs: Sequence, attrs: dict | None = None) -> Node:
-    """Apply one of the public primitives, recording a graph node.
-
-    Raises ``ValueError`` for unknown op ids, ``ShapeError`` when inputs do
-    not conform to the primitive's shape rule, and ``NonFiniteError`` if the
-    result contains NaN/Inf.
-    """
-    if op_id not in PRIMITIVE_OPS:
-        raise ValueError(f"unknown primitive op_id {op_id!r}")
-    return _make(op_id, [_as_node(x) for x in inputs], attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -492,46 +478,6 @@ _OPS["_rsqrt"] = (_fwd_rsqrt, _vjp_rsqrt)
 # ---------------------------------------------------------------------------
 
 
-def _fwd_sum(attrs, x):
-    return np.asarray(x.sum())
-
-
-def _vjp_sum(node, g):
-    return (_make("_broadcast_to", (g,), {"shape": node.inputs[0].value.shape}),)
-
-
-_OPS["sum"] = (_fwd_sum, _vjp_sum)
-
-
-def _fwd_mean(attrs, x):
-    return np.asarray(x.mean())
-
-
-def _vjp_mean(node, g):
-    x = node.inputs[0]
-    return (
-        _make(
-            "_broadcast_to",
-            (scale(g, 1.0 / x.value.size),),
-            {"shape": x.value.shape},
-        ),
-    )
-
-
-_OPS["mean"] = (_fwd_mean, _vjp_mean)
-
-
-def _fwd_sum_last(attrs, x):
-    return x.sum(axis=-1, keepdims=True)
-
-
-def _vjp_sum_last(node, g):
-    return (_make("_broadcast_to", (g,), {"shape": node.inputs[0].value.shape}),)
-
-
-_OPS["_sum_last"] = (_fwd_sum_last, _vjp_sum_last)
-
-
 def _fwd_mean_last(attrs, x):
     return x.mean(axis=-1, keepdims=True)
 
@@ -564,7 +510,7 @@ def _fwd_softmax_lastdim(attrs, x):
 def _vjp_softmax_lastdim(node, g):
     y = node
     gy = mul(g, y)
-    return (sub(gy, mul(y, _make("_sum_last", (gy,)))),)
+    return (sub(gy, mul(y, _sum_to(gy, gy.value.shape[:-1] + (1,)))),)
 
 
 _OPS["softmax_lastdim"] = (_fwd_softmax_lastdim, _vjp_softmax_lastdim)
@@ -635,10 +581,6 @@ def _vjp_cross_entropy(node, g):
 
 
 _OPS["cross_entropy_with_logits"] = (_fwd_cross_entropy, _vjp_cross_entropy)
-
-# The ops that apply_primitive accepts: every registered op except the private
-# helpers (leading underscore) that VJPs build.
-PRIMITIVE_OPS = frozenset(op for op in _OPS if not op.startswith("_"))
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +660,13 @@ def mask_fill(x, mask, value: float) -> Node:
     return _make("mask_fill", (_as_node(x),), {"mask": mask, "value": float(value)})
 
 
-def mean_all(x) -> Node:
-    return _make("mean", (_as_node(x),))
-
-
 def sum_all(x) -> Node:
-    return _make("sum", (_as_node(x),))
+    return _sum_to(_as_node(x), ())
+
+
+def mean_all(x) -> Node:
+    x = _as_node(x)
+    return scale(sum_all(x), 1.0 / x.value.size)
 
 
 # ---------------------------------------------------------------------------

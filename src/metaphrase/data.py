@@ -261,15 +261,14 @@ def _word_factory(rng: np.random.Generator, taken: set[str]):
 
 def domain_family(n_domains: int, seed: int, nouns: int = 6, verbs: int = 4,
                   places: int = 4, subst_prob: float = 1.0,
-                  reorder_prob: float = 0.6,
-                  synonym_groups: tuple = ("noun",)) -> list[DomainSpec]:
+                  reorder_prob: float = 0.6) -> list[DomainSpec]:
     """Build domains with disjoint content vocabularies and synonym maps.
 
     All domains share function words and template frames, so the paraphrase
     transformation (substitute + reorder) has the same structure everywhere
-    while the lexicon shifts per domain. Only the ``synonym_groups`` word
-    classes get synonyms; the rest copy through, which keeps source/target
-    sentences of a pair lexically related the way real paraphrases are.
+    while the lexicon shifts per domain. Only nouns get synonyms; verbs and
+    places copy through, which keeps source/target sentences of a pair
+    lexically related the way real paraphrases are.
     """
     rng = np.random.default_rng(seed)
     taken: set[str] = set()
@@ -281,10 +280,7 @@ def domain_family(n_domains: int, seed: int, nouns: int = 6, verbs: int = 4,
             "verb": [new_word() for _ in range(verbs)],
             "place": [new_word() for _ in range(places)],
         }
-        synonyms = {}
-        for group in synonym_groups:
-            for w in words[group]:
-                synonyms[w] = [new_word()]
+        synonyms = {w: [new_word()] for w in words["noun"]}
         templates = [
             [["the", "{noun}", "can", "{verb}", "a", "{noun}"], ["near", "the", "{place}"]],
             [["my", "{noun}", "will", "{verb}", "the", "{noun}"], ["with", "a", "{noun}"]],

@@ -11,8 +11,11 @@ Two outer-gradient modes:
   gradient differentiates through them (exact MAML). The outer pass itself
   is value-only: its result is only read as numbers.
 * ``first``: inner updates run on detached values and the outer gradient is
-  taken at the adapted parameters (FOMAML). An adaptive inner optimizer
-  forces this mode, since its update is not differentiated.
+  taken at the adapted parameters (FOMAML).
+
+Either way the inner loop takes plain gradient steps of size ``alpha``; the
+outer optimizer (SGD or AdamW, rate ``beta``) updates only the meta
+parameters.
 
 Only the requested (phi) names are ever written; everything else is frozen
 by construction.
@@ -48,7 +51,6 @@ class TrainHyper:
     meta_batch_tasks: int = 3
     task_batch_size: int = 10
     order_mode: str = "second"
-    inner_optimizer: str = "sgd"
     outer_optimizer: str = "adamw"
     clip_norm: float = 1.0
     support_fraction: float = 0.5
@@ -65,8 +67,6 @@ class TrainHyper:
             raise ValueError("inner_steps, meta_batch_tasks, task_batch_size must be >= 1")
         if self.order_mode not in ("second", "first"):
             raise ValueError(f"order_mode must be 'second' or 'first', got {self.order_mode!r}")
-        if self.inner_optimizer not in ("sgd", "adamw"):
-            raise ValueError(f"unknown inner_optimizer {self.inner_optimizer!r}")
         if self.outer_optimizer not in ("sgd", "adamw"):
             raise ValueError(f"unknown outer_optimizer {self.outer_optimizer!r}")
 
@@ -126,27 +126,18 @@ def inner_adapt(params, phi_names: Sequence[str], support, hyper: TrainHyper,
 
     Returns (adapted parameter map, per-step support losses). In second-order
     mode the adapted entries are update expressions rooted at the originals;
-    in first-order mode (or with an adaptive inner optimizer) they are
-    detached leaves.
+    in first-order mode they are detached leaves.
     """
     current = _as_param_nodes(params)
-    detached = hyper.order_mode == "first" or hyper.inner_optimizer == "adamw"
-    inner_state = None
-    if hyper.inner_optimizer == "adamw":
-        inner_state = OptimizerState({n: current[n].value.shape for n in phi_names}, hyper)
-
     losses = []
     for _ in range(hyper.inner_steps):
         loss = loss_fn(current, support)
         losses.append(float(loss.value))
         wrt = {n: current[n] for n in phi_names}
-        if detached:
+        if hyper.order_mode == "first":
             grad_values = ad.gradient_values(loss, wrt)
             values = {n: current[n].value for n in phi_names}
-            if inner_state is not None:
-                new = adamw_step(inner_state, values, grad_values, hyper.alpha)
-            else:
-                new = sgd_step(values, grad_values, hyper.alpha)
+            new = sgd_step(values, grad_values, hyper.alpha)
             for n in phi_names:
                 current[n] = ad.leaf(n, new[n])
         else:
@@ -173,7 +164,7 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
     support_losses: list[float] = []
     query_losses: list[float] = []
 
-    if hyper.order_mode == "second" and hyper.inner_optimizer == "sgd":
+    if hyper.order_mode == "second":
         total = None
         for task in tasks:
             adapted, sup = inner_adapt(base, phi_names, task.support, hyper, loss_fn)
@@ -206,22 +197,12 @@ def _apply_update(params, phi_names: Sequence[str], grads: dict[str, np.ndarray]
     grads, norm = clip_global_norm(grads, hyper.clip_norm)
     values = {n: params[n] for n in phi_names}
     if hyper.outer_optimizer == "adamw":
-        if opt_state is None:
-            raise ValueError("adamw outer optimizer needs an OptimizerState")
         new = adamw_step(opt_state, values, grads, hyper.beta)
     else:
         new = sgd_step(values, grads, hyper.beta)
     for n in phi_names:
         params.set(n, new[n])
     return norm
-
-
-def meta_step(params, phi_names: Sequence[str], tasks: Sequence, hyper: TrainHyper,
-              opt_state: OptimizerState | None, loss_fn: LossFn) -> dict:
-    """One outer update: adapt per task, evaluate queries, update phi in place."""
-    grads, metrics = outer_gradient(params, phi_names, tasks, hyper, loss_fn)
-    metrics["grad_norm"] = _apply_update(params, phi_names, grads, hyper, opt_state)
-    return metrics
 
 
 def _batch_size(batch) -> int:

@@ -1,12 +1,13 @@
-"""Paraphrase quality metrics: BLEU-n, iBLEU, ROUGE-1/2, corpus reporting.
+"""Paraphrase quality metrics: corpus BLEU-n, iBLEU, ROUGE-1/2, reporting.
 
 All metrics work on whitespace token lists with sentence markers stripped.
 BLEU is the standard modified-precision geometric mean with a brevity
 penalty; n-gram orders longer than the candidate are dropped from the mean
 rather than zeroing it (a three-token candidate scores BLEU-4 over orders
-1..3). Corpus scores aggregate counts before the ratio and are unsmoothed;
-sentence-level diagnostics may add epsilon to zero counts, and the report
-flags which mode produced it.
+1..3). BLEU is scored per corpus: counts aggregate over pairs before the
+ratio (a one-pair corpus gives sentence-level BLEU). It is unsmoothed by
+default; ``EvalConfig.smooth_eps`` adds epsilon to zero counts, and the
+report flags which mode produced it.
 
 iBLEU = alpha * BLEU(candidate, reference) - (1 - alpha) * BLEU(candidate,
 source): high overlap with the reference is rewarded, copying the source is
@@ -16,13 +17,12 @@ penalized. The balancing default is alpha = 0.9 with BLEU-4 inside.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 MARKERS = ("<s>", "</s>", "<pad>")
 
 IBLEU_ALPHA = 0.9
-SENTENCE_SMOOTH_EPS = 0.1
 
 
 def strip_markers(tokens: Sequence[str]) -> list[str]:
@@ -97,14 +97,6 @@ def _bleu_from_stats(stats: BleuStats, smooth_eps: float = 0.0) -> float:
     return precision * bp
 
 
-def bleu_n(candidate: Sequence[str], references: Sequence[Sequence[str]], n: int,
-           smooth_eps: float = 0.0) -> float:
-    """Sentence-level BLEU-n against one or more references, in [0, 1]."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"n must be in 1..4, got {n}")
-    return _bleu_from_stats(bleu_stats(candidate, references, n), smooth_eps)
-
-
 def corpus_bleu(candidates: Sequence[Sequence[str]],
                 references: Sequence[Sequence[Sequence[str]]], n: int,
                 smooth_eps: float = 0.0) -> float:
@@ -120,19 +112,15 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
     return _bleu_from_stats(agg, smooth_eps)
 
 
-def ibleu(candidate: Sequence[str], reference: Sequence[str], source: Sequence[str],
-          alpha: float = IBLEU_ALPHA) -> float:
-    """alpha * BLEU-4(cand, ref) - (1 - alpha) * BLEU-4(cand, source)."""
+def ibleu(bleu_ref: float, bleu_src: float, alpha: float = IBLEU_ALPHA) -> float:
+    """alpha * BLEU(cand, ref) - (1 - alpha) * BLEU(cand, source), from the two BLEUs."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha * bleu_n(candidate, [reference], 4) - (1.0 - alpha) * bleu_n(
-        candidate, [source], 4
-    )
+    return alpha * bleu_ref - (1.0 - alpha) * bleu_src
 
 
-def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int,
-            f1: bool = False) -> float:
-    """ROUGE-n recall (clipped overlap / reference n-grams); F1 optional."""
+def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> float:
+    """ROUGE-n recall: clipped overlap / reference n-grams."""
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
     candidate = strip_markers(candidate)
@@ -143,14 +131,7 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int,
         raise ValueError(f"reference shorter than {n} tokens")
     cand_counts = _ngrams(candidate, n)
     overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-    recall = overlap / ref_total
-    if not f1:
-        return recall
-    cand_total = sum(cand_counts.values())
-    if cand_total == 0 or overlap == 0:
-        return 0.0
-    precision = overlap / cand_total
-    return 2.0 * precision * recall / (precision + recall)
+    return overlap / ref_total
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +142,6 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int,
 @dataclass
 class EvalConfig:
     alpha: float = IBLEU_ALPHA
-    rouge_f1: bool = False
     smooth_eps: float = 0.0  # corpus scores are unsmoothed by default
 
 
@@ -171,7 +151,6 @@ class MetricReport:
     pairs: int
     alpha: float
     smoothing: str
-    notes: list[str] = field(default_factory=list)
 
     def to_csv(self) -> str:
         lines = ["metric,value"]
@@ -212,19 +191,15 @@ def evaluate_pairs(generated, references, sources, config: EvalConfig | None = N
     config = config or EvalConfig()
     single_refs = [[r] for r in references]
     eps = config.smooth_eps
+    bleu4 = corpus_bleu(generated, single_refs, 4, eps)
+    bleu4_src = corpus_bleu(generated, [[s] for s in sources], 4, eps)
     scores = {
         "BLEU-2": 100.0 * corpus_bleu(generated, single_refs, 2, eps),
-        "BLEU-4": 100.0 * corpus_bleu(generated, single_refs, 4, eps),
-        "iBLEU": 100.0
-        * (
-            config.alpha * corpus_bleu(generated, single_refs, 4, eps)
-            - (1.0 - config.alpha) * corpus_bleu(generated, [[s] for s in sources], 4, eps)
-        ),
-        "ROUGE-1": 100.0
-        * sum(rouge_n(c, r, 1, config.rouge_f1) for c, r in zip(generated, references))
+        "BLEU-4": 100.0 * bleu4,
+        "iBLEU": 100.0 * ibleu(bleu4, bleu4_src, config.alpha),
+        "ROUGE-1": 100.0 * sum(rouge_n(c, r, 1) for c, r in zip(generated, references))
         / len(generated),
-        "ROUGE-2": 100.0
-        * sum(rouge_n(c, r, 2, config.rouge_f1) for c, r in zip(generated, references))
+        "ROUGE-2": 100.0 * sum(rouge_n(c, r, 2) for c, r in zip(generated, references))
         / len(generated),
     }
     return MetricReport(

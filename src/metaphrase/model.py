@@ -442,14 +442,6 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
     return _output_logits(p, config, x)
 
 
-def forward(params, config: ModelConfig, src_tokens, tgt_prefix_tokens, trace=None) -> Node:
-    """Single-example logits, shape (prefix_len, vocab)."""
-    src = np.asarray(src_tokens, dtype=np.int64)[None, :]
-    tgt = np.asarray(tgt_prefix_tokens, dtype=np.int64)[None, :]
-    logits = forward_batch(params, config, src, tgt, trace=trace)
-    return ad.reshape(logits, logits.value.shape[1:])
-
-
 # ---------------------------------------------------------------------------
 # incremental decoding
 # ---------------------------------------------------------------------------
@@ -522,16 +514,6 @@ def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[N
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-
-def nll_loss(logits: Node, target_tokens, mean: bool = False) -> Node:
-    """Negative log-likelihood of the targets, summed over positions.
-
-    ``mean=True`` divides by the number of positions (optimizer scaling).
-    """
-    targets = np.asarray(target_tokens, dtype=np.int64)
-    per_pos = ad.cross_entropy_with_logits(logits, targets)
-    return ad.mean_all(per_pos) if mean else ad.sum_all(per_pos)
 
 
 def batch_nll(logits: Node, targets, target_mask) -> Node:

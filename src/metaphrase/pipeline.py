@@ -99,7 +99,6 @@ class Checkpoint:
     provenance: list[str]
     store: mm.ParamStore
     vocab: dt.Vocab | None = None
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -184,7 +183,7 @@ def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.V
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<I", ckpt.version))
+    buf.write(struct.pack("<I", FORMAT_VERSION))
     config_blob = _config_text(ckpt).encode("utf-8")
     buf.write(struct.pack("<I", len(config_blob)))
     buf.write(config_blob)
@@ -254,7 +253,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         )
     return Checkpoint(
         config=config, stage=stage, seeds=seeds, provenance=provenance,
-        store=store, vocab=vocab, version=version,
+        store=store, vocab=vocab,
     )
 
 
@@ -393,14 +392,13 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
 
 def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
                      hyper: mt.TrainHyper, stop: mt.StopCriteria, seed: int,
-                     validation: dt.CorpusSet | None = None, mode: str = "maml",
-                     full_config: mm.ModelConfig | None = None) -> StageResult:
+                     validation: dt.CorpusSet | None = None, mode: str = "maml") -> StageResult:
     """Stage (b): insert adapters and train them on the source domains.
 
     ``mode='maml'`` runs the meta algorithm over sampled tasks;
     ``mode='plain'`` minimizes pooled NLL (the source-data-only ablation).
-    The backbone stays bit-identical. ``full_config`` defaults to the parent
-    config with the standard adapter placement restored.
+    The backbone stays bit-identical. The adapters take the standard
+    placement, whatever the parent config's.
     """
     if pretrained.stage != "pretrained":
         raise StageOrderError(
@@ -410,8 +408,7 @@ def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
         raise ValueError(f"unknown mode {mode!r}")
     if source.role != "src":
         raise ValueError("meta_train_stage needs the source corpus set")
-    if full_config is None:
-        full_config = replace(pretrained.config, adapter_placement=mm.DEFAULT_PLACEMENT)
+    full_config = replace(pretrained.config, adapter_placement=mm.DEFAULT_PLACEMENT)
 
     store = mm.insert_adapters(
         pretrained.store.copy(), full_config, seed=derive_seed(seed, "adapter")

@@ -30,10 +30,15 @@ class Task:
 
 def hyper(**kw):
     base = dict(alpha=0.1, beta=0.05, inner_steps=1, meta_batch_tasks=1,
-                task_batch_size=2, order_mode="second", inner_optimizer="sgd",
-                outer_optimizer="sgd", clip_norm=0.0)
+                task_batch_size=2, order_mode="second", outer_optimizer="sgd", clip_norm=0.0)
     base.update(kw)
     return mt.TrainHyper(**base)
+
+
+def train_on(store, tasks, hy, loss_fn=quadratic_loss):
+    """One outer update of phi on ``tasks``: ``meta_train`` for one step."""
+    return mt.meta_train(store, ["phi"], lambda n: tasks, hy, mt.StopCriteria(max_steps=1),
+                         loss_fn)
 
 
 class TestHyper:
@@ -47,7 +52,7 @@ class TestHyper:
         with pytest.raises(ValueError):
             hyper(order_mode="zeroth")
         with pytest.raises(ValueError):
-            hyper(inner_optimizer="rmsprop")
+            hyper(outer_optimizer="rmsprop")
 
 
 class TestInnerAdapt:
@@ -135,32 +140,12 @@ class TestOuterGradient:
         hy = hyper(alpha=0.05, inner_steps=2)
         task = Task(support=(xs, ys), query=(xq, yq))
 
-        def adapted_query_loss(w1_vals, w2_vals):
-            store = make_store(w1=(w1_vals, "adapter"), w2=(w2_vals, "adapter"))
-            adapted, _ = mt.inner_adapt(
-                store, ["w1", "w2"], task.support,
-                mt.TrainHyper(**{**hy.__dict__, "order_mode": "first"}), loss_fn
-            )
-            return float(loss_fn(adapted, task.query).value)
+        def adapted_query_loss(params):
+            adapted, _ = mt.inner_adapt(params, ["w1", "w2"], task.support, hy, loss_fn)
+            return loss_fn(adapted, task.query)
 
-        store = make_store(w1=(w1, "adapter"), w2=(w2, "adapter"))
-        grads, _ = mt.outer_gradient(store, ["w1", "w2"], [task], hy, loss_fn)
-
-        step = 1e-5
-        for name, base in (("w1", w1), ("w2", w2)):
-            fd = np.zeros(base.size)
-            for i in range(base.size):
-                hi, lo = base.copy().reshape(-1), base.copy().reshape(-1)
-                hi[i] += step
-                lo[i] -= step
-                args_hi = {"w1": w1, "w2": w2, name: hi.reshape(base.shape)}
-                args_lo = {"w1": w1, "w2": w2, name: lo.reshape(base.shape)}
-                fd[i] = (
-                    adapted_query_loss(args_hi["w1"], args_hi["w2"])
-                    - adapted_query_loss(args_lo["w1"], args_lo["w2"])
-                ) / (2 * step)
-            err = np.abs(grads[name].reshape(-1) - fd) / np.maximum(np.abs(fd), 1e-6)
-            assert err.max() < 1e-5, f"{name}: {err.max()}"
+        report = ad.grad_check(adapted_query_loss, {"w1": w1, "w2": w2}, tolerance=1e-5)
+        assert report.passed, report.per_leaf
 
     def test_empty_query_rejected(self):
         store = make_store(phi=([1.0], "adapter"))
@@ -253,7 +238,7 @@ class TestMetaStep:
 
         before = store["theta"].copy()
         task = Task(support=np.array([0.5, 0.5]), query=np.array([1.0, 1.0]))
-        mt.meta_step(store, ["phi"], [task], hyper(), None, loss_fn)
+        train_on(store, [task], hyper(), loss_fn)
         assert np.array_equal(store["theta"], before)
         assert not np.array_equal(store["phi"], np.array([1.0, 2.0]))
 
@@ -261,7 +246,7 @@ class TestMetaStep:
         phi0, a, b, alpha, beta = 1.7, 0.2, -0.4, 0.25, 0.05
         store = make_store(phi=([phi0], "adapter"))
         task = Task(support=a, query=b)
-        mt.meta_step(store, ["phi"], [task], hyper(alpha=alpha, beta=beta), None, quadratic_loss)
+        train_on(store, [task], hyper(alpha=alpha, beta=beta))
         adapted = phi0 - alpha * (phi0 - a)
         expected = phi0 - beta * (1 - alpha) * (adapted - b)
         assert store["phi"][0] == pytest.approx(expected, abs=1e-12)
@@ -270,8 +255,7 @@ class TestMetaStep:
         phi0, alpha, beta = 1.0, 0.1, 0.01
         tasks = [Task(support=0.2, query=0.5), Task(support=-0.3, query=1.5)]
         store = make_store(phi=([phi0], "adapter"))
-        mt.meta_step(store, ["phi"], tasks, hyper(alpha=alpha, beta=beta, meta_batch_tasks=2),
-                     None, quadratic_loss)
+        train_on(store, tasks, hyper(alpha=alpha, beta=beta, meta_batch_tasks=2))
         total_grad = 0.0
         for t in tasks:
             adapted = phi0 - alpha * (phi0 - t.support)
@@ -282,7 +266,7 @@ class TestMetaStep:
         for clip in (1.0, 1e9):
             store = make_store(phi=([1.001], "adapter"))
             task = Task(support=1.0, query=1.0)  # tiny gradients
-            mt.meta_step(store, ["phi"], [task], hyper(clip_norm=clip), None, quadratic_loss)
+            train_on(store, [task], hyper(clip_norm=clip))
             if clip == 1.0:
                 first = store["phi"].copy()
         assert np.array_equal(first, store["phi"])
@@ -297,12 +281,14 @@ class TestMetaStep:
         def run():
             rng = np.random.default_rng(42)
             store = make_store(phi=(rng.standard_normal(4), "adapter"))
-            state = mt.OptimizerState({"phi": (4,)}, hyper(outer_optimizer="adamw"))
-            for _ in range(5):
-                tasks = [Task(support=rng.standard_normal(4), query=rng.standard_normal(4))
-                         for _ in range(2)]
-                mt.meta_step(store, ["phi"], tasks,
-                             hyper(outer_optimizer="adamw", meta_batch_tasks=2), state, quadratic_loss)
+
+            def sampler(n):
+                return [Task(support=rng.standard_normal(4), query=rng.standard_normal(4))
+                        for _ in range(n)]
+
+            mt.meta_train(store, ["phi"], sampler,
+                          hyper(outer_optimizer="adamw", meta_batch_tasks=2),
+                          mt.StopCriteria(max_steps=5), quadratic_loss)
             return store["phi"]
 
         assert np.array_equal(run(), run())
@@ -317,16 +303,14 @@ class TestMetaTrain:
         assert result.history == []
         assert np.array_equal(store["phi"], before)
 
-    def test_one_step_equals_meta_step(self):
+    def test_one_step_applies_the_outer_gradient(self):
         task = Task(support=0.3, query=0.8)
-
-        store_a = make_store(phi=([1.5], "adapter"))
-        mt.meta_train(store_a, ["phi"], lambda n: [task], hyper(),
-                      mt.StopCriteria(max_steps=1), quadratic_loss)
-
-        store_b = make_store(phi=([1.5], "adapter"))
-        mt.meta_step(store_b, ["phi"], [task], hyper(), None, quadratic_loss)
-        assert np.array_equal(store_a["phi"], store_b["phi"])
+        store = make_store(phi=([1.5], "adapter"))
+        grads, metrics = mt.outer_gradient(store, ["phi"], [task], hyper(), quadratic_loss)
+        expected = store["phi"] - hyper().beta * grads["phi"]
+        result = train_on(store, [task], hyper())
+        assert np.array_equal(store["phi"], expected)
+        assert result.history[0].query_loss == metrics["query_loss"]
 
     def test_adaptation_improves_on_task_family(self):
         # Tasks share structure: centers cluster near 3.0; adapting from a
@@ -367,8 +351,7 @@ class TestMetaTrain:
     def test_non_finite_loss_propagates(self):
         store = make_store(phi=([1e200], "adapter"))
         with pytest.raises(ad.NonFiniteError):
-            mt.meta_step(store, ["phi"], [Task(support=0.0, query=0.0)],
-                         hyper(), None, quadratic_loss)
+            train_on(store, [Task(support=0.0, query=0.0)], hyper())
 
 
 class TestTrainLoop:

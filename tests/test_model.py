@@ -171,6 +171,19 @@ def reference_forward(store, cfg, src, tgt):
     return x @ store["tok_embed"].T
 
 
+def logits_one(store, cfg, src, tgt, trace=None):
+    """Decoder logits (prefix_len, vocab) of one source and prefix, from ``forward_batch``."""
+    src, tgt = np.asarray(src)[None], np.asarray(tgt)[None]
+    return mm.forward_batch(store, cfg, src, tgt, trace=trace).value[0]
+
+
+def nll_one(logits, targets):
+    """Summed NLL of one unpadded target row, from ``batch_nll``."""
+    targets = np.asarray(targets)[None]
+    mask = np.ones(targets.shape, dtype=bool)
+    return float(mm.batch_nll(ad.constant(np.asarray(logits)[None]), targets, mask).value)
+
+
 class TestForward:
     def test_single_layer_matches_reference(self):
         cfg = mm.ModelConfig(
@@ -186,9 +199,9 @@ class TestForward:
         )
         store = mm.build_model(cfg, seed=9)
         src, tgt = np.array([0, 2]), np.array([1, 0])
-        logits = mm.forward(store, cfg, src, tgt)
+        logits = logits_one(store, cfg, src, tgt)
         np.testing.assert_allclose(
-            logits.value, reference_forward(store, cfg, src, tgt), rtol=1e-10, atol=1e-12
+            logits, reference_forward(store, cfg, src, tgt), rtol=1e-10, atol=1e-12
         )
 
     def test_multi_head_multi_layer_matches_reference(self):
@@ -196,9 +209,9 @@ class TestForward:
                          n_enc_layers=2, n_dec_layers=2)
         store = mm.build_model(cfg, seed=4)
         src, tgt = np.array([1, 5, 2, 9]), np.array([0, 3, 7])
-        logits = mm.forward(store, cfg, src, tgt)
+        logits = logits_one(store, cfg, src, tgt)
         np.testing.assert_allclose(
-            logits.value, reference_forward(store, cfg, src, tgt), rtol=1e-9, atol=1e-12
+            logits, reference_forward(store, cfg, src, tgt), rtol=1e-9, atol=1e-12
         )
 
     def test_zero_params_give_uniform_logits(self):
@@ -207,7 +220,7 @@ class TestForward:
         for name, arr in store.items():
             if store.partition(name) != "norm":
                 store.set(name, np.zeros_like(arr))
-        logits = mm.forward(store, cfg, np.array([1, 2]), np.array([0, 3, 4])).value
+        logits = logits_one(store, cfg, [1, 2], [0, 3, 4])
         assert np.allclose(logits, logits[:, :1])  # constant across vocab
 
     def test_adapters_at_identity_do_not_change_logits(self):
@@ -219,8 +232,8 @@ class TestForward:
         for _ in range(5):
             src = rng.integers(0, cfg_on.vocab_size, size=4)
             tgt = rng.integers(0, cfg_on.vocab_size, size=3)
-            a = mm.forward(with_adapters, cfg_on, src, tgt).value
-            b = mm.forward(without, cfg_off, src, tgt).value
+            a = logits_one(with_adapters, cfg_on, src, tgt)
+            b = logits_one(without, cfg_off, src, tgt)
             assert np.array_equal(a, b)
 
     def test_causality(self):
@@ -228,18 +241,18 @@ class TestForward:
         store = mm.build_model(cfg, seed=8)
         src = np.array([1, 2, 3])
         tgt = np.array([0, 4, 5, 6])
-        base = mm.forward(store, cfg, src, tgt).value
+        base = logits_one(store, cfg, src, tgt)
         for t in range(1, len(tgt)):
             changed = tgt.copy()
             changed[t] = (changed[t] + 1) % cfg.vocab_size
-            out = mm.forward(store, cfg, src, changed).value
+            out = logits_one(store, cfg, src, changed)
             assert np.array_equal(out[:t], base[:t]), f"position {t} leaked backwards"
 
     def test_attention_rows_sum_to_one(self):
         cfg = toy_config(n_enc_layers=2, n_dec_layers=2)
         store = mm.build_model(cfg, seed=1)
         trace = {}
-        mm.forward(store, cfg, np.array([1, 2, 3, 4]), np.array([0, 5, 6]), trace=trace)
+        logits_one(store, cfg, [1, 2, 3, 4], [0, 5, 6], trace=trace)
         assert trace["attention"]
         for probs in trace["attention"]:
             sums = probs.value.sum(axis=-1)
@@ -249,13 +262,13 @@ class TestForward:
         cfg = toy_config()
         store = mm.build_model(cfg, seed=0)
         with pytest.raises(ValueError, match="out of range"):
-            mm.forward(store, cfg, np.array([1, cfg.vocab_size]), np.array([0]))
+            logits_one(store, cfg, [1, cfg.vocab_size], [0])
 
     def test_length_overflow_rejected(self):
         cfg = toy_config(max_len=3)
         store = mm.build_model(cfg, seed=0)
         with pytest.raises(ValueError, match="max_len"):
-            mm.forward(store, cfg, np.array([1, 2, 3, 4]), np.array([0]))
+            logits_one(store, cfg, [1, 2, 3, 4], [0])
 
     def test_batched_matches_single(self):
         cfg = toy_config()
@@ -264,7 +277,7 @@ class TestForward:
         tgt = np.array([[0, 6], [0, 7]])
         batched = mm.forward_batch(store, cfg, src, tgt).value
         for b in range(2):
-            single = mm.forward(store, cfg, src[b], tgt[b]).value
+            single = logits_one(store, cfg, src[b], tgt[b])
             np.testing.assert_allclose(batched[b], single, rtol=1e-12, atol=1e-14)
 
     def test_padding_mask_matches_unpadded(self):
@@ -274,7 +287,7 @@ class TestForward:
         src_mask = np.array([[True, True, True, False, False]])
         tgt = np.array([[0, 6, 7]])
         padded = mm.forward_batch(store, cfg, src, tgt, src_mask=src_mask).value
-        plain = mm.forward(store, cfg, np.array([1, 2, 3]), np.array([0, 6, 7])).value
+        plain = logits_one(store, cfg, [1, 2, 3], [0, 6, 7])
         np.testing.assert_allclose(padded[0], plain, rtol=1e-10, atol=1e-12)
 
 
@@ -284,13 +297,12 @@ class TestLoss:
         targets = np.array([1, 2, 3, 0])
         for i, t in enumerate(targets):
             logits[i, t] = 30.0
-        loss = mm.nll_loss(ad.constant(logits), targets)
-        assert float(loss.value) < 1e-9
+        assert nll_one(logits, targets) < 1e-9
 
     def test_uniform_logits(self):
         m, v = 5, 7
-        loss = mm.nll_loss(ad.constant(np.zeros((m, v))), np.zeros(m, dtype=int))
-        assert float(loss.value) == pytest.approx(m * np.log(v), rel=1e-12)
+        loss = nll_one(np.zeros((m, v)), np.zeros(m, dtype=int))
+        assert loss == pytest.approx(m * np.log(v), rel=1e-12)
 
     def test_hand_case_two_positions(self):
         logits = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
@@ -299,19 +311,11 @@ class TestLoss:
         for row, t in zip(logits, targets):
             p = np.exp(row) / np.exp(row).sum()
             expected -= np.log(p[t])
-        loss = mm.nll_loss(ad.constant(logits), targets)
-        assert float(loss.value) == pytest.approx(expected, rel=1e-12)
-
-    def test_mean_flag(self):
-        logits = np.zeros((4, 3))
-        targets = np.zeros(4, dtype=int)
-        total = float(mm.nll_loss(ad.constant(logits), targets).value)
-        meaned = float(mm.nll_loss(ad.constant(logits), targets, mean=True).value)
-        assert meaned == pytest.approx(total / 4)
+        assert nll_one(logits, targets) == pytest.approx(expected, rel=1e-12)
 
     def test_target_out_of_range(self):
         with pytest.raises(ad.ShapeError):
-            mm.nll_loss(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
+            nll_one(np.zeros((2, 3)), np.array([0, 3]))
 
     def test_batch_nll_ignores_pad(self):
         rng = np.random.default_rng(0)
@@ -397,8 +401,8 @@ class TestInsertAdapters:
         store = mm.build_model(cfg_off, seed=2)
         grown = mm.insert_adapters(store, cfg_on, seed=2)
         src, tgt = np.array([1, 2, 3]), np.array([0, 4])
-        a = mm.forward(store, cfg_off, src, tgt).value
-        b = mm.forward(grown, cfg_on, src, tgt).value
+        a = logits_one(store, cfg_off, src, tgt)
+        b = logits_one(grown, cfg_on, src, tgt)
         assert np.array_equal(a, b)
 
     def test_existing_adapters_kept_and_missing_sites_added(self):
