@@ -10,7 +10,20 @@ differentiable: differentiating through a parameter-update expression
 Arrays are numpy float64 throughout; integer index arrays (token ids, masks)
 enter operations as attributes, never as differentiable inputs. Any primitive
 that produces a non-finite value from finite inputs raises instead of
-propagating NaN/Inf.
+propagating NaN/Inf. The check first sums the output: a finite sum means
+every entry is finite, and only a non-finite sum (a NaN or Inf entry, or
+finite entries whose sum overflows) pays for the entry-wise check.
+
+``matmul`` takes BLAS-style ``trans_a``/``trans_b`` flags that swap the last
+two axes of an operand as a view. Its VJP sets them so that no gradient
+materialises a transpose, and the VJP of a flagged matmul is again flagged
+matmuls, so the set is closed under differentiation.
+
+Every node carries a creation ``serial``. A node's inputs are always older
+than the node, so a node older than every requested node lies on no path
+from one to the output: ``backward`` walks the graph no further down than
+the oldest requested node. For the inner loop of second-order MAML, the
+gradient of step k then never re-walks steps 1..k-1.
 
 Inside a ``no_graph()`` scope primitives still compute their values eagerly
 and still raise ``NonFiniteError``, but the nodes they return link no
@@ -28,6 +41,8 @@ soon as its VJP has run, so a value-only pass holds only its frontier.
 
 from __future__ import annotations
 
+import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -75,16 +90,20 @@ class NonFiniteError(ArithmeticError):
     """A primitive or gradient produced NaN/Inf from finite inputs."""
 
 
+# Creation serials: every node's inputs were created before it.
+_serials = itertools.count()
+
+
 class Node:
     """One value in the computation DAG.
 
     Leaves have ``op is None``; named leaves are trainable/checkable
     parameters, unnamed leaves are constants. Interior nodes record the
     primitive id, input nodes and attributes so the graph can be
-    differentiated.
+    differentiated. ``serial`` numbers nodes in creation order.
     """
 
-    __slots__ = ("op", "inputs", "attrs", "value", "name")
+    __slots__ = ("op", "inputs", "attrs", "value", "name", "serial")
 
     def __init__(self, op, inputs, attrs, value, name=None):
         self.op = op
@@ -92,6 +111,7 @@ class Node:
         self.attrs = attrs
         self.value = value
         self.name = name
+        self.serial = next(_serials)
 
     @property
     def shape(self):
@@ -156,15 +176,26 @@ def no_graph():
         _recording = outer
 
 
+def _check_output(value, op_id: str) -> None:
+    """Raise unless every entry is finite; run under an errstate that ignores overflow.
+
+    A finite sum implies finite entries. Only a non-finite sum (NaN or Inf
+    entries, or finite entries whose sum overflows) pays for the entry-wise
+    check.
+    """
+    if not math.isfinite(value.sum()):
+        _check_finite(value, f"output of {op_id!r}")
+
+
 def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node:
     fwd, _ = _OPS[op_id]
     if not _recording:
         value = fwd(attrs, *[n.value for n in inputs])
-        _check_finite(value, f"output of {op_id!r}")
+        _check_output(value, op_id)
         return Node(op_id, (), attrs, value)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = fwd(attrs, *(n.value for n in inputs))
-    _check_finite(value, f"output of {op_id!r}")
+        _check_output(value, op_id)
     return Node(op_id, tuple(inputs), attrs, value)
 
 
@@ -255,16 +286,29 @@ _OPS["scale"] = (_fwd_scale, _vjp_scale)
 def _fwd_matmul(attrs, a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
+    if attrs["trans_a"]:
+        a = np.swapaxes(a, -1, -2)
+    if attrs["trans_b"]:
+        b = np.swapaxes(b, -1, -2)
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     return a @ b
 
 
 def _vjp_matmul(node, g):
+    # C = op(A) op(B), op(X) = X or X^T. Each adjoint is one matmul of g with
+    # the other operand, flags chosen so no transpose is ever materialised.
     a, b = node.inputs
-    ga = _sum_to(matmul(g, transpose_last2(b)), a.value.shape)
-    gb = _sum_to(matmul(transpose_last2(a), g), b.value.shape)
-    return (ga, gb)
+    ta, tb = node.attrs["trans_a"], node.attrs["trans_b"]
+    if not ta and not tb:
+        ga, gb = matmul(g, b, trans_b=True), matmul(a, g, trans_a=True)
+    elif not ta:
+        ga, gb = matmul(g, b), matmul(g, a, trans_a=True)
+    elif not tb:
+        ga, gb = matmul(b, g, trans_b=True), matmul(a, g)
+    else:
+        ga, gb = matmul(b, g, trans_a=True, trans_b=True), matmul(g, a, trans_a=True, trans_b=True)
+    return (_sum_to(ga, a.value.shape), _sum_to(gb, b.value.shape))
 
 
 _OPS["matmul"] = (_fwd_matmul, _vjp_matmul)
@@ -588,8 +632,10 @@ _OPS["cross_entropy_with_logits"] = (_fwd_cross_entropy, _vjp_cross_entropy)
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Node:
-    return _make("matmul", (_as_node(a), _as_node(b)))
+def matmul(a, b, trans_a: bool = False, trans_b: bool = False) -> Node:
+    """``op(a) @ op(b)``, where ``op`` swaps the last two axes of a flagged operand."""
+    attrs = {"trans_a": bool(trans_a), "trans_b": bool(trans_b)}
+    return _make("matmul", (_as_node(a), _as_node(b)), attrs)
 
 
 def add(a, b) -> Node:
@@ -674,8 +720,11 @@ def mean_all(x) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(outputs: Sequence[Node]) -> list[Node]:
-    """Inputs-before-consumers ordering, iterative to handle deep graphs."""
+def _topo_order(outputs: Sequence[Node], floor: int = 0) -> list[Node]:
+    """Inputs-before-consumers ordering, iterative to handle deep graphs.
+
+    Inputs whose serial is below ``floor`` are not visited.
+    """
     order: list[Node] = []
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(o, False) for o in reversed(outputs)]
@@ -689,7 +738,7 @@ def _topo_order(outputs: Sequence[Node]) -> list[Node]:
         seen.add(id(node))
         stack.append((node, True))
         for inp in reversed(node.inputs):
-            if id(inp) not in seen:
+            if inp.serial >= floor and id(inp) not in seen:
                 stack.append((inp, False))
     return order
 
@@ -736,7 +785,9 @@ def backward(output: Node, wrt) -> dict[str, Node]:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
     leaves = _normalize_wrt(wrt)
 
-    order = _topo_order((output,))
+    # A node created before every requested node lies on no path from one.
+    floor = min((n.serial for n in leaves.values()), default=0)
+    order = _topo_order((output,), floor)
     # Only nodes on a path from a requested leaf to the output need adjoints.
     wanted = {id(n) for n in leaves.values()}
     relevant: set[int] = set()

@@ -143,7 +143,7 @@ def inner_adapt(params, phi_names: Sequence[str], support, hyper: TrainHyper,
         else:
             grads = ad.backward(loss, wrt)
             for n in phi_names:
-                current[n] = ad.sub(current[n], ad.scale(grads[n], hyper.alpha))
+                current[n] = ad.add(current[n], ad.scale(grads[n], -hyper.alpha))
     return current, losses
 
 

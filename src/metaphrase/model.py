@@ -324,23 +324,22 @@ def _project_kv(p, prefix, keys):
 
 
 def _split_heads(config, k, v):
-    """Per-head (transposed keys, values): heads are slices of the width."""
+    """Per-head (keys, values): heads are slices of the width."""
     dh = config.d_head
     return [
-        (ad.transpose_last2(ad.slice_axis(k, -1, h * dh, (h + 1) * dh)),
-         ad.slice_axis(v, -1, h * dh, (h + 1) * dh))
+        (ad.slice_axis(k, -1, h * dh, (h + 1) * dh), ad.slice_axis(v, -1, h * dh, (h + 1) * dh))
         for h in range(config.n_heads)
     ]
 
 
 def _attend(p, prefix, config, queries, kv, mask, trace):
-    """Multi-head attention of the queries over per-head (K^T, V)."""
+    """Multi-head attention of the queries over per-head (K, V)."""
     q = _linear(p, f"{prefix}.wq", queries)
     dh = config.d_head
     heads = []
-    for h, (kt, vh) in enumerate(kv):
+    for h, (kh, vh) in enumerate(kv):
         qh = ad.slice_axis(q, -1, h * dh, (h + 1) * dh)
-        scores = ad.scale(ad.matmul(qh, kt), 1.0 / np.sqrt(dh))
+        scores = ad.scale(ad.matmul(qh, kh, trans_b=True), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = ad.mask_fill(scores, mask, NEG_FILL)
         probs = ad.softmax_lastdim(scores)
@@ -386,7 +385,7 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask, t
     ``past_kv`` is the full-width self-attention (K, V) of earlier positions
     that ``x`` does not contain (incremental decoding), or None when ``x``
     spans the whole prefix. ``memory_kv`` is the cross-attention's per-head
-    (K^T, V) of the encoder memory.
+    (K, V) of the encoder memory.
     """
     prefix = f"dec.{i}"
     h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
@@ -408,7 +407,7 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask, t
 def _output_logits(p, config, x):
     x = _norm(p, "dec.final_ln", x, config.ln_eps)
     if config.tie_embeddings:
-        return ad.matmul(x, ad.transpose_last2(p["tok_embed"]))
+        return ad.matmul(x, p["tok_embed"], trans_b=True)
     return ad.matmul(x, p["out_proj"])
 
 
@@ -451,7 +450,7 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
 class KVCache:
     """Attention keys and values for decoding, one row per hypothesis.
 
-    ``memory[i]`` is decoder layer i's cross-attention per-head (K^T, V),
+    ``memory[i]`` is decoder layer i's cross-attention per-head (K, V),
     projected from the encoder memory of each row's source. ``prefix[i]`` is
     its full-width self-attention (K, V) over the ``length`` positions
     decoded so far (None before the first step). Every row sits at the same

@@ -196,7 +196,11 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         buf.write(struct.pack("<B", arr.ndim))
         for extent in arr.shape:
             buf.write(struct.pack("<Q", extent))
-        buf.write(arr.astype("<f4").tobytes())
+        with np.errstate(over="ignore"):
+            payload = arr.astype("<f4")
+        if not np.isfinite(payload).all():
+            raise CheckpointError(f"parameter {name!r} is not finite as float32")
+        buf.write(payload.tobytes())
     return buf.getvalue()
 
 
@@ -240,6 +244,8 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         count = int(np.prod(shape)) if shape else 1
         payload = _read_exact(buf, 4 * count, f"{name} payload")
         values = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"corrupt checkpoint: non-finite values in {name!r}")
         store.add(name, values, _PARTITION_NAME[part_code])
 
     expected = {(n, s, p) for n, s, p in mm.param_layout(config)}

@@ -1,5 +1,7 @@
 """Gradient engine tests: analytic cases plus finite-difference oracles."""
 
+import warnings
+from contextlib import nullcontext
 from functools import reduce
 
 import numpy as np
@@ -178,6 +180,47 @@ def test_primitive_gradient_oracle(op, build, values):
     assert second.passed, f"{op} Hessian-vector product: {second.per_leaf}"
 
 
+def _stored(shape, trans, rng):
+    """An operand whose op() has ``shape``: stored with its last two axes swapped if ``trans``."""
+    if trans:
+        shape = shape[:-2] + (shape[-1], shape[-2])
+    return rng.standard_normal(shape)
+
+
+# (batch of op(a), batch of op(b)) for op(a) (.., 3, 4) @ op(b) (.., 4, 5).
+MATMUL_BATCHES = {"batched_a": ((2,), ()), "both_batched": ((2,), (2,)), "batched_b": ((), (2,))}
+
+
+@pytest.mark.parametrize("batches", MATMUL_BATCHES.values(), ids=MATMUL_BATCHES.keys())
+@pytest.mark.parametrize("trans_a,trans_b", [(False, True), (True, False), (True, True)])
+def test_matmul_transpose_flags(trans_a, trans_b, batches):
+    rng = np.random.default_rng(12)
+    values = {"a": _stored(batches[0] + (3, 4), trans_a, rng),
+              "b": _stored(batches[1] + (4, 5), trans_b, rng)}
+    explicit = {n: np.swapaxes(v, -1, -2).copy() if t else v
+                for (n, v), t in zip(values.items(), (trans_a, trans_b))}
+    out = ad.matmul(values["a"], values["b"], trans_a=trans_a, trans_b=trans_b)
+    assert out.value.shape == np.broadcast_shapes(batches[0], batches[1]) + (3, 5)
+    np.testing.assert_allclose(out.value, explicit["a"] @ explicit["b"], rtol=1e-14, atol=1e-15)
+
+    def objective(params):
+        return _readout(ad.matmul(params["a"], params["b"], trans_a=trans_a, trans_b=trans_b))
+
+    first = ad.grad_check(objective, values)
+    assert first.passed, f"VJP: {first.per_leaf}"
+    second = ad.grad_check(_hvp(objective, values), values)
+    assert second.passed, f"Hessian-vector product: {second.per_leaf}"
+
+
+def test_no_vjp_builds_a_transpose(tiny_transformer):
+    leaves = tiny_transformer.store.leaves()
+    loss = tiny_transformer.loss_fn(leaves, tiny_transformer.pairs)
+    grads = ad.backward(loss, leaves)
+    second = ad.backward(reduce(ad.add, [ad.sum_all(g) for g in grads.values()]), leaves)
+    ops = {n.op for n in ad.Graph([loss, *grads.values(), *second.values()]).nodes}
+    assert "matmul" in ops and "transpose_last2" not in ops
+
+
 class TestSecondOrder:
     def test_cube_second_derivative(self):
         x = ad.leaf("x", np.array(2.0))
@@ -273,6 +316,27 @@ class TestNoGraph:
                 ad.scale(x, 1.0)
 
 
+class TestFastFiniteCheck:
+    """``_make`` checks the sum first and falls back to an entry-wise check."""
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_finite_values_whose_sum_overflows_pass_silently(self, recording):
+        x = np.array([1.5e308, 1.5e308, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ad.no_graph() if not recording else nullcontext():
+                out = ad.scale(x, 1.0)
+        np.testing.assert_array_equal(out.value, x)
+        assert bool(out.inputs) == recording
+
+    @pytest.mark.parametrize("recording", [True, False])
+    def test_opposite_infinities_raise_naming_the_op(self, recording):
+        # [inf, -inf] sums to NaN, not to an infinity.
+        with pytest.raises(ad.NonFiniteError, match="'scale'"):
+            with ad.no_graph() if not recording else nullcontext():
+                ad.scale(np.array([1e308, -1e308]), 10.0)
+
+
 class TestValueOnlyBackward:
     def test_pair_loss_gradients_bitwise_equal_recorded(self, tiny_transformer):
         leaves = tiny_transformer.store.leaves()
@@ -299,6 +363,37 @@ class TestValueOnlyBackward:
         for grads in (recorded, ad.gradient_values(out, wrt)):
             np.testing.assert_array_equal(grads["h"], expected_h)
             np.testing.assert_array_equal(grads["x"], 3.0 * expected_h)
+
+    def test_nested_interior_wrt_get_analytic_adjoints(self):
+        # h is an ancestor of k; out = sum(k + h) with k = h * h.
+        x = ad.leaf("x", np.array([0.5, -1.5, 2.0]))
+        h = ad.scale(x, 3.0)
+        k = ad.mul(h, h)
+        out = ad.sum_all(ad.add(k, h))
+        for grads in ({n: g.value for n, g in ad.backward(out, {"k": k, "h": h}).items()},
+                      ad.gradient_values(out, {"h": h, "k": k})):
+            np.testing.assert_array_equal(grads["k"], np.ones(3))
+            np.testing.assert_array_equal(grads["h"], 2.0 * h.value + 1.0)
+
+    def test_nodes_older_than_every_requested_node_are_not_visited(self, monkeypatch):
+        visited = []
+        topo = ad._topo_order
+
+        def spy(outputs, floor=0):
+            order = topo(outputs, floor)
+            visited.extend(order)
+            return order
+
+        monkeypatch.setattr(ad, "_topo_order", spy)
+        x = ad.leaf("x", np.array([0.5, -1.5]))
+        old = ad.gelu(ad.mul(x, x))
+        w = ad.leaf("w", np.array([2.0, 3.0]))
+        h = ad.mul(old, w)
+        out = ad.sum_all(ad.mul(h, h))
+        grads = ad.gradient_values(out, {"w": w, "h": h})
+        np.testing.assert_array_equal(grads["w"], 2.0 * h.value * old.value)
+        assert {id(n) for n in visited} == {id(n) for n in (w, h, out.inputs[0], out)}
+        assert all(n.serial >= w.serial for n in visited)
 
     def test_non_finite_vjp_output_raises_naming_the_op(self):
         # Forward values stay finite (1e-200 * 1e300 * 1e10); the adjoint of x

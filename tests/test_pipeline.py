@@ -106,6 +106,28 @@ class TestCheckpointFormat:
             assert arr.dtype == np.float64
             np.testing.assert_array_equal(arr, arr.astype(np.float32).astype(np.float64))
 
+    @pytest.mark.parametrize("bad", [1e39, -1e39, np.inf, np.nan])
+    def test_non_finite_parameter_not_written(self, bad):
+        ckpt = self.make_ckpt()
+        values = ckpt.store["enc.0.ffn.w1.w"].copy()
+        values[1, 2] = bad  # 1e39 is finite in float64 but overflows float32
+        ckpt.store.set("enc.0.ffn.w1.w", values)
+        with pytest.raises(pl.CheckpointError, match="'enc.0.ffn.w1.w'"):
+            pl.checkpoint_bytes(ckpt)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_payload_rejected(self, bad):
+        ckpt = self.make_ckpt()
+        values = ckpt.store["dec.0.ln2.gain"].copy()
+        values[3] = 12345.0
+        ckpt.store.set("dec.0.ln2.gain", values)
+        blob = pl.checkpoint_bytes(ckpt)
+        marker = np.float32(12345.0).tobytes()
+        assert blob.count(marker) == 1
+        patched = blob.replace(marker, np.float32(bad).tobytes())
+        with pytest.raises(pl.CheckpointError, match="'dec.0.ln2.gain'"):
+            pl.checkpoint_from_bytes(patched)
+
     def test_truncated_file_rejected(self, tmp_path):
         ckpt = self.make_ckpt()
         blob = pl.checkpoint_bytes(ckpt)
