@@ -177,12 +177,7 @@ def no_graph():
 
 
 def _check_output(value, op_id: str) -> None:
-    """Raise unless every entry is finite; run under an errstate that ignores overflow.
-
-    A finite sum implies finite entries. Only a non-finite sum (NaN or Inf
-    entries, or finite entries whose sum overflows) pays for the entry-wise
-    check.
-    """
+    """Raise unless every entry is finite; call under an errstate that ignores overflow."""
     if not math.isfinite(value.sum()):
         _check_finite(value, f"output of {op_id!r}")
 

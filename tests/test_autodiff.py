@@ -197,11 +197,11 @@ def test_matmul_transpose_flags(trans_a, trans_b, batches):
     rng = np.random.default_rng(12)
     values = {"a": _stored(batches[0] + (3, 4), trans_a, rng),
               "b": _stored(batches[1] + (4, 5), trans_b, rng)}
-    explicit = {n: np.swapaxes(v, -1, -2).copy() if t else v
-                for (n, v), t in zip(values.items(), (trans_a, trans_b))}
+    a = np.swapaxes(values["a"], -1, -2).copy() if trans_a else values["a"]
+    b = np.swapaxes(values["b"], -1, -2).copy() if trans_b else values["b"]
     out = ad.matmul(values["a"], values["b"], trans_a=trans_a, trans_b=trans_b)
     assert out.value.shape == np.broadcast_shapes(batches[0], batches[1]) + (3, 5)
-    np.testing.assert_allclose(out.value, explicit["a"] @ explicit["b"], rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(out.value, a @ b, rtol=1e-14, atol=1e-15)
 
     def objective(params):
         return _readout(ad.matmul(params["a"], params["b"], trans_a=trans_a, trans_b=trans_b))
@@ -353,27 +353,19 @@ class TestValueOnlyBackward:
         assert any(g.inputs for g in recorded.values())
 
     def test_interior_wrt_keeps_its_full_adjoint(self):
-        # h feeds the output twice: through h * h and directly.
-        x = ad.leaf("x", np.array([0.5, -1.5, 2.0]))
-        h = ad.scale(x, 3.0)
-        out = ad.sum_all(ad.add(ad.mul(h, h), h))
-        wrt = {"h": h, "x": x}
-        expected_h = 2.0 * h.value + 1.0
-        recorded = {n: g.value for n, g in ad.backward(out, wrt).items()}
-        for grads in (recorded, ad.gradient_values(out, wrt)):
-            np.testing.assert_array_equal(grads["h"], expected_h)
-            np.testing.assert_array_equal(grads["x"], 3.0 * expected_h)
-
-    def test_nested_interior_wrt_get_analytic_adjoints(self):
-        # h is an ancestor of k; out = sum(k + h) with k = h * h.
+        # h feeds the output twice: through k = h * h and directly.
         x = ad.leaf("x", np.array([0.5, -1.5, 2.0]))
         h = ad.scale(x, 3.0)
         k = ad.mul(h, h)
         out = ad.sum_all(ad.add(k, h))
-        for grads in ({n: g.value for n, g in ad.backward(out, {"k": k, "h": h}).items()},
-                      ad.gradient_values(out, {"h": h, "k": k})):
-            np.testing.assert_array_equal(grads["k"], np.ones(3))
-            np.testing.assert_array_equal(grads["h"], 2.0 * h.value + 1.0)
+        expected = {"h": 2.0 * h.value + 1.0, "k": np.ones(3)}
+        expected["x"] = 3.0 * expected["h"]
+        # In {k, h} both entries are interior and h is an ancestor of k.
+        for wrt in ({"h": h, "x": x}, {"k": k, "h": h}):
+            recorded = {n: g.value for n, g in ad.backward(out, wrt).items()}
+            for grads in (recorded, ad.gradient_values(out, wrt)):
+                for n in wrt:
+                    np.testing.assert_array_equal(grads[n], expected[n], err_msg=n)
 
     def test_nodes_older_than_every_requested_node_are_not_visited(self, monkeypatch):
         visited = []
@@ -393,7 +385,6 @@ class TestValueOnlyBackward:
         grads = ad.gradient_values(out, {"w": w, "h": h})
         np.testing.assert_array_equal(grads["w"], 2.0 * h.value * old.value)
         assert {id(n) for n in visited} == {id(n) for n in (w, h, out.inputs[0], out)}
-        assert all(n.serial >= w.serial for n in visited)
 
     def test_non_finite_vjp_output_raises_naming_the_op(self):
         # Forward values stay finite (1e-200 * 1e300 * 1e10); the adjoint of x
