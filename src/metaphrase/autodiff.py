@@ -17,7 +17,10 @@ finite entries whose sum overflows) pays for the entry-wise check.
 ``matmul`` takes BLAS-style ``trans_a``/``trans_b`` flags that swap the last
 two axes of an operand as a view. Its VJP sets them so that no gradient
 materialises a transpose, and the VJP of a flagged matmul is again flagged
-matmuls, so the set is closed under differentiation.
+matmuls, so the set is closed under differentiation. The gradient of a 2-D
+weight ``W`` in ``x (..., T, d) @ W`` sums over every leading axis of ``x``;
+it is one 2-D product of the flattened rows (the private ``_flat_matmul``,
+whose VJP is again two matmuls), not a batched product and a sum.
 
 Every node carries a creation ``serial``. A node's inputs are always older
 than the node, so a node older than every requested node lies on no path
@@ -79,6 +82,8 @@ __all__ = [
     "mask_fill",
     "mean_all",
     "sum_all",
+    "sum_to",
+    "broadcast_to",
 ]
 
 
@@ -295,6 +300,11 @@ def _vjp_matmul(node, g):
     # the other operand, flags chosen so no transpose is ever materialised.
     a, b = node.inputs
     ta, tb = node.attrs["trans_a"], node.attrs["trans_b"]
+    if b.value.ndim == 2 and a.value.ndim > 2 and not ta:
+        # Rows of x and g pair up across every leading axis.
+        if tb:
+            return (matmul(g, b), _make("_flat_matmul", (g, a)))
+        return (matmul(g, b, trans_b=True), _make("_flat_matmul", (a, g)))
     if not ta and not tb:
         ga, gb = matmul(g, b, trans_b=True), matmul(a, g, trans_a=True)
     elif not ta:
@@ -307,6 +317,21 @@ def _vjp_matmul(node, g):
 
 
 _OPS["matmul"] = (_fwd_matmul, _vjp_matmul)
+
+
+def _fwd_flat_matmul(attrs, a, b):
+    # flat(a)^T @ flat(b): a (..., m) and b (..., n) flattened to rows.
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"_flat_matmul needs equal leading axes, got {a.shape} and {b.shape}")
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
+def _vjp_flat_matmul(node, g):
+    a, b = node.inputs
+    return (matmul(b, g, trans_b=True), matmul(a, g))
+
+
+_OPS["_flat_matmul"] = (_fwd_flat_matmul, _vjp_flat_matmul)
 
 
 def _fwd_transpose_last2(attrs, x):
@@ -556,16 +581,26 @@ _OPS["softmax_lastdim"] = (_fwd_softmax_lastdim, _vjp_softmax_lastdim)
 
 
 def _fwd_layer_norm(attrs, x, gain, bias):
+    # gain and bias may carry leading axes (say, one row per task) that
+    # broadcast against x; their last axis is x's.
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    if gain.shape[-1:] != (d,) or bias.shape[-1:] != (d,):
         raise ShapeError(
-            f"layer_norm gain/bias must be ({d},), got {gain.shape}/{bias.shape}"
+            f"layer_norm gain/bias must end in ({d},), got {gain.shape}/{bias.shape}"
         )
     eps = attrs["eps"]
     m = x.mean(axis=-1, keepdims=True)
     xc = x - m
     v = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(v + eps) * gain + bias
+    try:
+        out = xc / np.sqrt(v + eps) * gain + bias
+    except ValueError as exc:
+        raise ShapeError(
+            f"layer_norm gain/bias {gain.shape}/{bias.shape} not broadcastable to {x.shape}"
+        ) from exc
+    if out.shape != x.shape:
+        raise ShapeError(f"layer_norm gain/bias {gain.shape}/{bias.shape} widen {x.shape}")
+    return out
 
 
 def _vjp_layer_norm(node, g):
@@ -708,6 +743,16 @@ def sum_all(x) -> Node:
 def mean_all(x) -> Node:
     x = _as_node(x)
     return scale(sum_all(x), 1.0 / x.value.size)
+
+
+def sum_to(x, shape) -> Node:
+    """``x`` summed down to ``shape``, the inverse of broadcasting ``shape`` to x's."""
+    return _sum_to(_as_node(x), tuple(shape))
+
+
+def broadcast_to(x, shape) -> Node:
+    """``x`` broadcast to ``shape``; its VJP sums back with ``sum_to``."""
+    return _make("_broadcast_to", (_as_node(x),), {"shape": tuple(shape)})
 
 
 # ---------------------------------------------------------------------------

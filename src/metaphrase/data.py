@@ -25,6 +25,10 @@ class CorpusFormatError(ValueError):
     """A corpus file violates its documented format."""
 
 
+class TaskSizeError(ValueError):
+    """The tasks of a meta-batch hold different numbers of pairs."""
+
+
 class Vocab:
     """Token <-> id bijection with fixed reserved ids 0..4."""
 
@@ -143,6 +147,22 @@ def pad_batch(seqs: Sequence[np.ndarray], pad_id: int = PAD) -> tuple[np.ndarray
         ids[i, : len(s)] = s
         mask[i, : len(s)] = True
     return ids, mask
+
+
+def pad_tasks(tasks: Sequence[Sequence[np.ndarray]],
+              pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
+    """Stack per-task id sequences into (n_tasks, batch, width) ids and valid mask.
+
+    Every task is padded to the widest sequence of any task. The tasks must
+    hold equal numbers of sequences, since a task's loss is a mean over its
+    rows: padding a short task with empty rows would mis-average it.
+    """
+    sizes = [len(task) for task in tasks]
+    if len(set(sizes)) != 1:
+        raise TaskSizeError(f"tasks of a meta-batch must hold equal numbers of pairs, got {sizes}")
+    ids, mask = pad_batch([s for task in tasks for s in task], pad_id)
+    shape = (len(tasks), sizes[0], ids.shape[-1])
+    return ids.reshape(shape), mask.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

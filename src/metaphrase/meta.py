@@ -1,17 +1,30 @@
 """Inner-loop adaptation and meta-updates over the trainable parameter set.
 
 The training loop is generic over a loss function ``loss_fn(params, batch)``
-returning a scalar Node, where ``params`` maps parameter names to Nodes.
-That keeps the machinery testable against scalar surrogate losses with known
-closed-form meta-gradients, while the pipeline plugs in the transformer NLL.
+returning a Node, where ``params`` maps parameter names to Nodes. That keeps
+the machinery testable against surrogate losses with known closed-form
+meta-gradients, while the pipeline plugs in the transformer NLL.
 
-Two outer-gradient modes:
+One meta-batch is one graph. Its tasks are stacked on a leading task axis:
+``stack_phi`` broadcasts each phi entry from the shared leaf to
+``(n_tasks, 1, ..., 1, *shape)``, rank ``1 + TASK_RANK``, so that row t is
+task t's copy and broadcasts against a loss function's per-task activations
+of rank ``TASK_RANK`` (the transformer's (batch, length, width)). An adapter
+down-projection ``(d, h)`` becomes ``(n_tasks, 1, d, h)``. Entries outside
+phi, the frozen weights, stay unstacked. ``loss_fn`` is then called with a
+``TaskBatches`` of per-task batches and returns one loss per task (a Node of
+``n_tasks`` entries).
+
+The inner loop takes K gradient steps on the sum of the per-task support
+losses. Row t of that gradient depends only on task t, so each row takes
+exactly its own task's MAML step. Two outer-gradient modes:
 
 * ``second``: inner updates are built as graph expressions, so the outer
-  gradient differentiates through them (exact MAML). The outer pass itself
-  is value-only: its result is only read as numbers.
-* ``first``: inner updates run on detached values and the outer gradient is
-  taken at the adapted parameters (FOMAML).
+  gradient differentiates through them (exact MAML), and the broadcast's VJP
+  sums the per-task meta-gradients back over the task axis. The outer pass
+  itself is value-only: its result is only read as numbers.
+* ``first``: inner updates run on detached values and the query gradient is
+  taken at the stacked adapted parameters, then summed over tasks (FOMAML).
 
 Either way the inner loop takes plain gradient steps of size ``alpha``; the
 outer optimizer (SGD or AdamW, rate ``beta``) updates only the meta
@@ -114,25 +127,57 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dic
     return grads, norm
 
 
+# Rank of the per-task activations that a stacked phi entry broadcasts against.
+TASK_RANK = 3
+
+
+class TaskBatches(tuple):
+    """One batch per task of a meta-batch, in task order.
+
+    A loss function called with one receives phi stacked by ``stack_phi``
+    and returns the per-task losses.
+    """
+
+
 def _as_param_nodes(params) -> dict[str, Node]:
     if hasattr(params, "leaves"):
         return params.leaves()
     return dict(params)
 
 
-def inner_adapt(params, phi_names: Sequence[str], support, hyper: TrainHyper,
-                loss_fn: LossFn) -> tuple[dict[str, Node], list[float]]:
-    """K gradient steps on the support loss, touching only phi.
-
-    Returns (adapted parameter map, per-step support losses). In second-order
-    mode the adapted entries are update expressions rooted at the originals;
-    in first-order mode they are detached leaves.
-    """
+def stack_phi(params, phi_names: Sequence[str], n_tasks: int) -> dict[str, Node]:
+    """The parameter map with each phi entry broadcast to one row per task."""
     current = _as_param_nodes(params)
+    for n in phi_names:
+        shape = current[n].shape
+        ones = (1,) * (TASK_RANK - len(shape))
+        current[n] = ad.broadcast_to(current[n], (n_tasks,) + ones + shape)
+    return current
+
+
+def _task_losses(loss_fn: LossFn, params, batches) -> tuple[Node, np.ndarray]:
+    """(summed loss, per-task loss values) of one stacked call."""
+    per_task = loss_fn(params, TaskBatches(batches))
+    if per_task.value.size != len(batches):
+        raise ValueError(f"loss_fn returned {per_task.value.size} losses for {len(batches)} tasks")
+    return ad.sum_all(per_task), per_task.value.reshape(-1)
+
+
+def inner_adapt(params, phi_names: Sequence[str], supports: Sequence, hyper: TrainHyper,
+                loss_fn: LossFn) -> tuple[dict[str, Node], np.ndarray]:
+    """K gradient steps on each task's support batch, touching only phi.
+
+    ``supports`` holds one support batch per task. Returns (adapted
+    parameter map, support losses of shape (K, n_tasks)); each adapted phi
+    entry is stacked, row t being task t's. In second-order mode the adapted
+    entries are update expressions rooted at the originals; in first-order
+    mode they are detached leaves.
+    """
+    current = stack_phi(params, phi_names, len(supports))
     losses = []
     for _ in range(hyper.inner_steps):
-        loss = loss_fn(current, support)
-        losses.append(float(loss.value))
+        loss, per_task = _task_losses(loss_fn, current, supports)
+        losses.append(per_task)
         wrt = {n: current[n] for n in phi_names}
         if hyper.order_mode == "first":
             grad_values = ad.gradient_values(loss, wrt)
@@ -144,7 +189,7 @@ def inner_adapt(params, phi_names: Sequence[str], support, hyper: TrainHyper,
             grads = ad.backward(loss, wrt)
             for n in phi_names:
                 current[n] = ad.add(current[n], ad.scale(grads[n], -hyper.alpha))
-    return current, losses
+    return current, np.array(losses)
 
 
 def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
@@ -161,28 +206,17 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
             raise ValueError("task has an empty query set")
 
     base = _as_param_nodes(params)
-    support_losses: list[float] = []
-    query_losses: list[float] = []
-
+    adapted, support_losses = inner_adapt(base, phi_names, [t.support for t in tasks],
+                                          hyper, loss_fn)
+    total, query_losses = _task_losses(loss_fn, adapted, [t.query for t in tasks])
     if hyper.order_mode == "second":
-        total = None
-        for task in tasks:
-            adapted, sup = inner_adapt(base, phi_names, task.support, hyper, loss_fn)
-            support_losses.extend(sup)
-            q = loss_fn(adapted, task.query)
-            query_losses.append(float(q.value))
-            total = q if total is None else ad.add(total, q)
         grad_values = ad.gradient_values(total, {n: base[n] for n in phi_names})
     else:
-        grad_values = {n: np.zeros(base[n].value.shape) for n in phi_names}
-        for task in tasks:
-            adapted, sup = inner_adapt(base, phi_names, task.support, hyper, loss_fn)
-            support_losses.extend(sup)
-            q = loss_fn(adapted, task.query)
-            query_losses.append(float(q.value))
-            task_grads = ad.gradient_values(q, {n: adapted[n] for n in phi_names})
-            for n in phi_names:
-                grad_values[n] = grad_values[n] + task_grads[n]
+        stacked = ad.gradient_values(total, {n: adapted[n] for n in phi_names})
+        grad_values = {
+            n: stacked[n].reshape(len(tasks), -1).sum(axis=0).reshape(base[n].shape)
+            for n in phi_names
+        }
 
     metrics = {
         "support_loss": float(np.mean(support_losses)),
@@ -218,12 +252,9 @@ def evaluate_adaptation(params, phi_names: Sequence[str], tasks: Sequence,
 
     Inner updates run detached; this is evaluation only.
     """
-    base = _as_param_nodes(params)
     eval_hyper = replace(hyper, order_mode="first")
-    losses = []
-    for task in tasks:
-        adapted, _ = inner_adapt(base, phi_names, task.support, eval_hyper, loss_fn)
-        losses.append(float(loss_fn(adapted, task.query).value))
+    adapted, _ = inner_adapt(params, phi_names, [t.support for t in tasks], eval_hyper, loss_fn)
+    _, losses = _task_losses(loss_fn, adapted, [t.query for t in tasks])
     return float(np.mean(losses))
 
 

@@ -7,7 +7,13 @@ feed-forward layers with a residual connection, initialized so that they are
 an exact identity map; enabling them changes nothing until they are trained.
 
 Training runs ``forward_batch``, which builds an autodiff graph for the
-teacher-forced NLL. Decoding runs the same encoder and decoder-layer code
+teacher-forced NLL. It is rank-generic: token arrays are (batch, len), or
+(n_tasks, batch, len) for a MAML meta-batch whose tasks are stacked on a
+leading axis. A stacked forward takes parameters that carry the same task
+axis, such as an adapter down-projection of shape (n_tasks, 1, d, h) against
+activations (n_tasks, batch, len, d); frozen weights stay unstacked and
+broadcast. Masks and ``batch_nll`` follow the leading axes, so each task's
+rows see only their own values. Decoding runs the same encoder and decoder-layer code
 one position at a time (``encode_source`` then ``decoder_step``), normally
 inside ``autodiff.no_graph()``: the encoder memory's per-head keys and
 values are projected once per source, and each layer's self-attention keys
@@ -366,7 +372,7 @@ def _encode(p, config, src, src_mask, trace):
     x = _embed(p, "tok_embed", src, "pos_enc", config)
     key_mask = None
     if src_mask is not None and not src_mask.all():
-        key_mask = ~src_mask[:, None, :]  # (B, 1, S): hide pad keys
+        key_mask = ~src_mask[..., None, :]  # (..., B, 1, S): hide pad keys
     for i in range(config.n_enc_layers):
         prefix = f"enc.{i}"
         h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
@@ -412,28 +418,32 @@ def _output_logits(p, config, x):
 
 
 def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask=None, trace=None) -> Node:
-    """Teacher-forced decoder logits, shape (batch, prefix_len, vocab).
+    """Teacher-forced decoder logits, shape (..., batch, prefix_len, vocab).
 
-    ``src``/``tgt`` are int arrays (batch, len); the boolean masks flag real
-    (non-pad) positions. Causal masking applies in decoder self-attention.
+    ``src``/``tgt`` are int arrays (batch, len), or (n_tasks, batch, len) for
+    stacked tasks; the boolean masks flag real (non-pad) positions. Causal
+    masking applies in decoder self-attention.
     """
     p = as_nodes(params)
     src = np.asarray(src, dtype=np.int64)
     tgt = np.asarray(tgt, dtype=np.int64)
-    if src.ndim != 2 or tgt.ndim != 2:
-        raise ValueError("forward_batch expects (batch, len) token arrays")
+    if src.ndim < 2 or src.shape[:-1] != tgt.shape[:-1]:
+        raise ValueError(
+            "forward_batch expects (..., batch, len) token arrays with equal leading axes, "
+            f"got {src.shape} and {tgt.shape}"
+        )
 
     memory = _encode(p, config, src, src_mask, trace)
     x = _embed(p, "tok_embed", tgt, "pos_dec", config)
 
-    t = tgt.shape[1]
+    t = tgt.shape[-1]
     causal = np.triu(np.ones((t, t), dtype=bool), k=1)
     self_mask = causal
     if tgt_mask is not None and not tgt_mask.all():
-        self_mask = causal[None, :, :] | (~tgt_mask[:, None, :])
+        self_mask = causal | ~tgt_mask[..., None, :]
     cross_mask = None
     if src_mask is not None and not src_mask.all():
-        cross_mask = ~src_mask[:, None, :]
+        cross_mask = ~src_mask[..., None, :]
 
     for i in range(config.n_dec_layers):
         memory_kv = _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
@@ -516,12 +526,18 @@ def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[N
 
 
 def batch_nll(logits: Node, targets, target_mask) -> Node:
-    """Masked NLL over a padded batch: sum per pair, averaged over pairs."""
+    """Masked NLL over a padded batch: sum per pair, averaged over pairs.
+
+    A scalar for (batch, len) targets; for stacked (n_tasks, batch, len)
+    targets, one such loss per task, shape (n_tasks, 1, 1).
+    """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(target_mask, dtype=np.float64)
     per_pos = ad.cross_entropy_with_logits(logits, targets)
-    total = ad.sum_all(ad.mul(per_pos, ad.constant(mask)))
-    return ad.scale(total, 1.0 / targets.shape[0])
+    masked = ad.mul(per_pos, ad.constant(mask))
+    lead = targets.shape[:-2]
+    total = ad.sum_to(masked, lead + (1, 1)) if lead else ad.sum_all(masked)
+    return ad.scale(total, 1.0 / targets.shape[-2])
 
 
 # ---------------------------------------------------------------------------

@@ -301,12 +301,23 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def make_pair_loss(config: mm.ModelConfig):
-    """Teacher-forced NLL over a list of pairs (summed per pair, pair-mean)."""
+    """Teacher-forced NLL over a list of pairs (summed per pair, pair-mean).
 
-    def loss_fn(params, batch: Sequence[dt.ParaphrasePair]):
-        src_ids, src_mask = dt.pad_batch([p.src for p in batch])
-        dec_ids, dec_mask = dt.pad_batch([p.tgt[:-1] for p in batch])
-        label_ids, label_mask = dt.pad_batch([p.tgt[1:] for p in batch])
+    Given a ``meta.TaskBatches`` of pair lists, the tasks are padded to common
+    widths and run as one stacked forward; the loss is then per task, shape
+    (n_tasks, 1, 1).
+    """
+
+    def loss_fn(params, batch):
+        if isinstance(batch, mt.TaskBatches):
+            def pad(side):
+                return dt.pad_tasks([[side(p) for p in task] for task in batch])
+        else:
+            def pad(side):
+                return dt.pad_batch([side(p) for p in batch])
+        src_ids, src_mask = pad(lambda p: p.src)
+        dec_ids, dec_mask = pad(lambda p: p.tgt[:-1])
+        label_ids, label_mask = pad(lambda p: p.tgt[1:])
         logits = mm.forward_batch(params, config, src_ids, dec_ids, src_mask, dec_mask)
         return mm.batch_nll(logits, label_ids, label_mask)
 
@@ -514,10 +525,10 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
             # post-adaptation loss, so adapt it on the target train set
             # before freezing the checkpoint.
             deploy_hyper = replace(task_hyper, order_mode="first")
-            adapted, _ = mt.inner_adapt(store, phi_names, splits.train,
+            adapted, _ = mt.inner_adapt(store, phi_names, [splits.train],
                                         deploy_hyper, loss_fn)
             for n in phi_names:
-                store.set(n, adapted[n].value)
+                store.set(n, adapted[n].value.reshape(store[n].shape))
         else:
             history = _plain_train(store, phi_names, splits.train, splits.valid,
                                    hyper, stop, loss_fn, rng)

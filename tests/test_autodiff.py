@@ -33,6 +33,15 @@ class TestPrimitiveValues:
         with pytest.raises(ad.ShapeError):
             ad.matmul(np.ones((2, 3)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("gain_shape", [(3,), (2, 1, 3), (3, 1, 4), (2, 1, 1, 4)],
+                             ids=["last_axis", "last_axis_stacked", "no_broadcast", "widens"])
+    def test_layer_norm_gain_shape_rejected(self, gain_shape):
+        x = np.ones((2, 3, 4))
+        with pytest.raises(ad.ShapeError):
+            ad.layer_norm(x, np.ones(gain_shape), np.zeros(4))
+        with pytest.raises(ad.ShapeError):
+            ad.layer_norm(x, np.ones(4), np.zeros(gain_shape))
+
     def test_embed_out_of_range_rejected(self):
         with pytest.raises(ad.ShapeError, match="out of range"):
             ad.embed_lookup(np.ones((4, 2)), np.array([0, 5]))
@@ -156,6 +165,10 @@ def _op_cases():
             lambda p: ad.cross_entropy_with_logits(p["x"], np.array([1, 3, 0])),
             {"x": x},
         ),
+        "_flat_matmul": (
+            lambda p: ad._make("_flat_matmul", (p["a"], p["b"])),
+            {"a": a, "b": rng.standard_normal((2, 3, 5))},
+        ),
     }
 
 
@@ -210,6 +223,36 @@ def test_matmul_transpose_flags(trans_a, trans_b, batches):
     assert first.passed, f"VJP: {first.per_leaf}"
     second = ad.grad_check(_hvp(objective, values), values)
     assert second.passed, f"Hessian-vector product: {second.per_leaf}"
+
+
+def test_layer_norm_gain_and_bias_broadcast_per_row():
+    # One gain and bias row per leading index, as a stacked task axis has.
+    rng = np.random.default_rng(13)
+    values = {"a": rng.standard_normal((2, 3, 4)), "gain": rng.standard_normal((2, 1, 4)),
+              "bias": rng.standard_normal((2, 1, 4))}
+    out = ad.layer_norm(values["a"], values["gain"], values["bias"])
+    for t in range(2):
+        row = ad.layer_norm(values["a"][t], values["gain"][t, 0], values["bias"][t, 0])
+        np.testing.assert_array_equal(out.value[t], row.value)
+
+    def objective(params):
+        return _readout(ad.layer_norm(params["a"], params["gain"], params["bias"]))
+
+    first = ad.grad_check(objective, values)
+    assert first.passed, f"VJP: {first.per_leaf}"
+    second = ad.grad_check(_hvp(objective, values), values)
+    assert second.passed, f"Hessian-vector product: {second.per_leaf}"
+
+
+def test_weight_gradient_of_a_batched_product_is_one_flat_product():
+    rng = np.random.default_rng(14)
+    x = ad.leaf("x", rng.standard_normal((2, 3, 4)))
+    w = ad.leaf("w", rng.standard_normal((4, 5)))
+    c = rng.standard_normal((2, 3, 5))
+    grads = ad.backward(ad.sum_all(ad.mul(ad.matmul(x, w), ad.constant(c))), {"w": w})
+    assert grads["w"].op == "_flat_matmul"
+    np.testing.assert_allclose(grads["w"].value, np.einsum("btd,bte->de", x.value, c),
+                               rtol=1e-13)
 
 
 def test_no_vjp_builds_a_transpose(tiny_transformer):

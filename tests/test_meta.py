@@ -4,15 +4,25 @@ import numpy as np
 import pytest
 
 from metaphrase import autodiff as ad
+from metaphrase import data as dt
 from metaphrase import meta as mt
 from metaphrase import model as mm
 from metaphrase.model import ParamStore
 
 
-def quadratic_loss(params, center):
-    """L(phi) = 0.5 * sum((phi - center)^2); `center` plays the batch role."""
-    d = ad.sub(params["phi"], ad.constant(np.asarray(center)))
-    return ad.sum_all(ad.scale(ad.mul(d, d), 0.5))
+def quadratic_loss(params, centers):
+    """Per task t, 0.5 * sum((phi_t - c_t)^2); the task batches are the centers c_t."""
+    phi = params["phi"]
+    c = np.stack([np.broadcast_to(np.asarray(ci, dtype=np.float64), phi.shape[-1:])
+                  for ci in centers])
+    d = ad.sub(phi, ad.constant(c.reshape(phi.shape)))
+    return ad.sum_to(ad.scale(ad.mul(d, d), 0.5), (len(centers), 1, 1, 1))
+
+
+def only_row(node):
+    """The one task row of a single-task stacked entry, flattened."""
+    assert node.shape[0] == 1
+    return node.value.reshape(-1)
 
 
 def make_store(**arrays):
@@ -62,31 +72,44 @@ class TestInnerAdapt:
         def flat_loss(params, batch):
             return ad.sum_all(ad.constant(np.zeros(1)))
 
-        adapted, _ = mt.inner_adapt(store, ["phi"], None, hyper(inner_steps=3), flat_loss)
-        assert np.array_equal(adapted["phi"].value, store["phi"])
+        adapted, _ = mt.inner_adapt(store, ["phi"], [None], hyper(inner_steps=3), flat_loss)
+        assert np.array_equal(only_row(adapted["phi"]), store["phi"])
 
     def test_single_sgd_step_closed_form(self):
         phi0, a, alpha = 2.0, 0.5, 0.1
         store = make_store(phi=([phi0], "adapter"))
-        adapted, losses = mt.inner_adapt(store, ["phi"], a, hyper(alpha=alpha), quadratic_loss)
-        assert adapted["phi"].value[0] == pytest.approx(phi0 - alpha * (phi0 - a), abs=1e-15)
-        assert losses[0] == pytest.approx(0.5 * (phi0 - a) ** 2)
+        adapted, losses = mt.inner_adapt(store, ["phi"], [a], hyper(alpha=alpha), quadratic_loss)
+        assert only_row(adapted["phi"])[0] == pytest.approx(phi0 - alpha * (phi0 - a), abs=1e-15)
+        assert losses.shape == (1, 1)
+        assert losses[0, 0] == pytest.approx(0.5 * (phi0 - a) ** 2)
 
     def test_four_steps_match_iterated_formula(self):
         phi0, a, alpha = 2.0, 0.5, 0.1
         store = make_store(phi=([phi0], "adapter"))
-        adapted, _ = mt.inner_adapt(store, ["phi"], a, hyper(alpha=alpha, inner_steps=4), quadratic_loss)
+        adapted, _ = mt.inner_adapt(store, ["phi"], [a], hyper(alpha=alpha, inner_steps=4), quadratic_loss)
         expected = phi0
         for _ in range(4):
             expected = expected - alpha * (expected - a)
-        assert adapted["phi"].value[0] == pytest.approx(expected, abs=1e-14)
+        assert only_row(adapted["phi"])[0] == pytest.approx(expected, abs=1e-14)
         # equivalently c + (1 - alpha)^4 (phi - c)
-        assert adapted["phi"].value[0] == pytest.approx(a + (1 - alpha) ** 4 * (phi0 - a), abs=1e-14)
+        assert only_row(adapted["phi"])[0] == pytest.approx(a + (1 - alpha) ** 4 * (phi0 - a), abs=1e-14)
+
+    def test_each_task_row_takes_its_own_steps(self):
+        phi0, centers, alpha = 2.0, [0.5, -1.0, 3.0], 0.1
+        store = make_store(phi=([phi0], "adapter"))
+        adapted, losses = mt.inner_adapt(store, ["phi"], centers, hyper(alpha=alpha, inner_steps=2),
+                                         quadratic_loss)
+        assert adapted["phi"].shape == (3, 1, 1, 1)
+        assert losses.shape == (2, 3)
+        for t, a in enumerate(centers):
+            expected = a + (1 - alpha) ** 2 * (phi0 - a)
+            assert adapted["phi"].value[t, 0, 0, 0] == pytest.approx(expected, abs=1e-14)
+            assert losses[0, t] == pytest.approx(0.5 * (phi0 - a) ** 2)
 
     def test_first_order_values_match_second_order(self):
         store = make_store(phi=([2.0, -1.0], "adapter"))
-        second, _ = mt.inner_adapt(store, ["phi"], 0.3, hyper(inner_steps=3), quadratic_loss)
-        first, _ = mt.inner_adapt(store, ["phi"], 0.3, hyper(inner_steps=3, order_mode="first"), quadratic_loss)
+        second, _ = mt.inner_adapt(store, ["phi"], [0.3], hyper(inner_steps=3), quadratic_loss)
+        first, _ = mt.inner_adapt(store, ["phi"], [0.3], hyper(inner_steps=3, order_mode="first"), quadratic_loss)
         np.testing.assert_allclose(second["phi"].value, first["phi"].value, atol=1e-15)
 
 
@@ -128,21 +151,24 @@ class TestOuterGradient:
     def test_second_order_matches_fd_on_nonlinear_model(self):
         rng = np.random.default_rng(5)
         w1, w2 = rng.standard_normal((3, 2)) * 0.5, rng.standard_normal((2, 1)) * 0.5
-        xs, ys = rng.standard_normal((4, 3)), rng.standard_normal((4, 1))
-        xq, yq = rng.standard_normal((4, 3)), rng.standard_normal((4, 1))
+        tasks = [Task(support=(rng.standard_normal((4, 3)), rng.standard_normal((4, 1))),
+                      query=(rng.standard_normal((4, 3)), rng.standard_normal((4, 1))))
+                 for _ in range(2)]
 
-        def loss_fn(params, batch):
-            x, y = batch
+        def loss_fn(params, batches):
+            # Per task, the mean squared error of a two-layer network.
+            x = np.stack([b[0] for b in batches])[:, None]  # (n_tasks, 1, rows, 3)
+            y = np.stack([b[1] for b in batches])[:, None]
             pred = ad.matmul(ad.gelu(ad.matmul(ad.constant(x), params["w1"])), params["w2"])
             d = ad.sub(pred, ad.constant(y))
-            return ad.mean_all(ad.mul(d, d))
+            return ad.scale(ad.sum_to(ad.mul(d, d), (len(batches), 1, 1, 1)), 1.0 / y[0].size)
 
         hy = hyper(alpha=0.05, inner_steps=2)
-        task = Task(support=(xs, ys), query=(xq, yq))
 
         def adapted_query_loss(params):
-            adapted, _ = mt.inner_adapt(params, ["w1", "w2"], task.support, hy, loss_fn)
-            return loss_fn(adapted, task.query)
+            adapted, _ = mt.inner_adapt(params, ["w1", "w2"], [t.support for t in tasks], hy,
+                                        loss_fn)
+            return ad.sum_all(loss_fn(adapted, [t.query for t in tasks]))
 
         report = ad.grad_check(adapted_query_loss, {"w1": w1, "w2": w2}, tolerance=1e-5)
         assert report.passed, report.per_leaf
@@ -155,36 +181,77 @@ class TestOuterGradient:
 
 
 def recorded_outer_gradient(store, phi, tasks, hy, loss_fn):
-    """The meta-gradient with every backward pass recorded, as a reference."""
+    """The stacked meta-gradient with every backward pass recorded, as a reference."""
     base = store.leaves()
+    supports = mt.TaskBatches(t.support for t in tasks)
+    queries = mt.TaskBatches(t.query for t in tasks)
     if hy.order_mode == "second":
-        total = None
-        for task in tasks:
-            adapted, _ = mt.inner_adapt(base, phi, task.support, hy, loss_fn)
-            q = loss_fn(adapted, task.query)
-            total = q if total is None else ad.add(total, q)
-        grads = ad.backward(total, {n: base[n] for n in phi})
+        adapted, _ = mt.inner_adapt(base, phi, supports, hy, loss_fn)
+        grads = ad.backward(ad.sum_all(loss_fn(adapted, queries)), {n: base[n] for n in phi})
         return {n: grads[n].value for n in phi}
+    current = mt.stack_phi(base, phi, len(tasks))
+    for _ in range(hy.inner_steps):
+        grads = ad.backward(ad.sum_all(loss_fn(current, supports)), {n: current[n] for n in phi})
+        for n in phi:
+            current[n] = ad.leaf(n, current[n].value - hy.alpha * grads[n].value)
+    grads = ad.backward(ad.sum_all(loss_fn(current, queries)), {n: current[n] for n in phi})
+    return {n: grads[n].value.reshape(len(tasks), -1).sum(axis=0).reshape(base[n].shape)
+            for n in phi}
+
+
+def adapt_one_task(base, phi, support, hy, loss_fn):
+    """One task's inner loop on the unstacked (batch, len) path."""
+    current = dict(base)
+    for _ in range(hy.inner_steps):
+        grads = ad.backward(loss_fn(current, support), {n: current[n] for n in phi})
+        for n in phi:
+            if hy.order_mode == "second":
+                current[n] = ad.add(current[n], ad.scale(grads[n], -hy.alpha))
+            else:
+                current[n] = ad.leaf(n, current[n].value - hy.alpha * grads[n].value)
+    return current
+
+
+def per_task_outer_gradient(store, phi, tasks, hy, loss_fn):
+    """The meta-gradient as a loop over the tasks, one unstacked graph each."""
+    base = store.leaves()
     out = {n: np.zeros(base[n].shape) for n in phi}
     for task in tasks:
-        current = dict(base)
-        for _ in range(hy.inner_steps):
-            grads = ad.backward(loss_fn(current, task.support), {n: current[n] for n in phi})
-            for n in phi:
-                current[n] = ad.leaf(n, current[n].value - hy.alpha * grads[n].value)
-        grads = ad.backward(loss_fn(current, task.query), {n: current[n] for n in phi})
+        adapted = adapt_one_task(base, phi, task.support, hy, loss_fn)
+        at = base if hy.order_mode == "second" else adapted
+        grads = ad.backward(loss_fn(adapted, task.query), {n: at[n] for n in phi})
         for n in phi:
             out[n] = out[n] + grads[n].value
     return out
 
 
+def assert_close_per_parameter(got, want, rel):
+    """Each parameter's largest entry error is below ``rel`` times its largest entry."""
+    assert got.keys() == want.keys()
+    for n in want:
+        assert got[n].shape == want[n].shape, n
+        assert np.abs(got[n] - want[n]).max() <= rel * np.abs(want[n]).max(), n
+
+
+def pad_widths(batches):
+    return [(max(len(p.src) for p in b), max(len(p.tgt) for p in b)) for b in batches]
+
+
 class TestTransformerOuterGradient:
+    @pytest.fixture
+    def tasks(self, tiny_transformer):
+        pairs = tiny_transformer.pairs
+        tasks = [Task(support=pairs[:2], query=pairs[2:4]),
+                 Task(support=pairs[4:6], query=pairs[6:])]
+        # Each task alone pads to other widths than the stacked batch does.
+        for side in ("support", "query"):
+            assert len(set(pad_widths([getattr(t, side) for t in tasks]))) > 1
+        return tasks
+
     @pytest.mark.parametrize("order", ["second", "first"])
-    def test_matches_fully_recorded_reference(self, tiny_transformer, order):
+    def test_matches_fully_recorded_reference(self, tiny_transformer, tasks, order):
         t = tiny_transformer
         _, phi = mm.partition_params(t.store)
-        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
-                 Task(support=t.pairs[4:6], query=t.pairs[6:])]
         hy = hyper(alpha=0.05, inner_steps=2, meta_batch_tasks=2, order_mode=order)
         grads, _ = mt.outer_gradient(t.store, phi, tasks, hy, t.loss_fn)
         reference = recorded_outer_gradient(t.store, phi, tasks, hy, t.loss_fn)
@@ -193,7 +260,66 @@ class TestTransformerOuterGradient:
             np.testing.assert_array_equal(grads[n], reference[n], err_msg=n)
         assert all(np.any(g != 0.0) for g in grads.values())
 
-    def test_second_order_matches_finite_differences(self, tiny_transformer):
+    @pytest.mark.parametrize("order", ["second", "first"])
+    def test_matches_per_task_loop(self, tiny_transformer, tasks, order):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        hy = hyper(alpha=0.05, inner_steps=2, meta_batch_tasks=2, order_mode=order)
+        grads, metrics = mt.outer_gradient(t.store, phi, tasks, hy, t.loss_fn)
+        assert_close_per_parameter(grads, per_task_outer_gradient(t.store, phi, tasks, hy,
+                                                                  t.loss_fn), 1e-12)
+        base = t.store.leaves()
+        query = [float(t.loss_fn(adapt_one_task(base, phi, task.support, hy, t.loss_fn),
+                                 task.query).value) for task in tasks]
+        assert metrics["query_loss"] == pytest.approx(np.mean(query), rel=1e-12)
+
+    def test_evaluate_adaptation_matches_per_task_mean(self, tiny_transformer, tasks):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        hy = hyper(alpha=0.05, inner_steps=2, order_mode="first")
+        base = t.store.leaves()
+        per_task = [float(t.loss_fn(adapt_one_task(base, phi, task.support, hy, t.loss_fn),
+                                    task.query).value) for task in tasks]
+        got = mt.evaluate_adaptation(t.store, phi, tasks, hyper(alpha=0.05, inner_steps=2),
+                                     t.loss_fn)
+        assert got == pytest.approx(np.mean(per_task), rel=1e-12)
+
+    def test_task_rows_are_independent(self, tiny_transformer):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        rng = np.random.default_rng(9)
+
+        def retokened(pair):
+            def fresh(ids):
+                body = rng.integers(len(dt.RESERVED), 20, size=len(ids) - 2)
+                return np.concatenate([[dt.BOS], body, [dt.EOS]])
+            return dt.ParaphrasePair(fresh(pair.src), fresh(pair.tgt))
+
+        batches = [t.pairs[:3], t.pairs[3:6]]
+        changed = [batches[0], [retokened(p) for p in batches[1]]]
+        assert pad_widths(changed) == pad_widths(batches)
+
+        def inner_gradient(supports):
+            current = mt.stack_phi(t.store, phi, 2)
+            loss = ad.sum_all(t.loss_fn(current, mt.TaskBatches(supports)))
+            return ad.gradient_values(loss, {n: current[n] for n in phi})
+
+        before, after = inner_gradient(batches), inner_gradient(changed)
+        for n in phi:
+            np.testing.assert_array_equal(before[n][0], after[n][0], err_msg=n)
+        assert any(np.any(before[n][1] != after[n][1]) for n in phi)
+
+    @pytest.mark.parametrize("side", ["support", "query"])
+    def test_unequal_pair_counts_rejected(self, tiny_transformer, side):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        sizes = {"support": (2, 3), "query": (3, 2)}[side]
+        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
+                 Task(support=t.pairs[4:4 + sizes[0]], query=t.pairs[8 - sizes[1]:])]
+        with pytest.raises(dt.TaskSizeError, match=r"equal numbers of pairs, got \[2, 3\]"):
+            mt.outer_gradient(t.store, phi, tasks, hyper(), t.loss_fn)
+
+    def test_second_order_matches_finite_differences(self, tiny_transformer, tasks):
         # Central differences are meaningless across a ReLU kink, and with
         # zero adapter biases some pre-activations sit within 1e-6 of zero.
         # Biases of +-0.5 keep every kink far outside the step.
@@ -204,19 +330,14 @@ class TestTransformerOuterGradient:
             if name.endswith(".bd"):
                 store.set(name, rng.choice([-0.5, 0.5], size=store[name].shape))
         _, phi = mm.partition_params(store)
-        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
-                 Task(support=t.pairs[4:6], query=t.pairs[6:])]
         hy = hyper(alpha=0.05, inner_steps=2)
         base = store.leaves()
 
         def objective(params):
             leaves = {**base, **params}
-            total = None
-            for task in tasks:
-                adapted, _ = mt.inner_adapt(leaves, phi, task.support, hy, t.loss_fn)
-                q = t.loss_fn(adapted, task.query)
-                total = q if total is None else ad.add(total, q)
-            return total
+            adapted, _ = mt.inner_adapt(leaves, phi, [task.support for task in tasks], hy,
+                                        t.loss_fn)
+            return ad.sum_all(t.loss_fn(adapted, mt.TaskBatches(task.query for task in tasks)))
 
         step = 1e-3
         kink_gap = min(np.abs(n.inputs[0].value).min()

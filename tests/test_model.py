@@ -290,6 +290,38 @@ class TestForward:
         plain = logits_one(store, cfg, [1, 2, 3], [0, 6, 7])
         np.testing.assert_allclose(padded[0], plain, rtol=1e-10, atol=1e-12)
 
+    def test_stacked_tasks_match_each_task_alone(self):
+        # Task rows with their own adapter and norm rows, padded to common widths.
+        cfg = toy_config()
+        rng = np.random.default_rng(7)
+        stores = [mm.build_model(cfg, seed=6) for _ in range(2)]
+        _, phi = mm.partition_params(stores[0])
+        for store in stores:
+            for n in phi:
+                store.set(n, store[n] + 0.3 * rng.standard_normal(store[n].shape))
+        src = np.array([[[1, 2, 3, 0], [4, 5, 0, 0]], [[6, 7, 8, 9], [2, 3, 4, 0]]])
+        tgt = np.array([[[0, 6, 7], [0, 8, 0]], [[0, 9, 1], [0, 5, 6]]])
+        src_mask, tgt_mask = src != 0, tgt != 0
+        tgt_mask[..., 0] = True
+        stacked = dict(stores[0].leaves())
+        for n in phi:
+            shape = stores[0][n].shape
+            rows = np.stack([store[n] for store in stores])
+            stacked[n] = ad.leaf(n, rows.reshape((2,) + (1,) * (3 - len(shape)) + shape))
+        logits = mm.forward_batch(stacked, cfg, src, tgt, src_mask, tgt_mask)
+        nll = mm.batch_nll(logits, tgt, tgt_mask)
+        assert nll.shape == (2, 1, 1)
+        for t, store in enumerate(stores):
+            alone = mm.forward_batch(store, cfg, src[t], tgt[t], src_mask[t], tgt_mask[t])
+            np.testing.assert_array_equal(logits.value[t], alone.value)
+            assert nll.value[t, 0, 0] == mm.batch_nll(alone, tgt[t], tgt_mask[t]).value
+
+    def test_token_arrays_must_share_leading_axes(self):
+        cfg = toy_config()
+        store = mm.build_model(cfg, seed=6)
+        with pytest.raises(ValueError, match="equal leading axes"):
+            mm.forward_batch(store, cfg, np.ones((2, 2, 3), dtype=int), np.ones((2, 3), dtype=int))
+
 
 class TestLoss:
     def test_saturated_logits(self):
