@@ -13,16 +13,16 @@ leading axis. A stacked forward takes parameters that carry the same task
 axis, such as an adapter down-projection of shape (n_tasks, 1, d, h) against
 activations (n_tasks, batch, len, d); frozen weights stay unstacked and
 broadcast. Masks and ``batch_nll`` follow the leading axes, so each task's
-rows see only their own values. Decoding runs the same encoder and decoder-layer code
-one position at a time (``encode_source`` then ``decoder_step``), normally
-inside ``autodiff.no_graph()``: the encoder memory's per-head keys and
-values are projected once per source, and each layer's self-attention keys
-and values grow by one position per step (``KVCache``). A cache holds one
-row per hypothesis, so hypotheses of several equal-length sources decode in
-one step; each row carries its own source's memory. Parameters may be
-passed either as a ParamStore or as a name -> Node mapping, which is how
-adapted (inner-loop updated) parameters flow through without touching the
-store.
+rows see only their own values. Decoding runs the same encoder and
+decoder-layer code one position at a time (``encode_source`` then
+``decoder_step``), normally inside ``autodiff.no_graph()``: the encoder
+memory's per-head keys and values are projected once per source, and each
+layer's self-attention keys and values grow by one position per step
+(``KVCache``). A cache holds one row per hypothesis, so hypotheses of
+several equal-length sources decode in one step; each row carries its own
+source's memory. Parameters may be passed either as a ParamStore or as a
+name -> Node mapping, which is how adapted (inner-loop updated) parameters
+flow through without touching the store.
 """
 
 from __future__ import annotations
