@@ -197,11 +197,17 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
         out.append((f"{prefix}.gain", (d,), "norm"))
         out.append((f"{prefix}.bias", (d,), "norm"))
 
+    def attention(prefix):
+        linear(f"{prefix}.wq", d, d)
+        # No key bias: it shifts all of a query's scores alike, which softmax ignores.
+        out.append((f"{prefix}.wk.w", (d, d), "backbone"))
+        linear(f"{prefix}.wv", d, d)
+        linear(f"{prefix}.wo", d, d)
+
     for i in range(config.n_enc_layers):
         p = f"enc.{i}"
         norm(f"{p}.ln1")
-        for proj in ("wq", "wk", "wv", "wo"):
-            linear(f"{p}.attn.{proj}", d, d)
+        attention(f"{p}.attn")
         norm(f"{p}.ln2")
         linear(f"{p}.ffn.w1", d, dff)
         linear(f"{p}.ffn.w2", dff, d)
@@ -210,11 +216,9 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
     for i in range(config.n_dec_layers):
         p = f"dec.{i}"
         norm(f"{p}.ln1")
-        for proj in ("wq", "wk", "wv", "wo"):
-            linear(f"{p}.self.{proj}", d, d)
+        attention(f"{p}.self")
         norm(f"{p}.ln2")
-        for proj in ("wq", "wk", "wv", "wo"):
-            linear(f"{p}.cross.{proj}", d, d)
+        attention(f"{p}.cross")
         norm(f"{p}.ln3")
         linear(f"{p}.ffn.w1", d, dff)
         linear(f"{p}.ffn.w2", dff, d)
@@ -325,8 +329,8 @@ def _maybe_adapter(p, prefix, x):
 
 
 def _project_kv(p, prefix, keys):
-    """One attention block's key and value projections, full width."""
-    return _linear(p, f"{prefix}.wk", keys), _linear(p, f"{prefix}.wv", keys)
+    """One attention block's key and value projections, full width; keys take no bias."""
+    return ad.matmul(keys, p[f"{prefix}.wk.w"]), _linear(p, f"{prefix}.wv", keys)
 
 
 def _split_heads(config, k, v):

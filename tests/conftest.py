@@ -11,14 +11,18 @@ from metaphrase import pipeline as pl
 
 
 @pytest.fixture
-def tiny_transformer():
-    """Parameters, pair loss and eight random pairs at the tests' tiny config.
+def tiny_transformer(request):
+    """Config, parameters, pair loss and eight random pairs at the tests' tiny config.
 
     The adapters' up-projections are drawn away from zero, so every adapter
     parameter has a non-zero gradient and a non-trivial second derivative.
+    Adapters take the default placement, or the sites passed by indirect
+    parametrization.
     """
+    placement = getattr(request, "param", mm.DEFAULT_PLACEMENT)
     config = mm.ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16,
-                            vocab_size=20, max_len=10, adapter_hidden=4)
+                            vocab_size=20, max_len=10, adapter_hidden=4,
+                            adapter_placement=placement)
     store = mm.build_model(config, seed=3)
     rng = np.random.default_rng(8)
     for name in store.names():
@@ -30,4 +34,5 @@ def tiny_transformer():
         return np.concatenate([[dt.BOS], body, [dt.EOS]])
 
     pairs = [dt.ParaphrasePair(sentence(), sentence()) for _ in range(8)]
-    return SimpleNamespace(store=store, loss_fn=pl.make_pair_loss(config), pairs=pairs)
+    return SimpleNamespace(config=config, store=store, loss_fn=pl.make_pair_loss(config),
+                           pairs=pairs)

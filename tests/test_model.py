@@ -135,7 +135,7 @@ def reference_forward(store, cfg, src, tgt):
         return 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
 
     def attention(q_in, k_in, prefix, causal):
-        q, k, v = linear(q_in, f"{prefix}.wq"), linear(k_in, f"{prefix}.wk"), linear(k_in, f"{prefix}.wv")
+        q, k, v = linear(q_in, f"{prefix}.wq"), k_in @ store[f"{prefix}.wk.w"], linear(k_in, f"{prefix}.wv")
         dh = cfg.d_head
         outs = []
         for h in range(cfg.n_heads):
@@ -409,6 +409,18 @@ class TestParamCounts:
         d = cfg.d_model
         norms = (cfg.n_enc_layers * 2 + cfg.n_dec_layers * 3 + 2) * 2 * d
         assert trainable == norms
+
+    @pytest.mark.parametrize("tiny_transformer", [frozenset(mm.ADAPTER_SITES)], indirect=True,
+                             ids=["every_site"])
+    def test_every_parameter_moves_the_loss(self, tiny_transformer):
+        # A dead entry (an attention key bias) reads about 1e-20 here; the
+        # smallest live one about 1e-6.
+        t = tiny_transformer
+        leaves = t.store.leaves()
+        grads = ad.gradient_values(t.loss_fn(leaves, t.pairs), leaves)
+        dead = [name for name, _, _ in mm.param_layout(t.config)
+                if np.abs(grads[name]).max() <= 1e-12]
+        assert dead == []
 
     def test_layout_matches_built_store(self):
         cfg = toy_config(n_enc_layers=2, n_dec_layers=3, tie_embeddings=False)

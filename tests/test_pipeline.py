@@ -153,6 +153,13 @@ class TestCheckpointFormat:
         with pytest.raises(pl.CheckpointError, match="do not match"):
             pl.checkpoint_from_bytes(patched)
 
+    def test_extra_parameter_rejected(self):
+        ckpt = self.make_ckpt()
+        ckpt.store.add("enc.0.attn.wk.b", np.zeros(8), "backbone")
+        blob = pl.checkpoint_bytes(ckpt)
+        with pytest.raises(pl.CheckpointError, match=r"unexpected: \['enc.0.attn.wk.b'\]"):
+            pl.checkpoint_from_bytes(blob)
+
     def test_missing_config_field_rejected(self):
         blob = pl.checkpoint_bytes(self.make_ckpt())
         patched = blob.replace(b"model.ln_eps = ", b"model.ln_epz = ")
@@ -494,3 +501,15 @@ class TestChainGolden:
     def test_checkpoint_hashes_pinned(self, tmp_path):
         expected = json.loads(CHAIN_HASHES.read_text())
         assert golden_chain(tmp_path / "world") == expected
+
+
+if __name__ == "__main__":
+    # Compare the pinned chain hashes with this tree's, entry by entry.
+    import tempfile
+
+    pinned = json.loads(CHAIN_HASHES.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        current = golden_chain(Path(tmp) / "world")
+    for name, old in pinned.items():
+        new = current[name]
+        print(f"{name:9} {old} -> {new} {'unchanged' if new == old else 'CHANGED'}")
