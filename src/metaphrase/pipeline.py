@@ -10,6 +10,9 @@ minimization.
 Checkpoints are a small binary format (magic ``LAPA``): bit-exact roundtrip,
 float32 payloads, a provenance chain of parent-file hashes that enforces the
 stage ordering, and an embedded vocabulary so decoding needs nothing else.
+Each stage returns its store rounded to the float32 grid, exactly the values
+that a reload of its checkpoint gives, so a chain run in memory and the same
+chain resumed from disk are bit-identical.
 """
 
 from __future__ import annotations
@@ -196,12 +199,24 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         buf.write(struct.pack("<B", arr.ndim))
         for extent in arr.shape:
             buf.write(struct.pack("<Q", extent))
-        with np.errstate(over="ignore"):
-            payload = arr.astype("<f4")
-        if not np.isfinite(payload).all():
-            raise CheckpointError(f"parameter {name!r} is not finite as float32")
-        buf.write(payload.tobytes())
+        buf.write(_float32(name, arr).tobytes())
     return buf.getvalue()
+
+
+def _float32(name: str, arr: np.ndarray) -> np.ndarray:
+    """The ``<f4`` payload of a parameter; one that overflows float32 is rejected."""
+    with np.errstate(over="ignore"):
+        payload = arr.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise CheckpointError(f"parameter {name!r} is not finite as float32")
+    return payload
+
+
+def _on_float32_grid(store: mm.ParamStore) -> mm.ParamStore:
+    """Round a stage's store in place to the values its checkpoint reloads as."""
+    for name in store.names():
+        store.set(name, _float32(name, store[name]))
+    return store
 
 
 def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
@@ -402,7 +417,7 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
 
     ckpt = Checkpoint(
         config=base_config, stage="pretrained",
-        seeds={"bundle": seed}, provenance=[], store=store, vocab=vocab,
+        seeds={"bundle": seed}, provenance=[], store=_on_float32_grid(store), vocab=vocab,
     )
     return StageResult(ckpt, history)
 
@@ -462,7 +477,7 @@ def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
         config=full_config, stage="meta_trained",
         seeds=dict(pretrained.seeds, stage_b=seed),
         provenance=pretrained.provenance + [pretrained.content_hash()],
-        store=store, vocab=pretrained.vocab,
+        store=_on_float32_grid(store), vocab=pretrained.vocab,
     )
     return StageResult(ckpt, history)
 
@@ -537,6 +552,6 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
         config=full_config, stage="finetuned",
         seeds=dict(parent.seeds, stage_c=seed),
         provenance=parent.provenance + [parent.content_hash()],
-        store=store, vocab=parent.vocab,
+        store=_on_float32_grid(store), vocab=parent.vocab,
     )
     return StageResult(ckpt, history)

@@ -271,7 +271,7 @@ class TestPretrainStage:
         assert result.checkpoint.stage == "pretrained"
         assert result.history == []
         for name, arr in reference.items():
-            assert np.array_equal(result.checkpoint.store[name], arr)
+            assert np.array_equal(result.checkpoint.store[name], arr.astype(np.float32))
 
     def test_loss_decreases(self, pretrained):
         history = pretrained.history
@@ -463,12 +463,13 @@ class TestEvalCadence:
 CHAIN_HASHES = Path(__file__).parent / "data" / "chain_hashes.json"
 
 
-def golden_chain(world_dir) -> dict[str, str]:
+def golden_chain(world_dir, resume=lambda ckpt: ckpt) -> dict[str, str]:
     """Checkpoint content hashes of a tiny chain that runs every training loop.
 
     Stage (a); stage (b) ``maml`` in both orders with meta-validation and
     stage (c) ``maml`` from each; stage (b) ``plain`` with validation and
-    stage (c) ``plain`` with SGD from it.
+    stage (c) ``plain`` with SGD from it. ``resume`` maps each stage's
+    checkpoint to the one that is hashed and that the next stage starts from.
     """
     settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
                                target_valid=6, target_test=2, source_valid=8, pre_cap=60)
@@ -476,31 +477,46 @@ def golden_chain(world_dir) -> dict[str, str]:
     world = ex.load_world(world_dir)
     config = mm.ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=32,
                             vocab_size=len(world.vocab), max_len=24, adapter_hidden=4)
-    pre = pl.pretrain_stage(config, world.pre_corpus, pl.NoiseConfig(), steps=3, seed=31,
-                            batch_size=8, vocab=world.vocab).checkpoint
+    pre = resume(pl.pretrain_stage(config, world.pre_corpus, pl.NoiseConfig(), steps=3,
+                                   seed=31, batch_size=8, vocab=world.vocab).checkpoint)
     out = {"pre": pre.content_hash()}
     stop = mt.StopCriteria(3, eval_every=2)
     for order in ("second", "first"):
         hyper = mt.TrainHyper(inner_steps=1, meta_batch_tasks=2, task_batch_size=4,
                               order_mode=order)
-        b = pl.meta_train_stage(pre, world.source, hyper, stop, seed=32,
-                                validation=world.validation).checkpoint
-        c = pl.finetune_stage(b, world.target, hyper, stop, seed=33).checkpoint
+        b = resume(pl.meta_train_stage(pre, world.source, hyper, stop, seed=32,
+                                       validation=world.validation).checkpoint)
+        c = resume(pl.finetune_stage(b, world.target, hyper, stop, seed=33).checkpoint)
         out[f"b-{order}"], out[f"c-{order}"] = b.content_hash(), c.content_hash()
     hyper = mt.TrainHyper(task_batch_size=4)
-    b = pl.meta_train_stage(pre, world.source, hyper, mt.StopCriteria(4), seed=34,
-                            validation=world.validation, mode="plain").checkpoint
+    b = resume(pl.meta_train_stage(pre, world.source, hyper, mt.StopCriteria(4), seed=34,
+                                   validation=world.validation, mode="plain").checkpoint)
     sgd = mt.TrainHyper(beta=0.05, outer_optimizer="sgd", task_batch_size=2)
-    c = pl.finetune_stage(b, world.target, sgd, mt.StopCriteria(4), seed=35,
-                          mode="plain").checkpoint
+    c = resume(pl.finetune_stage(b, world.target, sgd, mt.StopCriteria(4), seed=35,
+                                 mode="plain").checkpoint)
     out["b-plain"], out["c-plain"] = b.content_hash(), c.content_hash()
     return out
+
+
+def through_disk(directory):
+    """A ``golden_chain`` resume that saves each checkpoint and loads it back."""
+
+    def resume(ckpt):
+        path = directory / f"{ckpt.content_hash()}.ckpt"
+        pl.save_checkpoint(ckpt, path)
+        return pl.load_checkpoint(path)
+
+    return resume
 
 
 class TestChainGolden:
     def test_checkpoint_hashes_pinned(self, tmp_path):
         expected = json.loads(CHAIN_HASHES.read_text())
         assert golden_chain(tmp_path / "world") == expected
+
+    def test_chain_resumed_from_disk_gives_the_same_bytes(self, tmp_path):
+        in_memory = golden_chain(tmp_path / "world")
+        assert golden_chain(tmp_path / "world", through_disk(tmp_path)) == in_memory
 
 
 if __name__ == "__main__":
