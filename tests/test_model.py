@@ -413,8 +413,9 @@ class TestParamCounts:
     @pytest.mark.parametrize("tiny_transformer", [frozenset(mm.ADAPTER_SITES)], indirect=True,
                              ids=["every_site"])
     def test_every_parameter_moves_the_loss(self, tiny_transformer):
-        # A dead entry (an attention key bias) reads about 1e-20 here; the
-        # smallest live one about 1e-6.
+        # A dead entry, whose gradient is zero up to roundoff (an attention
+        # key bias read about 1e-20), falls below the bound; live ones read
+        # 1e-6 and up.
         t = tiny_transformer
         leaves = t.store.leaves()
         grads = ad.gradient_values(t.loss_fn(leaves, t.pairs), leaves)

@@ -1,4 +1,9 @@
-"""Stage orchestration, corruption, and checkpoint format tests."""
+"""Stage orchestration, corruption, and checkpoint format tests.
+
+``tests/data/chain_hashes.json`` pins the checkpoint hashes of a tiny chain
+(``golden_chain``). ``PYTHONPATH=src python tests/test_pipeline.py`` prints
+each entry's pinned hash, this tree's hash and whether it changed.
+"""
 
 import json
 from pathlib import Path
@@ -375,8 +380,8 @@ class TestFinetuneStage:
         _, phi = mm.partition_params(meta_ckpt.store)
         grads = ad.backward(loss_fn(leaves, [pair]), {n: leaves[n] for n in phi})
         for name in phi:
-            expected = meta_ckpt.store[name] - 0.01 * grads[name].value
-            np.testing.assert_allclose(result.checkpoint.store[name], expected, atol=1e-12)
+            expected = (meta_ckpt.store[name] - 0.01 * grads[name].value).astype(np.float32)
+            np.testing.assert_allclose(result.checkpoint.store[name], expected, rtol=0, atol=1e-12)
 
     def test_pretrained_input_needs_ablation_flag(self, world, pretrained):
         vocab, corpora, _ = world
@@ -520,7 +525,6 @@ class TestChainGolden:
 
 
 if __name__ == "__main__":
-    # Compare the pinned chain hashes with this tree's, entry by entry.
     import tempfile
 
     pinned = json.loads(CHAIN_HASHES.read_text())
