@@ -8,11 +8,27 @@ differentiable: differentiating through a parameter-update expression
 (gradient-of-gradient) needs no special casing.
 
 Arrays are numpy float64 throughout; integer index arrays (token ids, masks)
-enter operations as attributes, never as differentiable inputs. Any primitive
-that produces a non-finite value from finite inputs raises instead of
-propagating NaN/Inf. The check first sums the output: a finite sum means
-every entry is finite, and only a non-finite sum (a NaN or Inf entry, or
-finite entries whose sum overflows) pays for the entry-wise check.
+enter operations as attributes, never as differentiable inputs.
+
+Finiteness is checked where a value leaves autodiff, not after every op.
+``leaf()`` rejects a non-finite parameter, and ``backward`` checks its output
+and every gradient it returns, which covers each training loss and gradient,
+also in value-only passes. Between these boundaries a NaN or Inf propagates.
+When ``backward``'s output is non-finite it walks the recorded forward graph
+in order and raises ``NonFiniteError`` naming the op of the first non-finite
+node, whose inputs are all finite. When only a gradient is non-finite it runs
+once more inside ``checked()``, the scope in which every op checks its own
+output, so the VJP op that made the value raises under its name. Every
+check is ``check_finite``: it first sums the array, a finite sum means every
+entry is finite, and only a non-finite sum (a NaN or Inf entry, or finite
+entries whose sum overflows) pays for the entry-wise check.
+
+A few ops map a non-finite input to a finite output, and none checks its
+input: ``mask_fill``, ``slice`` and ``embed_lookup`` drop the entries they
+do not select, and ``softmax_lastdim`` (-inf), ``cross_entropy_with_logits``
+(-inf on a non-target logit), ``relu`` (-inf), ``_rsqrt`` (+inf) and
+``_tanh`` (either infinity) return the limit there, with a zero adjoint. A
+NaN that reaches no output is therefore not an error.
 
 ``matmul`` takes BLAS-style ``trans_a``/``trans_b`` flags that swap the last
 two axes of an operand as a view. Its VJP sets them so that no gradient
@@ -28,9 +44,8 @@ from one to the output: ``backward`` walks the graph no further down than
 the oldest requested node. For the inner loop of second-order MAML, the
 gradient of step k then never re-walks steps 1..k-1.
 
-Inside a ``no_graph()`` scope primitives still compute their values eagerly
-and still raise ``NonFiniteError``, but the nodes they return link no
-inputs, so nothing is kept alive for a backward pass that will never come
+Inside a ``no_graph()`` scope primitives still compute their values eagerly,
+but the nodes they return link no inputs, so nothing is kept alive for a backward pass that will never come
 (inference). The scope also enters numpy's error state once, where recorded
 ops enter it once each.
 
@@ -56,6 +71,9 @@ __all__ = [
     "Node",
     "Graph",
     "no_graph",
+    "checked",
+    "check_finite",
+    "non_finite_context",
     "ShapeError",
     "NonFiniteError",
     "leaf",
@@ -95,6 +113,26 @@ class NonFiniteError(ArithmeticError):
     """A primitive or gradient produced NaN/Inf from finite inputs."""
 
 
+def check_finite(value, context: str) -> None:
+    """Raise ``NonFiniteError`` naming ``context`` unless every entry is finite.
+
+    The sum decides first; only a non-finite sum pays for the entry-wise check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = value.sum()
+    if not math.isfinite(total) and not np.isfinite(value).all():
+        raise NonFiniteError(f"non-finite values in {context}")
+
+
+@contextmanager
+def non_finite_context(where: str):
+    """Append ``where`` to the message of a ``NonFiniteError`` raised inside."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{exc} {where}").with_traceback(exc.__traceback__) from None
+
+
 # Creation serials: every node's inputs were created before it.
 _serials = itertools.count()
 
@@ -130,7 +168,7 @@ class Node:
 def leaf(name: str, values) -> Node:
     """Create a named parameter leaf. Values are kept as float64."""
     arr = np.asarray(values, dtype=np.float64)
-    _check_finite(arr, f"leaf {name!r}")
+    check_finite(arr, f"leaf {name!r}")
     return Node(None, (), None, arr, name=name)
 
 
@@ -144,11 +182,6 @@ def _as_node(x) -> Node:
     return x if isinstance(x, Node) else constant(x)
 
 
-def _check_finite(arr, context: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"non-finite values in {context}")
-
-
 # ---------------------------------------------------------------------------
 # operator registry
 # ---------------------------------------------------------------------------
@@ -157,9 +190,10 @@ def _check_finite(arr, context: str) -> None:
 # vjp(node, upstream) -> tuple of gradient Nodes (or None) per input.
 _OPS: dict[str, tuple[Callable, Callable]] = {}
 
-# False inside a no_graph() scope. Module state, so not thread-safe; the
-# package is single-threaded.
+# False inside a no_graph() scope; True inside a checked() scope. Module
+# state, so not thread-safe; the package is single-threaded.
 _recording = True
+_checking = False
 
 
 @contextmanager
@@ -167,8 +201,8 @@ def no_graph():
     """Evaluate primitives without recording a graph (inference only).
 
     Nodes built inside carry their op id and value but ``inputs == ()``, so
-    they cannot be differentiated through. Finiteness checks still apply.
-    Scopes nest; the previous recording state and numpy error state are
+    they cannot be differentiated through. Ops check their outputs only
+    inside ``checked()``, as outside this scope. Scopes nest; the previous recording state and numpy error state are
     restored on exit, also when an op raises.
     """
     global _recording
@@ -181,21 +215,35 @@ def no_graph():
         _recording = outer
 
 
-def _check_output(value, op_id: str) -> None:
-    """Raise unless every entry is finite; call under an errstate that ignores overflow."""
-    if not math.isfinite(value.sum()):
-        _check_finite(value, f"output of {op_id!r}")
+@contextmanager
+def checked():
+    """Check every op's output, raising ``NonFiniteError`` that names the op.
+
+    Outside this scope only the boundaries check (see the module docstring);
+    a failed boundary re-runs one computation inside it to name the op.
+    Scopes nest; the previous state is restored on exit, also when an op
+    raises.
+    """
+    global _checking
+    outer = _checking
+    _checking = True
+    try:
+        yield
+    finally:
+        _checking = outer
 
 
 def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node:
     fwd, _ = _OPS[op_id]
     if not _recording:
         value = fwd(attrs, *[n.value for n in inputs])
-        _check_output(value, op_id)
+        if _checking:
+            check_finite(value, f"output of {op_id!r}")
         return Node(op_id, (), attrs, value)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value = fwd(attrs, *(n.value for n in inputs))
-        _check_output(value, op_id)
+    if _checking:
+        check_finite(value, f"output of {op_id!r}")
     return Node(op_id, tuple(inputs), attrs, value)
 
 
@@ -820,9 +868,16 @@ def backward(output: Node, wrt) -> dict[str, Node]:
     Inside ``no_graph()`` the returned gradients link no inputs (a value-only
     pass). Either way each interior adjoint is released once its VJP has run;
     only the adjoints of requested entries are kept.
+
+    A non-finite output or gradient raises ``NonFiniteError`` naming the op
+    that made it (see the module docstring).
     """
     if output.value.size != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
+    try:
+        check_finite(output.value, "the output of backward")
+    except NonFiniteError:
+        _raise_at_first_non_finite(output)
     leaves = _normalize_wrt(wrt)
 
     # A node created before every requested node lies on no path from one.
@@ -861,9 +916,29 @@ def backward(output: Node, wrt) -> dict[str, Node]:
             g = constant(np.zeros(n.value.shape))
         elif g.value.shape != n.value.shape:
             g = _sum_to(g, n.value.shape)
-        _check_finite(g.value, f"gradient of {name!r}")
         result[name] = g
+    try:
+        for name, g in result.items():
+            check_finite(g.value, f"gradient of {name!r}")
+    except NonFiniteError:
+        if not _checking:
+            with checked():
+                backward(output, wrt)  # the VJP op that made the value raises
+        raise
     return result
+
+
+def _raise_at_first_non_finite(output: Node) -> None:
+    """Raise naming the first non-finite node of ``output``'s recorded graph.
+
+    In topological order that node's inputs are all finite, so its op made
+    the non-finite value.
+    """
+    for n in _topo_order((output,)):
+        if n.op is not None:
+            check_finite(n.value, f"output of {n.op!r}")
+        else:
+            check_finite(n.value, f"leaf {n.name!r}" if n.name else "a constant")
 
 
 def gradient_values(output: Node, wrt) -> dict[str, np.ndarray]:

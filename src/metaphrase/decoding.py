@@ -16,6 +16,13 @@ per step; beam search reorders the rows by parent hypothesis. A step
 therefore runs the decoder on one new position per hypothesis, with the
 same layer code as ``model.forward_batch``.
 
+Decoding checks finiteness at its boundaries, not after every op: the
+encoded cache, each decoder step's log-probs and ``hypothesis_score``'s
+rows. A failed check re-runs that one ``encode_source``, ``decoder_step``
+or forward inside ``autodiff.checked()``, which raises ``NonFiniteError``
+naming the op; the error also names the decoder step. The re-run sees the
+inputs of the first run, since a ``KVCache`` is never mutated.
+
 ``decode_batch`` decodes sources of exactly equal token length together:
 their hypotheses are stacked into one decoder step, with no padding. Every
 op of a step is row-wise or a stacked matmul that computes each row with the
@@ -61,6 +68,31 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _check_boundary(arrays, what: str, where: str, rerun) -> None:
+    """Raise ``NonFiniteError`` unless every array is finite.
+
+    On failure ``rerun()`` repeats the computation that made the arrays
+    inside ``autodiff.checked()``, which names the op; ``where`` ends the
+    message either way.
+    """
+    with ad.non_finite_context(where):
+        try:
+            for arr in arrays:
+                ad.check_finite(arr, what)
+        except ad.NonFiniteError:
+            with ad.checked():
+                rerun()
+            raise
+
+
+def _encode_source(params, config, src: np.ndarray) -> mm.KVCache:
+    cache = mm.encode_source(params, config, src)
+    _check_boundary([a.value for layer in cache.memory for pair in layer for a in pair],
+                    "the encoded source", "in encode_source",
+                    lambda: mm.encode_source(params, config, src))
+    return cache
+
+
 def _next_logprobs(params, config, cache, prefixes: list[list[int]]):
     """Next-position log-probs for equal-length prefixes, shape (B, vocab).
 
@@ -68,8 +100,11 @@ def _next_logprobs(params, config, cache, prefixes: list[list[int]]):
     returns the log-probs and the cache grown by that last position.
     """
     last = [ids[-1] for ids in prefixes]
-    logits, cache = mm.decoder_step(params, config, cache, last)
-    return _log_softmax(logits.value[:, -1, :]), cache
+    logits, grown = mm.decoder_step(params, config, cache, last)
+    rows = _log_softmax(logits.value[:, -1, :])
+    _check_boundary([rows], "the log-probs", f"at decoder step {cache.length + 1}",
+                    lambda: mm.decoder_step(params, config, cache, last))
+    return rows, grown
 
 
 def _hyp_score(logprob_sum: float, n_emitted: int, length_penalty: float) -> float:
@@ -145,7 +180,7 @@ def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[lis
     """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep."""
     n = src.shape[0]
     with ad.no_graph():
-        cache = mm.encode_source(params, config, src)
+        cache = _encode_source(params, config, src)
         greedy = _greedy(params, config, cache, n, dc)
         if dc.strategy == "greedy" or dc.beam_width == 1:
             return [ids for ids, _ in greedy]
@@ -198,9 +233,12 @@ def hypothesis_score(params, config, src_tokens, ids, dc: DecodeConfig) -> float
     ids = [int(i) for i in ids]
     logprob = 0.0
     if len(ids) > 1:
+        prefix = np.asarray([ids[:-1]])
         with ad.no_graph():
-            logits = mm.forward_batch(params, config, src[None, :], np.asarray([ids[:-1]]))
-        rows = _log_softmax(logits.value[0])
+            logits = mm.forward_batch(params, config, src[None, :], prefix)
+            rows = _log_softmax(logits.value[0])
+            _check_boundary([rows], "the log-probs", "in hypothesis_score",
+                            lambda: mm.forward_batch(params, config, src[None, :], prefix))
         for t in range(1, len(ids)):
             logprob += float(rows[t - 1, ids[t]])
     return _hyp_score(logprob, len(ids) - 1, dc.length_penalty)

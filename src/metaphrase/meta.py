@@ -303,7 +303,8 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     gradients. ``validate()`` returns a held-out loss and runs every
     ``stop.eval_every`` steps and at the last step. The best-validation
     parameters are written back into params before returning; with no
-    ``validate`` the final parameters stand.
+    ``validate`` the final parameters stand. A ``NonFiniteError`` raised
+    during a step names the step.
     """
     opt_state = None
     if hyper.outer_optimizer == "adamw":
@@ -314,12 +315,13 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     t0 = time.perf_counter()
 
     for step in range(1, stop.max_steps + 1):
-        grads, support_loss, query_loss = step_fn()
-        norm = _apply_update(params, names, grads, hyper, opt_state)
-
-        val_loss = None
-        if validate is not None and (step % stop.eval_every == 0 or step == stop.max_steps):
-            val_loss = validate()
+        with ad.non_finite_context(f"at step {step}"):
+            grads, support_loss, query_loss = step_fn()
+            norm = _apply_update(params, names, grads, hyper, opt_state)
+            val_loss = None
+            if validate is not None and (step % stop.eval_every == 0 or step == stop.max_steps):
+                val_loss = validate()
+        if val_loss is not None:
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss diverged at step {step}: {val_loss}")
             if best_val is None or val_loss < best_val:

@@ -17,6 +17,7 @@ chain resumed from disk are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import os
@@ -380,6 +381,18 @@ def _plain_train(store, phi_names, train_pairs, valid_pairs, hyper, stop,
 # ---------------------------------------------------------------------------
 
 
+def _names_stage(fn):
+    """A ``NonFiniteError`` raised inside the stage function names the stage."""
+
+    @functools.wraps(fn)
+    def stage(*args, **kwargs):
+        with ad.non_finite_context(f"in {fn.__name__}"):
+            return fn(*args, **kwargs)
+
+    return stage
+
+
+@_names_stage
 def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
                    noise: NoiseConfig, steps: int, seed: int,
                    batch_size: int = 16, lr: float = 1e-3,
@@ -422,6 +435,7 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
     return StageResult(ckpt, history)
 
 
+@_names_stage
 def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
                      hyper: mt.TrainHyper, stop: mt.StopCriteria, seed: int,
                      validation: dt.CorpusSet | None = None, mode: str = "maml") -> StageResult:
@@ -482,6 +496,7 @@ def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
     return StageResult(ckpt, history)
 
 
+@_names_stage
 def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHyper,
                    stop: mt.StopCriteria, seed: int, mode: str = "maml",
                    allow_pretrained: bool = False) -> StageResult:

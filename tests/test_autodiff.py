@@ -47,9 +47,9 @@ class TestPrimitiveValues:
             ad.embed_lookup(np.ones((4, 2)), np.array([0, 5]))
 
     def test_non_finite_rejected(self):
-        big = np.full((2,), 1e300)
-        with pytest.raises(ad.NonFiniteError):
-            ad.mul(big, big)
+        big = ad.leaf("big", np.full((2,), 1e300))
+        with pytest.raises(ad.NonFiniteError, match="'mul'"):
+            ad.backward(ad.sum_all(ad.mul(big, big)), [big])
 
 
 class TestBackwardAnalytic:
@@ -346,7 +346,7 @@ class TestNoGraph:
         errstate = np.geterr()
         big = ad.leaf("w", np.full((2, 2), 1e200))
         with pytest.raises(ad.NonFiniteError, match="'matmul'"):
-            with ad.no_graph():
+            with ad.checked(), ad.no_graph():
                 ad.matmul(big, big)
         assert np.geterr() == errstate
         assert len(ad.matmul(np.ones((2, 2)), np.eye(2)).inputs) == 2
@@ -355,7 +355,7 @@ class TestNoGraph:
     def test_any_non_finite_entry_raises(self, bad):
         x = np.array([1.0, bad, -1e308])
         with pytest.raises(ad.NonFiniteError, match="'scale'"):
-            with ad.no_graph():
+            with ad.checked(), ad.no_graph():
                 ad.scale(x, 1.0)
 
 
@@ -376,7 +376,7 @@ class TestFastFiniteCheck:
     def test_opposite_infinities_raise_naming_the_op(self, recording):
         # [inf, -inf] sums to NaN, not to an infinity.
         with pytest.raises(ad.NonFiniteError, match="'scale'"):
-            with ad.no_graph() if not recording else nullcontext():
+            with ad.checked(), ad.no_graph() if not recording else nullcontext():
                 ad.scale(np.array([1e308, -1e308]), 10.0)
 
 
@@ -437,3 +437,103 @@ class TestValueOnlyBackward:
         with pytest.raises(ad.NonFiniteError, match="'scale'"):
             ad.gradient_values(out, [x])
         assert len(ad.add(1.0, 2.0).inputs) == 2
+
+
+class TestBoundaryChecks:
+    """Outside ``checked()`` only ``leaf()`` and ``backward`` check finiteness."""
+
+    def test_ops_do_not_check_their_output_outside_checked(self):
+        big = np.full((2,), 1e300)
+        assert np.all(np.isinf(ad.mul(big, big).value))
+        with ad.no_graph():
+            assert np.all(np.isinf(ad.mul(big, big).value))
+
+    def test_checked_scopes_nest_and_restore_also_when_an_op_raises(self):
+        big = np.full((2,), 1e300)
+        errstate = np.geterr()
+        with ad.checked():
+            with ad.checked():
+                pass
+            with pytest.raises(ad.NonFiniteError, match="'mul'"):
+                ad.mul(big, big)
+            with pytest.raises(ad.NonFiniteError, match="'mul'"):
+                with ad.checked(), ad.no_graph():
+                    ad.mul(big, big)
+            with pytest.raises(ad.NonFiniteError, match="'mul'"):
+                ad.mul(big, big)
+            assert len(ad.add(1.0, 2.0).inputs) == 2
+        assert np.all(np.isinf(ad.mul(big, big).value))
+        assert np.geterr() == errstate
+
+    def test_check_finite_sums_first_and_names_the_context(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.check_finite(np.array([1.5e308, 1.5e308, -1.0]), "x")  # only the sum overflows
+            for bad in ([1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0], [np.inf, -np.inf]):
+                with pytest.raises(ad.NonFiniteError, match="^non-finite values in x$"):
+                    ad.check_finite(np.array(bad), "x")
+
+    def test_leaf_rejects_non_finite_values(self):
+        with pytest.raises(ad.NonFiniteError, match="leaf 'w'"):
+            ad.leaf("w", [1.0, np.nan])
+
+    @pytest.mark.parametrize("value_only", [False, True])
+    def test_non_finite_output_names_the_first_op_that_made_it(self, value_only):
+        # h is finite; h * h overflows, and the add and sum after it inherit the inf.
+        x = ad.leaf("x", np.array([1.0, 2.0]))
+        h = ad.scale(x, 1e200)
+        out = ad.sum_all(ad.add(ad.mul(h, h), h))
+        with pytest.raises(ad.NonFiniteError, match="output of 'mul'$"):
+            if value_only:
+                ad.gradient_values(out, [x])
+            else:
+                ad.backward(out, [x])
+
+    def test_non_finite_constant_is_named(self):
+        x = ad.leaf("x", np.array([1.0, 2.0]))
+        out = ad.sum_all(ad.add(x, np.array([np.nan, 0.0])))
+        with pytest.raises(ad.NonFiniteError, match="a constant$"):
+            ad.gradient_values(out, [x])
+
+    def test_non_finite_recorded_gradient_names_the_vjp_op(self):
+        x = ad.leaf("x", np.array([1e-200, 2e-200]))
+        out = ad.sum_all(ad.scale(ad.scale(x, 1e300), 1e10))
+        with pytest.raises(ad.NonFiniteError, match="output of 'scale'$"):
+            ad.backward(out, [x])
+
+
+# Ops that map a non-finite input to a finite output: (bad input, op).
+NON_FINITE_TO_FINITE = {
+    "softmax_lastdim": ([-np.inf, 0.0, 1.0], ad.softmax_lastdim),
+    "cross_entropy_with_logits": ([-np.inf, 0.0, 1.0],
+                                  lambda x: ad.cross_entropy_with_logits(x, 1)),
+    "mask_fill": ([np.nan, 0.0, 1.0],
+                  lambda x: ad.mask_fill(x, np.array([True, False, False]), -1e9)),
+    "slice": ([np.nan, 0.0, 1.0], lambda x: ad.slice_axis(x, 0, 1, 3)),
+    "embed_lookup": ([[np.nan, np.inf], [0.0, 1.0]], lambda x: ad.embed_lookup(x, [1, 1])),
+    "relu": ([-np.inf, 1.0], ad.relu),
+    "_rsqrt": ([np.inf, 4.0], lambda x: ad._make("_rsqrt", (x,))),
+    "_tanh": ([np.inf, -np.inf, 0.5], lambda x: ad._make("_tanh", (x,))),
+}
+
+
+class TestNonFiniteToFinite:
+    """Each op that can drop a non-finite input checks only at the boundaries.
+
+    It drops the entry or returns the limit there, and its VJP passes a zero
+    adjoint back, so the loss and the gradient stay finite and nothing
+    raises. Inside ``checked()`` the op that made the non-finite value raises.
+    """
+
+    @pytest.mark.parametrize("op", sorted(NON_FINITE_TO_FINITE))
+    def test_finite_output_passes_the_boundaries(self, op):
+        bad, fn = NON_FINITE_TO_FINITE[op]
+        bad = np.asarray(bad)
+        w = ad.leaf("w", np.full(bad.shape, 0.5))
+        y = fn(ad.add(w, bad))
+        assert y.op == op and np.isfinite(y.value).all()
+        grads = ad.gradient_values(ad.sum_all(y), [w])
+        assert np.isfinite(grads["w"]).all()
+        with pytest.raises(ad.NonFiniteError, match="output of 'add'$"):
+            with ad.checked():
+                fn(ad.add(w, bad))

@@ -226,6 +226,46 @@ class TestIncrementalDecoding:
         assert len({row.tobytes() for row in logits.value}) == 3
         np.testing.assert_array_equal(permuted.value, logits.value[rows])
 
+    @pytest.mark.parametrize("op, after, where", [
+        ("gelu", 3, "at decoder step 3"),
+        ("softmax_lastdim", 0, "in encode_source"),
+    ])
+    def test_injected_nan_names_the_op_and_the_step(self, op, after, where, monkeypatch):
+        # ``op`` returns NaN from the first call after ``after`` decoder steps on.
+        cfg = toy_config()
+        store = mm.build_model(cfg, seed=0)
+        for name, arr in store.items():
+            if store.partition(name) != "norm":
+                store.set(name, np.zeros_like(arr))  # decodes nine steps (test above)
+        steps = [0]
+        real_step = mm.decoder_step
+
+        def counted_step(*args):
+            steps[0] += 1
+            return real_step(*args)
+
+        fwd, vjp = ad._OPS[op]
+
+        def faulty(attrs, *xs):
+            out = fwd(attrs, *xs)
+            return np.full_like(out, np.nan) if steps[0] >= after else out
+
+        monkeypatch.setattr(mm, "decoder_step", counted_step)
+        monkeypatch.setitem(ad._OPS, op, (faulty, vjp))
+        with pytest.raises(ad.NonFiniteError, match=f"output of '{op}' {where}$"):
+            dec.decode(store, cfg, np.array([dt.BOS, 6, dt.EOS]),
+                       dec.DecodeConfig(strategy="greedy", max_decode_len=10))
+
+    def test_non_finite_score_rows_name_the_op(self, monkeypatch):
+        cfg, store = random_model(12)
+        fwd, vjp = ad._OPS["layer_norm"]
+        monkeypatch.setitem(ad._OPS, "layer_norm",
+                            (lambda attrs, *xs: np.full_like(fwd(attrs, *xs), np.nan), vjp))
+        with pytest.raises(ad.NonFiniteError,
+                           match="output of 'layer_norm' in hypothesis_score$"):
+            dec.hypothesis_score(store, cfg, np.array([dt.BOS, 6, dt.EOS]),
+                                 [dt.BOS, 7, dt.EOS], dec.DecodeConfig())
+
     def test_overflowing_weight_raises_naming_the_op(self):
         cfg, store = random_model(10)
         store.set("dec.0.ffn.w1.w", np.full(store["dec.0.ffn.w1.w"].shape, 1e200))

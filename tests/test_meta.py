@@ -5,6 +5,7 @@ import pytest
 
 from metaphrase import autodiff as ad
 from metaphrase import data as dt
+from metaphrase import decoding as dec
 from metaphrase import meta as mt
 from metaphrase import model as mm
 from metaphrase.model import ParamStore
@@ -511,3 +512,47 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="eval_every"):
             mt.StopCriteria(max_steps=3, eval_every=0)
         assert mt.StopCriteria(max_steps=0).max_steps == 0
+
+
+class TestBoundaryChecksOnly:
+    """Perf guard: outside ``autodiff.checked()`` no op checks its own output."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        """Count ``check_finite`` calls made inside ``_make`` and outside it."""
+        counts = {"in_op": 0, "boundary": 0}
+        depth = [0]
+        make, check = ad._make, ad.check_finite
+
+        def counted_make(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return make(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counted_check(value, context):
+            counts["in_op" if depth[0] else "boundary"] += 1
+            check(value, context)
+
+        monkeypatch.setattr(ad, "_make", counted_make)
+        monkeypatch.setattr(ad, "check_finite", counted_check)
+        return counts
+
+    @staticmethod
+    def step_and_decode(t):
+        _, phi = mm.partition_params(t.store)
+        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4])]
+        mt.outer_gradient(t.store, phi, tasks, hyper(inner_steps=2), t.loss_fn)
+        dec.decode(t.store, t.config, t.pairs[0].src,
+                   dec.DecodeConfig(strategy="beam", beam_width=2, max_decode_len=6))
+
+    def test_second_order_step_and_decode_check_only_at_boundaries(self, tiny_transformer,
+                                                                   monkeypatch):
+        counts = self.count_checks(monkeypatch)
+        self.step_and_decode(tiny_transformer)
+        assert counts["in_op"] == 0
+        assert counts["boundary"] > 0
+        with ad.checked():
+            self.step_and_decode(tiny_transformer)
+        assert counts["in_op"] > 0

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metaphrase import autodiff as ad
 from metaphrase import data as dt
 from metaphrase import experiments as ex
 from metaphrase import meta as mt
@@ -436,6 +437,71 @@ class TestFinetuneStage:
             return pl.checkpoint_bytes(fin.checkpoint)
 
         assert run() == run()
+
+
+def inject_nan(monkeypatch, op, step):
+    """Make ``op``'s forward return NaN from its first call in training step ``step`` on."""
+    steps = [0]
+    real_loop = mt.train_loop
+
+    def counting_loop(params, names, step_fn, *args, **kwargs):
+        def counted():
+            steps[0] += 1
+            return step_fn()
+
+        return real_loop(params, names, counted, *args, **kwargs)
+
+    fwd, vjp = ad._OPS[op]
+
+    def faulty(attrs, *xs):
+        out = fwd(attrs, *xs)
+        return np.full_like(out, np.nan) if steps[0] >= step else out
+
+    monkeypatch.setattr(mt, "train_loop", counting_loop)
+    monkeypatch.setitem(ad._OPS, op, (faulty, vjp))
+
+
+class TestInjectedNaN:
+    """A NaN injected into one op at step k of a stage is named with its op, step and stage."""
+
+    STOP = mt.StopCriteria(max_steps=4, eval_every=1)
+
+    def meta_hyper(self, order):
+        return mt.TrainHyper(alpha=0.02, beta=1e-3, inner_steps=2, meta_batch_tasks=2,
+                             task_batch_size=4, order_mode=order)
+
+    def test_pretraining(self, world, monkeypatch):
+        vocab, _, unlabeled = world
+        inject_nan(monkeypatch, "gelu", 3)
+        with pytest.raises(ad.NonFiniteError,
+                           match="output of 'gelu' at step 3 in pretrain_stage$"):
+            pl.pretrain_stage(tiny_config(vocab_size=len(vocab)), unlabeled, pl.NoiseConfig(),
+                              steps=5, seed=4, batch_size=4, vocab=vocab)
+
+    @pytest.mark.parametrize("order, op", [("second", "softmax_lastdim"),
+                                           ("first", "layer_norm"),
+                                           ("second", "_tanh")],  # only VJPs build _tanh
+                             ids=["second", "first", "second_vjp"])
+    def test_meta_training(self, world, pretrained, monkeypatch, order, op):
+        vocab, corpora, _ = world
+        source = corpus_from(corpora, sorted(corpora)[:1], "src")
+        inject_nan(monkeypatch, op, 2)
+        with pytest.raises(ad.NonFiniteError,
+                           match=f"output of '{op}' at step 2 in meta_train_stage$"):
+            pl.meta_train_stage(pretrained.checkpoint, source, self.meta_hyper(order),
+                                self.STOP, seed=1)
+
+    def test_plain_finetuning(self, world, pretrained, monkeypatch):
+        vocab, corpora, _ = world
+        tgt_name = sorted(corpora)[1]
+        target = dt.CorpusSet(
+            role="tgt", domains={tgt_name: dt.split_pairs(corpora[tgt_name], 4, 0)}
+        )
+        inject_nan(monkeypatch, "matmul", 2)
+        with pytest.raises(ad.NonFiniteError,
+                           match="output of 'matmul' at step 2 in finetune_stage$"):
+            pl.finetune_stage(pretrained.checkpoint, target, mt.TrainHyper(task_batch_size=4),
+                              self.STOP, seed=3, mode="plain", allow_pretrained=True)
 
 
 class TestEvalCadence:
