@@ -85,14 +85,6 @@ def _check_boundary(arrays, what: str, where: str, rerun) -> None:
             raise
 
 
-def _encode_source(params, config, src: np.ndarray) -> mm.KVCache:
-    cache = mm.encode_source(params, config, src)
-    _check_boundary([a.value for layer in cache.memory for pair in layer for a in pair],
-                    "the encoded source", "in encode_source",
-                    lambda: mm.encode_source(params, config, src))
-    return cache
-
-
 def _next_logprobs(params, config, cache, prefixes: list[list[int]]):
     """Next-position log-probs for equal-length prefixes, shape (B, vocab).
 
@@ -180,7 +172,10 @@ def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[lis
     """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep."""
     n = src.shape[0]
     with ad.no_graph():
-        cache = _encode_source(params, config, src)
+        cache = mm.encode_source(params, config, src)
+        _check_boundary([a.value for layer in cache.memory for pair in layer for a in pair],
+                        "the encoded source", "in encode_source",
+                        lambda: mm.encode_source(params, config, src))
         greedy = _greedy(params, config, cache, n, dc)
         if dc.strategy == "greedy" or dc.beam_width == 1:
             return [ids for ids, _ in greedy]
