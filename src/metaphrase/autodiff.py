@@ -45,9 +45,9 @@ the oldest requested node. For the inner loop of second-order MAML, the
 gradient of step k then never re-walks steps 1..k-1.
 
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
-but the nodes they return link no inputs, so nothing is kept alive for a backward pass that will never come
-(inference). The scope also enters numpy's error state once, where recorded
-ops enter it once each.
+but the nodes they return link no inputs, so nothing is kept alive for a
+backward pass that will never come (inference). The scope also enters
+numpy's error state once, where recorded ops enter it once each.
 
 A ``backward`` run inside ``no_graph()`` is a value-only pass: the same VJPs
 compute the same gradient values bit for bit, but build no gradient graph.
@@ -201,9 +201,10 @@ def no_graph():
     """Evaluate primitives without recording a graph (inference only).
 
     Nodes built inside carry their op id and value but ``inputs == ()``, so
-    they cannot be differentiated through. Ops check their outputs only
-    inside ``checked()``, as outside this scope. Scopes nest; the previous recording state and numpy error state are
-    restored on exit, also when an op raises.
+    they cannot be differentiated through. As outside the scope, ops check
+    their outputs only inside ``checked()``. Scopes nest; the previous
+    recording state and numpy error state are restored on exit, also when an
+    op raises.
     """
     global _recording
     outer = _recording
