@@ -318,15 +318,15 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
         with ad.non_finite_context(f"at step {step}"):
             grads, support_loss, query_loss = step_fn()
             norm = _apply_update(params, names, grads, hyper, opt_state)
+
             val_loss = None
             if validate is not None and (step % stop.eval_every == 0 or step == stop.max_steps):
                 val_loss = validate()
-        if val_loss is not None:
-            if not np.isfinite(val_loss):
-                raise DivergenceError(f"validation loss diverged at step {step}: {val_loss}")
-            if best_val is None or val_loss < best_val:
-                best_val = val_loss
-                best = {n: np.array(params[n], copy=True) for n in names}
+                if not np.isfinite(val_loss):
+                    raise DivergenceError(f"validation loss diverged at step {step}: {val_loss}")
+                if best_val is None or val_loss < best_val:
+                    best_val = val_loss
+                    best = {n: np.array(params[n], copy=True) for n in names}
 
         history.append(HistoryRow(step, support_loss, query_loss, val_loss, norm,
                                   time.perf_counter() - t0))
