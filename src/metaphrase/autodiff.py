@@ -44,6 +44,14 @@ from one to the output: ``backward`` walks the graph no further down than
 the oldest requested node. For the inner loop of second-order MAML, the
 gradient of step k then never re-walks steps 1..k-1.
 
+``backward`` builds no gradient that nothing reads. An input needs a
+gradient when it lies on a path from a requested node, and each VJP of
+several inputs gets one such flag per input. ``add``, ``mul``, ``matmul``
+and ``_flat_matmul`` build nothing for an input that needs no gradient, so
+with the backbone frozen no frozen weight's gradient is built. A requested
+node whose inputs all lie below the oldest requested node runs no VJP.
+``layer_norm`` and ``concat`` still build every input's gradient.
+
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
 but the nodes they return link no inputs, so nothing is kept alive for a
 backward pass that will never come (inference). The scope also enters
@@ -187,7 +195,11 @@ def _as_node(x) -> Node:
 # ---------------------------------------------------------------------------
 
 # op_id -> (forward, vjp). forward(attrs, *input_values) -> ndarray.
-# vjp(node, upstream) -> tuple of gradient Nodes (or None) per input.
+# A one-input op's vjp(node, upstream) returns a 1-tuple holding its input's
+# gradient Node. An op of several inputs takes vjp(node, upstream, needs),
+# ``needs[i]`` true when input i lies on a path from a requested node, and
+# returns one gradient Node per input; it may return None, and build
+# nothing, for an input that needs no gradient.
 _OPS: dict[str, tuple[Callable, Callable]] = {}
 
 # False inside a no_graph() scope; True inside a checked() scope. Module
@@ -296,9 +308,10 @@ def _fwd_add(attrs, a, b):
     return a + b
 
 
-def _vjp_add(node, g):
+def _vjp_add(node, g, needs):
     a, b = node.inputs
-    return (_sum_to(g, a.value.shape), _sum_to(g, b.value.shape))
+    return (_sum_to(g, a.value.shape) if needs[0] else None,
+            _sum_to(g, b.value.shape) if needs[1] else None)
 
 
 _OPS["add"] = (_fwd_add, _vjp_add)
@@ -308,9 +321,10 @@ def _fwd_mul(attrs, a, b):
     return a * b
 
 
-def _vjp_mul(node, g):
+def _vjp_mul(node, g, needs):
     a, b = node.inputs
-    return (_sum_to(mul(g, b), a.value.shape), _sum_to(mul(g, a), b.value.shape))
+    return (_sum_to(mul(g, b), a.value.shape) if needs[0] else None,
+            _sum_to(mul(g, a), b.value.shape) if needs[1] else None)
 
 
 _OPS["mul"] = (_fwd_mul, _vjp_mul)
@@ -344,25 +358,32 @@ def _fwd_matmul(attrs, a, b):
     return a @ b
 
 
-def _vjp_matmul(node, g):
+def _vjp_matmul(node, g, needs):
     # C = op(A) op(B), op(X) = X or X^T. Each adjoint is one matmul of g with
     # the other operand, flags chosen so no transpose is ever materialised.
     a, b = node.inputs
     ta, tb = node.attrs["trans_a"], node.attrs["trans_b"]
+    ga = gb = None
     if b.value.ndim == 2 and a.value.ndim > 2 and not ta:
         # Rows of x and g pair up across every leading axis.
-        if tb:
-            return (matmul(g, b), _make("_flat_matmul", (g, a)))
-        return (matmul(g, b, trans_b=True), _make("_flat_matmul", (a, g)))
-    if not ta and not tb:
-        ga, gb = matmul(g, b, trans_b=True), matmul(a, g, trans_a=True)
-    elif not ta:
-        ga, gb = matmul(g, b), matmul(g, a, trans_a=True)
-    elif not tb:
-        ga, gb = matmul(b, g, trans_b=True), matmul(a, g)
-    else:
-        ga, gb = matmul(b, g, trans_a=True, trans_b=True), matmul(g, a, trans_a=True, trans_b=True)
-    return (_sum_to(ga, a.value.shape), _sum_to(gb, b.value.shape))
+        if needs[0]:
+            ga = matmul(g, b, trans_b=not tb)
+        if needs[1]:
+            gb = _make("_flat_matmul", (g, a) if tb else (a, g))
+        return (ga, gb)
+    if needs[0]:
+        if not ta:
+            ga = matmul(g, b, trans_b=not tb)
+        else:
+            ga = matmul(b, g, trans_a=tb, trans_b=True)
+        ga = _sum_to(ga, a.value.shape)
+    if needs[1]:
+        if not tb:
+            gb = matmul(a, g, trans_a=not ta)
+        else:
+            gb = matmul(g, a, trans_a=True, trans_b=ta)
+        gb = _sum_to(gb, b.value.shape)
+    return (ga, gb)
 
 
 _OPS["matmul"] = (_fwd_matmul, _vjp_matmul)
@@ -375,9 +396,10 @@ def _fwd_flat_matmul(attrs, a, b):
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def _vjp_flat_matmul(node, g):
+def _vjp_flat_matmul(node, g, needs):
     a, b = node.inputs
-    return (matmul(b, g, trans_b=True), matmul(a, g))
+    return (matmul(b, g, trans_b=True) if needs[0] else None,
+            matmul(a, g) if needs[1] else None)
 
 
 _OPS["_flat_matmul"] = (_fwd_flat_matmul, _vjp_flat_matmul)
@@ -415,7 +437,7 @@ def _fwd_concat(attrs, *xs):
     return np.concatenate(xs, axis=axis)
 
 
-def _vjp_concat(node, g):
+def _vjp_concat(node, g, needs):
     axis = node.attrs["axis"]
     grads, start = [], 0
     for inp in node.inputs:
@@ -542,7 +564,8 @@ _GELU_A = 0.044715
 
 
 def _fwd_gelu(attrs, x):
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    # x * x * x, not x**3: numpy sends a cube to libm pow, some 70x slower.
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
 
 
 def _vjp_gelu(node, g):
@@ -652,7 +675,7 @@ def _fwd_layer_norm(attrs, x, gain, bias):
     return out
 
 
-def _vjp_layer_norm(node, g):
+def _vjp_layer_norm(node, g, needs):
     x, gain, bias = node.inputs
     eps = node.attrs["eps"]
     m = _make("_mean_last", (x,))
@@ -900,12 +923,15 @@ def backward(output: Node, wrt) -> dict[str, Node]:
         g = adjoint.get(id(n))
         if g is None or n.op is None:
             continue
-        _, vjp = _OPS[n.op]
-        grads = vjp(n, g)
         if id(n) not in wanted:
             del adjoint[id(n)]
-        for inp, gi in zip(n.inputs, grads):
-            if gi is None or id(inp) not in relevant:
+        needs = tuple(id(i) in relevant for i in n.inputs)
+        if not any(needs):
+            continue  # a requested node whose inputs lie below the floor
+        _, vjp = _OPS[n.op]
+        grads = vjp(n, g, needs) if len(needs) > 1 else vjp(n, g)
+        for inp, gi, need in zip(n.inputs, grads, needs):
+            if gi is None or not need:
                 continue
             prev = adjoint.get(id(inp))
             adjoint[id(inp)] = gi if prev is None else add(prev, gi)

@@ -44,6 +44,7 @@ sampled pair batches.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -119,8 +120,16 @@ def sgd_step(values: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict, float]:
-    """Scale all gradients when their global L2 norm exceeds the threshold."""
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    """Scale all gradients when their global L2 norm exceeds the threshold.
+
+    When the sum of squares overflows although every entry is finite, the
+    norm is recomputed from the entries divided by the largest magnitude.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    if not math.isfinite(norm) and all(np.isfinite(g).all() for g in grads.values()):
+        top = max(float(np.abs(g).max()) for g in grads.values() if g.size)
+        norm = top * float(np.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads.values())))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
         grads = {n: g * factor for n, g in grads.items()}
@@ -304,7 +313,10 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     ``stop.eval_every`` steps and at the last step. The best-validation
     parameters are written back into params before returning; with no
     ``validate`` the final parameters stand. A ``NonFiniteError`` raised
-    during a step names the step.
+    during a step names the step. A non-finite validation loss re-runs
+    ``validate()`` once inside ``autodiff.checked()``, so an op that made
+    it raises ``NonFiniteError`` under its name; otherwise the loss raises
+    ``DivergenceError``.
     """
     opt_state = None
     if hyper.outer_optimizer == "adamw":
@@ -323,6 +335,8 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
             if validate is not None and (step % stop.eval_every == 0 or step == stop.max_steps):
                 val_loss = validate()
                 if not np.isfinite(val_loss):
+                    with ad.checked():
+                        validate()
                     raise DivergenceError(f"validation loss diverged at step {step}: {val_loss}")
                 if best_val is None or val_loss < best_val:
                     best_val = val_loss

@@ -1,6 +1,7 @@
 """Gradient engine tests: analytic cases plus finite-difference oracles."""
 
 import warnings
+from collections import Counter
 from contextlib import nullcontext
 from functools import reduce
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from metaphrase import autodiff as ad
+from metaphrase import model as mm
 
 
 class TestPrimitiveValues:
@@ -45,6 +47,18 @@ class TestPrimitiveValues:
     def test_embed_out_of_range_rejected(self):
         with pytest.raises(ad.ShapeError, match="out of range"):
             ad.embed_lookup(np.ones((4, 2)), np.array([0, 5]))
+
+    def test_gelu_cube_by_products_matches_the_power(self):
+        def with_power(x):
+            return 0.5 * x * (1.0 + np.tanh(ad._GELU_C * (x + ad._GELU_A * x**3)))
+
+        # For negative x, 1 + tanh(u) cancels: one rounding step of tanh near -1
+        # (1.1e-16) is an absolute error there, up to 3e-13 relative.
+        x = np.linspace(-10.0, 10.0, 20001)
+        np.testing.assert_allclose(ad.gelu(x).value, with_power(x), rtol=1e-15, atol=1e-15)
+        big = np.array([1e200, -1e200])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(ad.gelu(big).value, with_power(big))
 
     def test_non_finite_rejected(self):
         big = ad.leaf("big", np.full((2,), 1e300))
@@ -437,6 +451,82 @@ class TestValueOnlyBackward:
         with pytest.raises(ad.NonFiniteError, match="'scale'"):
             ad.gradient_values(out, [x])
         assert len(ad.add(1.0, 2.0).inputs) == 2
+
+
+def _count_made(monkeypatch) -> Counter:
+    """Op ids of every node built from here on, counted by wrapping ``_make``."""
+    made = Counter()
+    make = ad._make
+
+    def counted(op_id, *args, **kwargs):
+        made[op_id] += 1
+        return make(op_id, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    return made
+
+
+# name -> (build(a, b), shape of a, shape of b): every VJP branch that masks.
+MASKED_OPS = {
+    "add": (ad.add, (2, 1, 4), (3, 1)),
+    "mul": (ad.mul, (2, 3, 4), (3, 1)),
+    "matmul_flat": (ad.matmul, (2, 3, 4), (4, 5)),
+    "matmul_flat_tb": (lambda a, b: ad.matmul(a, b, trans_b=True), (2, 3, 4), (5, 4)),
+    "matmul": (ad.matmul, (2, 3, 4), (2, 4, 5)),
+    "matmul_ta": (lambda a, b: ad.matmul(a, b, trans_a=True), (2, 4, 3), (4, 5)),
+    "matmul_tb": (lambda a, b: ad.matmul(a, b, trans_b=True), (3, 4), (2, 5, 4)),
+    "matmul_ta_tb": (lambda a, b: ad.matmul(a, b, trans_a=True, trans_b=True),
+                     (2, 4, 3), (2, 5, 4)),
+    "_flat_matmul": (lambda a, b: ad._make("_flat_matmul", (a, b)), (2, 3, 4), (2, 3, 5)),
+}
+
+
+class TestNeedsGradMask:
+    """``backward`` builds no gradient for an input on no path from a requested node."""
+
+    @pytest.mark.parametrize("wanted", ["a", "b"])
+    @pytest.mark.parametrize("build,shape_a,shape_b", MASKED_OPS.values(), ids=MASKED_OPS.keys())
+    def test_other_operand_constant_same_gradient_fewer_nodes(self, build, shape_a, shape_b,
+                                                              wanted, monkeypatch):
+        rng = np.random.default_rng(15)
+        values = {"a": rng.standard_normal(shape_a), "b": rng.standard_normal(shape_b)}
+        made = _count_made(monkeypatch)
+
+        def grad_and_nodes(other_is_leaf):
+            ops = {n: ad.leaf(n, v) if n == wanted or other_is_leaf else ad.constant(v)
+                   for n, v in values.items()}
+            out = _readout(build(ops["a"], ops["b"]))
+            before = sum(made.values())
+            grads = ad.backward(out, {n: x for n, x in ops.items() if x.name})
+            return grads[wanted].value, sum(made.values()) - before
+
+        both, both_nodes = grad_and_nodes(True)
+        alone, alone_nodes = grad_and_nodes(False)
+        np.testing.assert_array_equal(alone, both)
+        assert alone_nodes < both_nodes
+
+    def test_phi_gradients_bitwise_equal_with_backbone_requested(self, tiny_transformer):
+        leaves = tiny_transformer.store.leaves()
+        _, phi = mm.partition_params(tiny_transformer.store)
+        loss = tiny_transformer.loss_fn(leaves, tiny_transformer.pairs)
+        first = ad.backward(loss, {n: leaves[n] for n in phi})
+        every = ad.backward(loss, leaves)
+        readout = reduce(ad.add, [ad.sum_all(ad.mul(first[n], first[n])) for n in phi])
+        second = ad.backward(readout, {n: leaves[n] for n in phi})
+        second_every = ad.backward(readout, leaves)
+        for n in phi:
+            np.testing.assert_array_equal(first[n].value, every[n].value, err_msg=n)
+            np.testing.assert_array_equal(second[n].value, second_every[n].value, err_msg=n)
+        assert any(np.any(second[n].value != 0.0) for n in phi)
+
+    def test_requested_node_with_inputs_below_the_floor_runs_no_vjp(self, monkeypatch):
+        x = ad.leaf("x", np.array([0.5, -1.5]))
+        h = ad.scale(x, 3.0)
+        out = ad.sum_all(ad.mul(h, h))
+        made = _count_made(monkeypatch)
+        grads = ad.backward(out, {"h": h})
+        np.testing.assert_array_equal(grads["h"].value, 2.0 * h.value)
+        assert made["scale"] == 0
 
 
 class TestBoundaryChecks:

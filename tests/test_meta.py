@@ -399,6 +399,11 @@ class TestMetaStep:
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(clipped["a"]) == pytest.approx(1.0)
 
+    def test_clipping_survives_a_squared_norm_that_overflows(self):
+        clipped, norm = mt.clip_global_norm({"a": np.array([1e200, 1.0])}, 1.0)
+        assert norm == 1e200
+        np.testing.assert_allclose(clipped["a"], [1.0, 1e-200], rtol=1e-15)
+
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(42)
@@ -480,12 +485,23 @@ class TestTrainLoop:
     """The one optimiser loop behind all three pipeline stages."""
 
     def run(self, val_losses, eval_every=1):
+        """The k-th step that validates reads ``val_losses[k - 1]``, on every call."""
         store = make_store(phi=([0.0], "adapter"), theta=([5.0], "backbone"))
-        losses = iter(val_losses)
+        steps, by_step = [], {}
+
+        def step_fn():
+            steps.append(len(steps) + 1)
+            return {"phi": np.array([-1.0])}, 0.5, 0.25
+
+        def validate():
+            if steps[-1] not in by_step:
+                by_step[steps[-1]] = val_losses[len(by_step)]
+            return by_step[steps[-1]]
+
         result = mt.train_loop(
-            store, ["phi"], lambda: ({"phi": np.array([-1.0])}, 0.5, 0.25), hyper(beta=1.0),
+            store, ["phi"], step_fn, hyper(beta=1.0),
             mt.StopCriteria(max_steps=len(val_losses), eval_every=eval_every),
-            validate=lambda: next(losses),
+            validate=validate,
         )
         return store, result
 
@@ -505,6 +521,14 @@ class TestTrainLoop:
     def test_non_finite_validation_raises(self):
         with pytest.raises(mt.DivergenceError, match="step 2"):
             self.run([1.0, float("nan")])
+
+    def test_validation_overflow_names_its_op_and_step(self):
+        store = make_store(phi=([0.0], "adapter"))
+        big = ad.constant(np.full(2, 1e200))
+        with pytest.raises(ad.NonFiniteError, match=r"'mul' at step 1$"):
+            mt.train_loop(store, ["phi"], lambda: ({"phi": np.array([-1.0])}, 0.5, 0.25),
+                          hyper(), mt.StopCriteria(max_steps=1),
+                          validate=lambda: float(ad.sum_all(ad.mul(big, big)).value))
 
     def test_stop_criteria_reject_negative_steps_and_zero_interval(self):
         with pytest.raises(ValueError, match="max_steps"):
@@ -556,3 +580,24 @@ class TestBoundaryChecksOnly:
         with ad.checked():
             self.step_and_decode(tiny_transformer)
         assert counts["in_op"] > 0
+
+
+def test_second_order_step_builds_no_frozen_weight_gradient(tiny_transformer, monkeypatch):
+    # A 2-D weight's gradient is one _flat_matmul; only frozen weights are 2-D
+    # (phi is stacked per task), and backward builds none of theirs.
+    made = {}
+    make = ad._make
+
+    def counted(op_id, *args, **kwargs):
+        made[op_id] = made.get(op_id, 0) + 1
+        return make(op_id, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    t = tiny_transformer
+    _, phi = mm.partition_params(t.store)
+    tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
+             Task(support=t.pairs[4:6], query=t.pairs[6:8])]
+    grads, _ = mt.outer_gradient(t.store, phi, tasks, hyper(inner_steps=2), t.loss_fn)
+    assert made.get("_flat_matmul", 0) == 0
+    assert made["matmul"] > 0
+    assert all(np.any(grads[n] != 0.0) for n in phi if n.endswith(".wd"))
