@@ -931,7 +931,7 @@ def backward(output: Node, wrt) -> dict[str, Node]:
         _, vjp = _OPS[n.op]
         grads = vjp(n, g, needs) if len(needs) > 1 else vjp(n, g)
         for inp, gi, need in zip(n.inputs, grads, needs):
-            if gi is None or not need:
+            if not need:
                 continue
             prev = adjoint.get(id(inp))
             adjoint[id(inp)] = gi if prev is None else add(prev, gi)

@@ -128,7 +128,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dic
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if not math.isfinite(norm) and all(np.isfinite(g).all() for g in grads.values()):
-        top = max(float(np.abs(g).max()) for g in grads.values() if g.size)
+        top = max(float(np.abs(g).max()) for g in grads.values())
         norm = top * float(np.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads.values())))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
