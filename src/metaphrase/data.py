@@ -376,7 +376,7 @@ def sample_meta_task(corpus: CorpusSet, hyper, rng: np.random.Generator) -> Meta
         )
     picked = rng.choice(len(train), size=hyper.task_batch_size, replace=False)
     batch = [train[int(i)] for i in picked]
-    if getattr(hyper, "shared_support_query", False):
+    if hyper.shared_support_query:
         return MetaTask(support=batch, query=list(batch), domain=domain)
     if len(batch) < 2:
         raise ValueError("task_batch_size must be >= 2 to split support from query")

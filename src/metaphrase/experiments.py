@@ -138,13 +138,20 @@ def load_world(data_dir) -> World:
     for name in sorted(os.listdir(pairs_dir)):
         if not name.endswith(".train.tsv") or name.startswith("target"):
             continue
-        prefix, domain = name.split("_", 1)
-        domain = domain[: -len(".train.tsv")]
+        prefix, _, domain = name[: -len(".train.tsv")].partition("_")
+        if prefix not in ("source", "validation") or not domain:
+            raise dt.CorpusFormatError(
+                f"{os.path.join(pairs_dir, name)}: a pairs file name is "
+                "source_<domain>.train.tsv or validation_<domain>.train.tsv"
+            )
         train = dt.load_pairs(os.path.join(pairs_dir, name), vocab)
         valid_path = os.path.join(pairs_dir, f"{prefix}_{domain}.valid.tsv")
         valid = dt.load_pairs(valid_path, vocab) if os.path.exists(valid_path) else []
         splits = dt.SplitPairs(train=train, valid=valid)
         (source_domains if prefix == "source" else validation_domains)[domain] = splits
+
+    if not source_domains:
+        raise dt.CorpusFormatError(f"{pairs_dir}: no source_<domain>.train.tsv file")
 
     def target_split(split):
         path = os.path.join(pairs_dir, f"target.{split}.tsv")

@@ -69,10 +69,6 @@ class TrainHyper:
     clip_norm: float = 1.0
     support_fraction: float = 0.5
     shared_support_query: bool = False
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -85,17 +81,20 @@ class TrainHyper:
             raise ValueError(f"unknown outer_optimizer {self.outer_optimizer!r}")
 
 
+# AdamW constants of the outer optimizer.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
+
 class OptimizerState:
     """AdamW moment accumulators for a named parameter subset."""
 
-    def __init__(self, shapes: Mapping[str, tuple], hyper: TrainHyper):
+    def __init__(self, shapes: Mapping[str, tuple]):
         self.m = {n: np.zeros(s) for n, s in shapes.items()}
         self.v = {n: np.zeros(s) for n, s in shapes.items()}
         self.step = 0
-        self.beta1 = hyper.adam_beta1
-        self.beta2 = hyper.adam_beta2
-        self.eps = hyper.adam_eps
-        self.weight_decay = hyper.weight_decay
 
 
 def adamw_step(state: OptimizerState, values: dict[str, np.ndarray],
@@ -105,12 +104,12 @@ def adamw_step(state: OptimizerState, values: dict[str, np.ndarray],
     t = state.step
     out = {}
     for name, g in grads.items():
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / (1 - state.beta1**t)
-        vhat = state.v[name] / (1 - state.beta2**t)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        mhat = state.m[name] / (1 - ADAM_BETA1**t)
+        vhat = state.v[name] / (1 - ADAM_BETA2**t)
         p = values[name]
-        out[name] = p - lr * (mhat / (np.sqrt(vhat) + state.eps) + state.weight_decay * p)
+        out[name] = p - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + WEIGHT_DECAY * p)
     return out
 
 
@@ -320,7 +319,7 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     """
     opt_state = None
     if hyper.outer_optimizer == "adamw":
-        opt_state = OptimizerState({n: params[n].shape for n in names}, hyper)
+        opt_state = OptimizerState({n: params[n].shape for n in names})
 
     history: list[HistoryRow] = []
     best, best_val = None, None

@@ -228,7 +228,16 @@ def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
-    buf = io.BytesIO(blob)
+    """Parse checkpoint bytes; any malformed content raises ``CheckpointError``."""
+    try:
+        return _parse_checkpoint(io.BytesIO(blob))
+    except CheckpointError:
+        raise
+    except ValueError as exc:  # a bad config value, a bad stage, non-UTF-8 text
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+
+
+def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
     if _read_exact(buf, 4, "magic") != MAGIC:
         raise CheckpointError("corrupt checkpoint: bad magic bytes")
     (version,) = struct.unpack("<I", _read_exact(buf, 4, "version"))
@@ -311,9 +320,10 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 # training steps shared by the stages
 # ---------------------------------------------------------------------------
-# Every stage trains with ``meta.train_loop``. Pretraining and plain training
-# give it a ``_pair_step`` over their own batch sampler; MAML stages go
-# through ``meta.meta_train``.
+# Every stage trains with ``meta.train_loop``. Pretraining and plain adapter
+# training run it through ``_train_on_pairs`` over their own batch sampler;
+# MAML adapter training goes through ``meta.meta_train``. Stages (b) and (c)
+# both train their adapters with ``_train_adapters``.
 
 
 def make_pair_loss(config: mm.ModelConfig):
@@ -346,8 +356,13 @@ class StageResult:
     history: list = field(default_factory=list)
 
 
-def _pair_step(store, names, loss_fn, sample_batch):
-    """A ``train_loop`` step: the NLL gradient of ``names`` on one sampled batch."""
+def _train_on_pairs(store, names, loss_fn, sample_batch, hyper, stop,
+                    validation=()) -> list[mt.HistoryRow]:
+    """Minimize the NLL of ``names`` on sampled pair batches, best-val kept.
+
+    ``sample_batch()`` returns one batch of pairs; a non-empty
+    ``validation`` pair list is scored on the stop criteria's cadence.
+    """
 
     def step_fn():
         leaves = store.leaves()
@@ -356,24 +371,57 @@ def _pair_step(store, names, loss_fn, sample_batch):
         value = float(loss.value)
         return grads, value, value
 
-    return step_fn
+    validate = None
+    if validation:
+        def validate():
+            return float(loss_fn(store.leaves(), validation).value)
+
+    return mt.train_loop(store, names, step_fn, hyper, stop, validate).history
 
 
-def _plain_train(store, phi_names, train_pairs, valid_pairs, hyper, stop,
-                 loss_fn, rng) -> list[mt.HistoryRow]:
-    """Minimize NLL over a pair set with the outer optimizer, best-val kept."""
+def _train_adapters(store, config, corpus, hyper, stop, mode, rng,
+                    validation) -> list[mt.HistoryRow]:
+    """Train the adapters of ``store`` on ``corpus``, the backbone frozen.
+
+    ``mode='maml'`` meta-trains on tasks sampled from the corpus and
+    validates on ``validation``, a list of tasks; ``mode='plain'`` minimizes
+    the NLL of the corpus's train pairs, pooled in sorted-domain order, and
+    validates on ``validation``, a list of pairs. An empty ``validation``
+    means no validation.
+    """
+    train_pairs = [p for label in sorted(corpus.domains) for p in corpus.domains[label].train]
+    if not train_pairs:
+        raise ValueError(f"the {corpus.role!r} corpus has no train pairs")
+    _, phi_names = mm.partition_params(store)
+    loss_fn = make_pair_loss(config)
+    if mode == "maml":
+        sampler = lambda n: [dt.sample_meta_task(corpus, hyper, rng) for _ in range(n)]
+        validation_sampler = (lambda: validation) if validation else None
+        return mt.meta_train(store, phi_names, sampler, hyper, stop, loss_fn,
+                             validation_sampler=validation_sampler).history
 
     def sample_batch():
         size = min(hyper.task_batch_size, len(train_pairs))
         return [train_pairs[int(i)] for i in rng.choice(len(train_pairs), size=size, replace=False)]
 
-    validate = None
-    if valid_pairs:
-        def validate():
-            return float(loss_fn(store.leaves(), valid_pairs).value)
+    return _train_on_pairs(store, phi_names, loss_fn, sample_batch, hyper, stop, validation)
 
-    step_fn = _pair_step(store, phi_names, loss_fn, sample_batch)
-    return mt.train_loop(store, phi_names, step_fn, hyper, stop, validate).history
+
+def _with_adapters(parent: Checkpoint, seed: int) -> tuple[mm.ModelConfig, mm.ParamStore]:
+    """The parent's config and store with identity adapters at the standard placement."""
+    config = replace(parent.config, adapter_placement=mm.DEFAULT_PLACEMENT)
+    return config, mm.insert_adapters(parent.store, config, seed=derive_seed(seed, "adapter"))
+
+
+def _child(parent: Checkpoint, stage: str, config: mm.ModelConfig, store: mm.ParamStore,
+           history, **seeds) -> StageResult:
+    """The stage's result: its store on the float32 grid, chained to the parent."""
+    ckpt = Checkpoint(
+        config=config, stage=stage, seeds=dict(parent.seeds, **seeds),
+        provenance=parent.provenance + [parent.content_hash()],
+        store=_on_float32_grid(store), vocab=parent.vocab,
+    )
+    return StageResult(ckpt, history)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +456,6 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
     """
     base_config = replace(config, adapter_placement=frozenset())
     store = mm.build_model(base_config, seed=derive_seed(seed, "init"))
-    loss_fn = make_pair_loss(base_config)
-    hyper = mt.TrainHyper(beta=lr)
-    trainable = store.names()  # stage (a) trains everything present
-
     rng = np.random.default_rng(derive_seed(seed, "pretrain_data"))
     noise_rng = np.random.default_rng(derive_seed(seed, "noise"))
 
@@ -425,9 +469,9 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
             batch.append(dt.ParaphrasePair(src=src, tgt=tokens))
         return batch
 
-    step_fn = _pair_step(store, trainable, loss_fn, sample_batch)
-    history = mt.train_loop(store, trainable, step_fn, hyper, mt.StopCriteria(steps)).history
-
+    # stage (a) trains everything present
+    history = _train_on_pairs(store, store.names(), make_pair_loss(base_config), sample_batch,
+                              mt.TrainHyper(beta=lr), mt.StopCriteria(steps))
     ckpt = Checkpoint(
         config=base_config, stage="pretrained",
         seeds={"bundle": seed}, provenance=[], store=_on_float32_grid(store), vocab=vocab,
@@ -439,12 +483,13 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
 def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
                      hyper: mt.TrainHyper, stop: mt.StopCriteria, seed: int,
                      validation: dt.CorpusSet | None = None, mode: str = "maml") -> StageResult:
-    """Stage (b): insert adapters and train them on the source domains.
+    """Stage (b): insert identity adapters and train them on the source domains.
 
-    ``mode='maml'`` runs the meta algorithm over sampled tasks;
-    ``mode='plain'`` minimizes pooled NLL (the source-data-only ablation).
-    The backbone stays bit-identical. The adapters take the standard
-    placement, whatever the parent config's.
+    ``mode='maml'`` meta-trains over sampled tasks, validating on 4 tasks
+    sampled from ``validation``; ``mode='plain'`` minimizes pooled NLL (the
+    source-data-only ablation), validating on the first 64 source-valid and
+    ``validation`` pairs. The backbone stays bit-identical. The adapters
+    take the standard placement, whatever the parent config's.
     """
     if pretrained.stage != "pretrained":
         raise StageOrderError(
@@ -454,57 +499,38 @@ def meta_train_stage(pretrained: Checkpoint, source: dt.CorpusSet,
         raise ValueError(f"unknown mode {mode!r}")
     if source.role != "src":
         raise ValueError("meta_train_stage needs the source corpus set")
-    full_config = replace(pretrained.config, adapter_placement=mm.DEFAULT_PLACEMENT)
-
-    store = mm.insert_adapters(
-        pretrained.store.copy(), full_config, seed=derive_seed(seed, "adapter")
-    )
-    _, phi_names = mm.partition_params(store)
-    loss_fn = make_pair_loss(full_config)
+    config, store = _with_adapters(pretrained, seed)
     rng = np.random.default_rng(derive_seed(seed, "tasks"))
 
-    if mode == "maml":
-        sampler = lambda n: [dt.sample_meta_task(source, hyper, rng) for _ in range(n)]
-        validation_sampler = None
+    held_out: list = []
+    if mode == "maml" and validation is not None:
+        val_rng = np.random.default_rng(derive_seed(seed, "validation"))
+        held_out = [dt.sample_meta_task(validation, hyper, val_rng) for _ in range(4)]
+    elif mode == "plain":
+        held_out = [p for label in sorted(source.domains) for p in source.domains[label].valid]
         if validation is not None:
-            val_rng = np.random.default_rng(derive_seed(seed, "validation"))
-            val_tasks = [
-                dt.sample_meta_task(validation, hyper, val_rng) for _ in range(4)
-            ]
-            validation_sampler = lambda: val_tasks
-        result = mt.meta_train(store, phi_names, sampler, hyper, stop, loss_fn,
-                               validation_sampler=validation_sampler)
-        history = result.history
-    else:
-        train_pairs = [p for label in sorted(source.domains)
-                       for p in source.domains[label].train]
-        valid_pairs = [p for label in sorted(source.domains)
-                       for p in source.domains[label].valid]
-        if validation is not None:
-            valid_pairs += [p for label in sorted(validation.domains)
-                            for p in validation.domains[label].valid
-                            + validation.domains[label].train]
-        history = _plain_train(store, phi_names, train_pairs, valid_pairs[:64],
-                               hyper, stop, loss_fn, rng)
+            held_out += [p for label in sorted(validation.domains)
+                         for p in validation.domains[label].valid
+                         + validation.domains[label].train]
+        held_out = held_out[:64]
 
-    ckpt = Checkpoint(
-        config=full_config, stage="meta_trained",
-        seeds=dict(pretrained.seeds, stage_b=seed),
-        provenance=pretrained.provenance + [pretrained.content_hash()],
-        store=_on_float32_grid(store), vocab=pretrained.vocab,
-    )
-    return StageResult(ckpt, history)
+    history = _train_adapters(store, config, source, hyper, stop, mode, rng, held_out)
+    return _child(pretrained, "meta_trained", config, store, history, stage_b=seed)
 
 
 @_names_stage
 def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHyper,
                    stop: mt.StopCriteria, seed: int, mode: str = "maml",
                    allow_pretrained: bool = False) -> StageResult:
-    """Stage (c): adapt phi on the (possibly tiny or empty) target domain.
+    """Stage (c): train the adapters on the (possibly tiny or empty) target domain.
 
-    An empty target train set is the unsupervised configuration: phi passes
-    through unchanged. ``allow_pretrained`` admits a stage-(a) checkpoint for
-    the backbone-only ablation; adapters are inserted at identity then.
+    ``mode='maml'`` meta-trains over target-sampled tasks, validating on one
+    task split from the valid pairs, then takes a deployment step: the
+    inner adaptation on the whole target train set. ``mode='plain'``
+    minimizes NLL, validating on the valid pairs. An empty target train set
+    is the unsupervised configuration: phi passes through unchanged.
+    ``allow_pretrained`` admits a stage-(a) checkpoint for the backbone-only
+    ablation; adapters are inserted at identity then.
     """
     if parent.stage == "pretrained":
         if not allow_pretrained:
@@ -512,13 +538,9 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
                 "finetune_stage needs a meta_trained checkpoint "
                 "(pass allow_pretrained=True for the ablation)"
             )
-        full_config = replace(parent.config, adapter_placement=mm.DEFAULT_PLACEMENT)
-        store = mm.insert_adapters(
-            parent.store.copy(), full_config, seed=derive_seed(seed, "adapter")
-        )
+        config, store = _with_adapters(parent, seed)
     elif parent.stage == "meta_trained":
-        full_config = parent.config
-        store = parent.store.copy()
+        config, store = parent.config, parent.store.copy()
     else:
         raise StageOrderError(f"cannot fine-tune from stage {parent.stage!r}")
     if mode not in ("maml", "plain"):
@@ -526,47 +548,29 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
     if target.role != "tgt":
         raise ValueError("finetune_stage needs the target corpus set")
 
-    _, phi_names = mm.partition_params(store)
-    loss_fn = make_pair_loss(full_config)
     (label,) = list(target.domains)
     splits = target.domains[label]
     history: list[mt.HistoryRow] = []
 
     if splits.train:
         rng = np.random.default_rng(derive_seed(seed, "finetune"))
+        if hyper.task_batch_size > len(splits.train):
+            hyper = replace(hyper, task_batch_size=len(splits.train))
+        held_out = splits.valid
         if mode == "maml":
-            task_hyper = hyper
-            if hyper.task_batch_size > len(splits.train):
-                task_hyper = replace(hyper, task_batch_size=len(splits.train))
-            sampler = lambda n: [
-                dt.sample_meta_task(target, task_hyper, rng) for _ in range(n)
-            ]
-            validation_sampler = None
-            if len(splits.valid) >= 2:
-                half = len(splits.valid) // 2
-                val_task = dt.MetaTask(
-                    support=splits.valid[:half], query=splits.valid[half:], domain=label
-                )
-                validation_sampler = lambda: [val_task]
-            result = mt.meta_train(store, phi_names, sampler, task_hyper, stop,
-                                   loss_fn, validation_sampler=validation_sampler)
-            history = result.history
+            half = len(splits.valid) // 2
+            held_out = [dt.MetaTask(support=splits.valid[:half], query=splits.valid[half:],
+                                    domain=label)] if half else []
+        history = _train_adapters(store, config, target, hyper, stop, mode, rng, held_out)
+        if mode == "maml":
             # Deployment step: the meta-trained phi is optimized for its
             # post-adaptation loss, so adapt it on the target train set
             # before freezing the checkpoint.
-            deploy_hyper = replace(task_hyper, order_mode="first")
+            _, phi_names = mm.partition_params(store)
             adapted, _ = mt.inner_adapt(store, phi_names, [splits.train],
-                                        deploy_hyper, loss_fn)
+                                        replace(hyper, order_mode="first"),
+                                        make_pair_loss(config))
             for n in phi_names:
                 store.set(n, adapted[n].value.reshape(store[n].shape))
-        else:
-            history = _plain_train(store, phi_names, splits.train, splits.valid,
-                                   hyper, stop, loss_fn, rng)
 
-    ckpt = Checkpoint(
-        config=full_config, stage="finetuned",
-        seeds=dict(parent.seeds, stage_c=seed),
-        provenance=parent.provenance + [parent.content_hash()],
-        store=_on_float32_grid(store), vocab=parent.vocab,
-    )
-    return StageResult(ckpt, history)
+    return _child(parent, "finetuned", config, store, history, stage_c=seed)

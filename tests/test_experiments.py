@@ -3,7 +3,9 @@
 import csv
 
 import numpy as np
+import pytest
 
+from metaphrase import data as dt
 from metaphrase import experiments as ex
 from metaphrase import meta as mt
 from metaphrase import model as mm
@@ -47,3 +49,18 @@ def test_run_ladder_all_variants(tmp_path):
         assert stage_b.stage == "meta_trained"
         assert pl.load_checkpoint(out / variant / "finetuned.ckpt").provenance[-1] == (
             stage_b.content_hash())
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("source_domain0.train.tsv", "src_domain0.train.tsv", "src_domain0.train.tsv"),
+    ("source_domain0.train.tsv", "sourcedomain0.train.tsv", "sourcedomain0.train.tsv"),
+    ("source_domain0.train.tsv", "target_domain0.train.ignored", "no source_"),
+], ids=["unknown_prefix", "no_underscore", "no_source_domain"])
+def test_load_world_rejects_bad_pair_file_names(tmp_path, old, new, message):
+    settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
+                               target_valid=6, target_test=2, source_valid=8, pre_cap=60)
+    ex.build_world_files(settings, tmp_path)
+    pairs = tmp_path / "pairs"
+    (pairs / old).rename(pairs / new)
+    with pytest.raises(dt.CorpusFormatError, match=message):
+        ex.load_world(tmp_path)

@@ -243,6 +243,32 @@ class TestCheckpointFormat:
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
+def with_config_text(blob, old, new):
+    """``blob`` with ``old`` replaced by ``new`` in its config text, length fixed up."""
+    n = int.from_bytes(blob[8:12], "little")
+    text = blob[12:12 + n]
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    return blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + n:]
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"model.d_model = 8\n", b"model.d_model = x\n"),
+    (b"model.n_heads = 2\n", b"model.n_heads = 3\n"),  # fails the ModelConfig check
+    (b"stage = pretrained\n", b"stage = bogus\n"),
+    (b"stage = pretrained\n", b"stage = finetuned\n"),  # with no parents
+    (b"seed.bundle = 3\n", b"seed.bundle = abc\n"),
+    (b"model.adapter_placement = \n", b"model.adapter_placement = nowhere\n"),
+    (b"seed.bundle = 3\n", b"seed.bundle = \xff\n"),
+], ids=["non_int", "bad_config", "bad_stage", "no_parents", "bad_seed", "unknown_site",
+        "non_utf8"])
+def test_malformed_config_text_is_a_named_checkpoint_error(old, new):
+    blob = pl.checkpoint_bytes(TestCheckpointFormat().make_ckpt())
+    with pytest.raises(pl.CheckpointError, match="^corrupt checkpoint: ") as info:
+        pl.checkpoint_from_bytes(with_config_text(blob, old, new))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 @pytest.fixture(scope="module")
 def world():
     return tiny_world()
@@ -437,6 +463,35 @@ class TestFinetuneStage:
             return pl.checkpoint_bytes(fin.checkpoint)
 
         assert run() == run()
+
+
+class TestEmptyCorpus:
+    """Adapter training refuses a corpus with no train pairs before it trains."""
+
+    @pytest.mark.parametrize("domains", [{"a": dt.SplitPairs(train=[])}, {}],
+                             ids=["empty_domain", "no_domain"])
+    @pytest.mark.parametrize("mode", ["maml", "plain"])
+    def test_meta_train_stage_rejects_empty_source(self, pretrained, mode, domains):
+        source = dt.CorpusSet(role="src", domains=domains)
+        with pytest.raises(ValueError, match="'src' corpus has no train pairs"):
+            pl.meta_train_stage(pretrained.checkpoint, source, mt.TrainHyper(task_batch_size=4),
+                                mt.StopCriteria(max_steps=2), seed=1, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["maml", "plain"])
+    def test_finetune_on_empty_target_is_identity(self, world, pretrained, mode):
+        target = dt.CorpusSet(role="tgt", domains={"tgt": dt.SplitPairs(train=[])})
+        result = pl.finetune_stage(pretrained.checkpoint, target, mt.TrainHyper(),
+                                   mt.StopCriteria(max_steps=3), seed=0, mode=mode,
+                                   allow_pretrained=True)
+        assert result.history == []
+        parent = pretrained.checkpoint
+        config = mm.ModelConfig(**{**parent.config.__dict__,
+                                   "adapter_placement": mm.DEFAULT_PLACEMENT})
+        store = mm.insert_adapters(parent.store, config, seed=pl.derive_seed(0, "adapter"))
+        assert result.checkpoint.config == config
+        for name in store.names():
+            assert np.array_equal(result.checkpoint.store[name],
+                                  store[name].astype(np.float32)), name
 
 
 def inject_nan(monkeypatch, op, step):
