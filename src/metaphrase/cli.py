@@ -4,8 +4,8 @@ Subcommands:
 
 * ``synth-data OUT_DIR``: write the synthetic multi-domain world
   (``experiments.build_world_files``).
-* ``decode CHECKPOINT INPUT OUTPUT``: decode every line of INPUT to OUTPUT,
-  aligned (``decoding.generate_file``).
+* ``decode CHECKPOINT INPUT OUTPUT``: decode every non-blank line of INPUT
+  to OUTPUT, in order (``decoding.generate_file``).
 """
 
 from __future__ import annotations

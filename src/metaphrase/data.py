@@ -26,7 +26,12 @@ class CorpusFormatError(ValueError):
 
 
 class TaskSizeError(ValueError):
-    """The tasks of a meta-batch hold different numbers of pairs."""
+    """A meta-learning task cannot hold the pairs it needs.
+
+    Raised when a domain has fewer train pairs than a task draws, when a
+    task is too small to split into support and query, and when the tasks
+    of a meta-batch hold different numbers of pairs.
+    """
 
 
 class Vocab:
@@ -371,7 +376,7 @@ def sample_meta_task(corpus: CorpusSet, hyper, rng: np.random.Generator) -> Meta
     domain = labels[rng.integers(len(labels))] if len(labels) > 1 else labels[0]
     train = corpus.domains[domain].train
     if len(train) < hyper.task_batch_size:
-        raise ValueError(
+        raise TaskSizeError(
             f"domain {domain!r} has {len(train)} train pairs, task needs {hyper.task_batch_size}"
         )
     picked = rng.choice(len(train), size=hyper.task_batch_size, replace=False)
@@ -379,7 +384,7 @@ def sample_meta_task(corpus: CorpusSet, hyper, rng: np.random.Generator) -> Meta
     if hyper.shared_support_query:
         return MetaTask(support=batch, query=list(batch), domain=domain)
     if len(batch) < 2:
-        raise ValueError("task_batch_size must be >= 2 to split support from query")
+        raise TaskSizeError("task_batch_size must be >= 2 to split support from query")
     n_support = max(1, int(round(len(batch) * hyper.support_fraction)))
     n_support = min(n_support, len(batch) - 1)
     return MetaTask(support=batch[:n_support], query=batch[n_support:], domain=domain)

@@ -8,13 +8,16 @@ the greedy hypothesis among its candidates, so its returned score never
 falls below greedy's.
 
 Decoding is incremental and records no autodiff graph: sources are
-encoded once, inside ``autodiff.no_graph()``, into a ``model.KVCache`` that
-serves both the greedy and the beam pass. The cache keeps, one row per
-hypothesis, the source's per-head cross-attention keys and values plus each
-decoder layer's self-attention keys and values, which grow by one position
-per step; beam search reorders the rows by parent hypothesis. A step
-therefore runs the decoder on one new position per hypothesis, with the
-same layer code as ``model.forward_batch``.
+encoded once, inside ``autodiff.no_graph()``, into a ``model.KVCache``. The
+cache keeps, one row per hypothesis, the source's per-head cross-attention
+keys and values plus each decoder layer's self-attention keys and values,
+which grow by one position per step. Greedy and beam search run as one
+lockstep search: each decoder step carries every source's greedy row,
+until it ends, together with its live beam hypotheses, and the rows that
+go on (beam rows by parent hypothesis) are picked with one
+``KVCache.select``. A step therefore runs the decoder on one new position
+per hypothesis, with the same layer code as ``model.forward_batch``, and a
+beam decode takes no more decoder steps than its longer search.
 
 Decoding checks finiteness at its boundaries, not after every op: the
 encoded cache, each decoder step's log-probs and ``hypothesis_score``'s
@@ -41,8 +44,8 @@ from . import data as dt
 from . import model as mm
 from . import pipeline as pl
 
-# Sources per lockstep batch: bounds the cache at this many times the beam
-# width rows.
+# Sources per lockstep batch: bounds the cache at this many times (beam width
+# + 1) rows.
 _MAX_BATCH = 64
 
 
@@ -105,17 +108,61 @@ def _hyp_score(logprob_sum: float, n_emitted: int, length_penalty: float) -> flo
     return logprob_sum / (n_emitted**length_penalty)
 
 
-def _greedy(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[list[int], float]]:
-    """Greedy (ids, summed log-prob) for each of the cache's ``n`` rows.
+def _prune(rows, first: int, live, done, width: int) -> list[int]:
+    """Expand, rank and prune every source's live beam hypotheses in place.
 
-    A row that emits the end marker leaves the batch.
+    ``rows[first:]`` are the log-probs of the hypotheses in ``live``, source
+    by source. Each hypothesis proposes its ``width`` best next tokens; a
+    candidate ending in the end marker joins the source's ``done`` and the
+    best ``width`` others stay live. Returns the rows of the kept
+    hypotheses' parents, in the new ``live`` order.
     """
+    tops = np.argsort(-rows[first:], axis=-1, kind="stable")[:, :width]
+    parents = []
+    offset = first
+    for s, hyps in enumerate(live):
+        candidates = []
+        for r, (ids, logprob) in enumerate(hyps, start=offset):
+            for tok in tops[r - first]:
+                candidates.append((ids + [int(tok)], logprob + float(rows[r, tok]), r))
+        offset += len(hyps)
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        kept = []
+        for ids, logprob, r in candidates:
+            if ids[-1] == dt.EOS:
+                done[s].append((ids, logprob))
+            elif len(kept) < width:
+                kept.append((ids, logprob))
+                parents.append(r)
+            if len(kept) >= width and len(done[s]) >= width:
+                break
+        live[s] = kept
+    return parents
+
+
+def _search(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[tuple, list]]:
+    """Greedy (ids, summed log-prob) and beam pool of each of the cache's ``n`` rows.
+
+    Both searches advance in lockstep, one decoder step per position. A
+    step's rows are the greedy rows still running, one per source until it
+    emits the end marker, then the live beam hypotheses, source by source;
+    the rows that go on are picked with one ``cache.select``. A source's
+    pool holds its finished and live hypotheses. Greedy decoding (width 1)
+    has no beam rows and an empty pool, and selects only when a row leaves.
+    """
+    width = 1 if dc.strategy == "greedy" else dc.beam_width
     ids = [[dt.BOS] for _ in range(n)]
     logprobs = [0.0] * n
     active = list(range(n))
-    while active and len(ids[active[0]]) < dc.max_decode_len:
-        rows, cache = _next_logprobs(params, config, cache, [ids[s] for s in active])
-        best = np.argmax(rows, axis=-1)  # first occurrence: ties go to the lowest id
+    live = [[([dt.BOS], 0.0)] if width > 1 else [] for _ in range(n)]
+    done = [[] for _ in range(n)]
+    if width > 1:
+        cache = cache.select(active + active)
+    length = 1
+    while length < dc.max_decode_len and (active or any(live)):
+        prefixes = [ids[s] for s in active] + [hyp for hyps in live for hyp, _ in hyps]
+        rows, cache = _next_logprobs(params, config, cache, prefixes)
+        best = np.argmax(rows[: len(active)], axis=-1)  # first occurrence: ties go to the lowest id
         keep = []
         for r, s in enumerate(active):
             tok = int(best[r])
@@ -123,65 +170,32 @@ def _greedy(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[list[
             ids[s].append(tok)
             if tok != dt.EOS:
                 keep.append(r)
-        if len(keep) < len(active):
-            active = [active[r] for r in keep]
-            if active:
-                cache = cache.select(keep)
-    return list(zip(ids, logprobs))
-
-
-def _beam(params, config, cache, n: int, dc: DecodeConfig) -> list[list[tuple[list[int], float]]]:
-    """Finished and live hypotheses of a beam search from each of the cache's ``n`` rows.
-
-    Every source's live hypotheses share one decoder step; candidates are
-    ranked and pruned per source.
-    """
-    live = [[([dt.BOS], 0.0)] for _ in range(n)]
-    done = [[] for _ in range(n)]
-    length = 1
-    while length < dc.max_decode_len and any(live):
-        rows, cache = _next_logprobs(params, config, cache,
-                                     [ids for hyps in live for ids, _ in hyps])
-        tops = np.argsort(-rows, axis=-1, kind="stable")[:, : dc.beam_width]
-        parents = []
-        offset = 0
-        for s, hyps in enumerate(live):
-            candidates = []
-            for r, (ids, logprob) in enumerate(hyps, start=offset):
-                for tok in tops[r]:
-                    candidates.append((ids + [int(tok)], logprob + float(rows[r, tok]), r))
-            offset += len(hyps)
-            candidates.sort(key=lambda c: (-c[1], c[0]))
-            kept = []
-            for ids, logprob, r in candidates:
-                if ids[-1] == dt.EOS:
-                    done[s].append((ids, logprob))
-                elif len(kept) < dc.beam_width:
-                    kept.append((ids, logprob))
-                    parents.append(r)
-                if len(kept) >= dc.beam_width and len(done[s]) >= dc.beam_width:
-                    break
-            live[s] = kept
+        parents = _prune(rows, len(active), live, done, width) if width > 1 else []
         length += 1
-        if parents:
-            cache = cache.select(parents)
-    return [finished + hyps for finished, hyps in zip(done, live)]
+        following = keep + parents
+        if parents or len(following) < len(rows):
+            if following:
+                cache = cache.select(following)
+            active = [active[r] for r in keep]
+    return [((ids[s], logprobs[s]), done[s] + live[s]) for s in range(n)]
 
 
 def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[list[int]]:
-    """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep."""
-    n = src.shape[0]
+    """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep.
+
+    The encoded cache serves both searches: ``_search`` gives each source a
+    greedy row and, for beam search, beam rows of its own. The greedy
+    hypothesis competes with the beam's pool, so beam search never scores
+    below greedy.
+    """
     with ad.no_graph():
         cache = mm.encode_source(params, config, src)
         _check_boundary([a.value for layer in cache.memory for pair in layer for a in pair],
                         "the encoded source", "in encode_source",
                         lambda: mm.encode_source(params, config, src))
-        greedy = _greedy(params, config, cache, n, dc)
-        if dc.strategy == "greedy" or dc.beam_width == 1:
-            return [ids for ids, _ in greedy]
-        pools = _beam(params, config, cache, n, dc)
+        searched = _search(params, config, cache, src.shape[0], dc)
     out = []
-    for pool, greedy_hyp in zip(pools, greedy):
+    for greedy_hyp, pool in searched:
         scored = [(_hyp_score(lp, len(ids) - 1, dc.length_penalty), ids)
                   for ids, lp in pool + [greedy_hyp]]
         scored.sort(key=lambda s: (-s[0], s[1]))

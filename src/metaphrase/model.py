@@ -468,7 +468,9 @@ class KVCache:
     projected from the encoder memory of each row's source. ``prefix[i]`` is
     its full-width self-attention (K, V) over the ``length`` positions
     decoded so far (None before the first step). Every row sits at the same
-    position, and no row is broadcast over others.
+    position, and no row is broadcast over others. A row is one hypothesis
+    of any search: greedy rows and beam hypotheses of many sources share
+    one cache.
     """
 
     memory: list
@@ -479,11 +481,13 @@ class KVCache:
         """The cache with its rows reordered (or repeated) by ``rows``.
 
         Memory rows move together with prefix rows, so each hypothesis keeps
-        its own source.
+        its own source. A fresh cache (no position decoded) keeps its empty
+        prefix, so one source can start several hypotheses.
         """
         rows = np.asarray(rows, dtype=np.int64)
         memory = [_take_rows(heads, rows) for heads in self.memory]
-        return KVCache(memory, _take_rows(self.prefix, rows), self.length)
+        prefix = self.prefix if self.length == 0 else _take_rows(self.prefix, rows)
+        return KVCache(memory, prefix, self.length)
 
 
 def _take_rows(pairs, rows):

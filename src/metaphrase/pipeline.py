@@ -526,9 +526,13 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
 
     ``mode='maml'`` meta-trains over target-sampled tasks, validating on one
     task split from the valid pairs, then takes a deployment step: the
-    inner adaptation on the whole target train set. ``mode='plain'``
-    minimizes NLL, validating on the valid pairs. An empty target train set
-    is the unsupervised configuration: phi passes through unchanged.
+    inner adaptation on the whole target train set. A task splits its pairs
+    into support and query, so ``maml`` needs at least 2 train pairs unless
+    ``hyper.shared_support_query`` is set; a one-pair target raises
+    ``data.TaskSizeError`` before any training. ``mode='plain'`` minimizes
+    NLL on any number of pairs, validating on the valid pairs. An empty
+    target train set is the unsupervised configuration: phi passes through
+    unchanged.
     ``allow_pretrained`` admits a stage-(a) checkpoint for the backbone-only
     ablation; adapters are inserted at identity then.
     """
@@ -552,6 +556,10 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
     splits = target.domains[label]
     history: list[mt.HistoryRow] = []
 
+    if mode == "maml" and len(splits.train) == 1 and not hyper.shared_support_query:
+        raise dt.TaskSizeError(
+            f"finetune_stage: the target {label!r} has 1 train pair, but a MAML task needs 2 "
+            "to split support from query; use mode='plain' or shared_support_query=True")
     if splits.train:
         rng = np.random.default_rng(derive_seed(seed, "finetune"))
         if hyper.task_batch_size > len(splits.train):

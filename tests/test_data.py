@@ -208,8 +208,13 @@ class TestSampling:
     def test_too_small_corpus_rejected(self):
         corpus = self.make_corpus(n=5)
         hyper = TrainHyper(task_batch_size=10)
-        with pytest.raises(ValueError, match="train pairs"):
+        with pytest.raises(dt.TaskSizeError, match="train pairs"):
             dt.sample_meta_task(corpus, hyper, np.random.default_rng(0))
+
+    def test_one_pair_task_cannot_split(self):
+        corpus = self.make_corpus()
+        with pytest.raises(dt.TaskSizeError, match="split support from query"):
+            dt.sample_meta_task(corpus, TrainHyper(task_batch_size=1), np.random.default_rng(0))
 
     def test_shared_support_query_flag(self):
         corpus = self.make_corpus()

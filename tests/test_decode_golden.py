@@ -121,8 +121,7 @@ def test_batched_hypotheses_and_logprobs_equal_single_source(golden):
     def search(batch):
         """(greedy (ids, log-prob), beam pool) of each row of a (B, S) batch."""
         cache = mm.encode_source(params, config, batch)
-        return list(zip(dec._greedy(params, config, cache, len(batch), dc),
-                        dec._beam(params, config, cache, len(batch), dc)))
+        return dec._search(params, config, cache, len(batch), dc)
 
     with ad.no_graph():
         for group in by_length.values():

@@ -226,6 +226,67 @@ class TestIncrementalDecoding:
         assert len({row.tobytes() for row in logits.value}) == 3
         np.testing.assert_array_equal(permuted.value, logits.value[rows])
 
+    def test_select_on_a_fresh_cache_repeats_memory_rows(self):
+        cfg, store = random_model(11, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        src = np.array([[dt.BOS, 5, 9, 4, dt.EOS],
+                        [dt.BOS, 7, 7, 6, dt.EOS]])
+        rows = [0, 1, 0, 1, 1]
+        with ad.no_graph():
+            cache = mm.encode_source(params, cfg, src)
+            selected = cache.select(rows)
+            tokens = np.array([dt.BOS, 5, 6, 7, 8])
+            logits, _ = mm.decoder_step(params, cfg, selected, tokens)
+            for b, row in enumerate(rows):
+                alone, _ = mm.decoder_step(params, cfg, cache.select([row]), tokens[b:b + 1])
+                np.testing.assert_array_equal(logits.value[b], alone.value[0])
+        assert selected.length == 0 and selected.prefix == [None] * cfg.n_dec_layers
+        for layer, moved in zip(cache.memory, selected.memory):
+            for (kt, v), (kt_moved, v_moved) in zip(layer, moved):
+                np.testing.assert_array_equal(kt_moved.value, kt.value[rows])
+                np.testing.assert_array_equal(v_moved.value, v.value[rows])
+
+    @pytest.mark.parametrize("seed, src, greedy_steps", [
+        (7, [dt.BOS, 7, 7, 6, dt.EOS], 9),  # the greedy row runs to the length cap
+        (13, [dt.BOS, 11, 4, 8, dt.EOS], 1),  # the greedy row ends at the first step
+    ])
+    def test_beam_search_takes_one_decoder_step_per_position(self, seed, src, greedy_steps,
+                                                             monkeypatch):
+        cfg, store = random_model(seed, n_dec_layers=2)
+        calls = [0]
+        real_step = mm.decoder_step
+
+        def counted_step(*args):
+            calls[0] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(mm, "decoder_step", counted_step)
+        counts = {}
+        for dc in (dec.DecodeConfig(strategy="greedy", max_decode_len=10),
+                   dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10)):
+            calls[0] = 0
+            dec.decode(store, cfg, np.array(src), dc)
+            counts[dc.strategy] = calls[0]
+        # No beam empties before the cap, so the beam sets the step count.
+        assert counts == {"greedy": greedy_steps, "beam": 9}
+
+    def test_greedy_rows_of_a_beam_search_equal_a_greedy_search(self):
+        cfg, store = random_model(13, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        src = np.array([[dt.BOS, 5, 9, 4, dt.EOS],
+                        [dt.BOS, 7, 7, 6, dt.EOS],
+                        [dt.BOS, 11, 4, 8, dt.EOS]])
+        with ad.no_graph():
+            cache = mm.encode_source(params, cfg, src)
+            greedy = dec._search(params, cfg, cache, 3,
+                                 dec.DecodeConfig(strategy="greedy", max_decode_len=10))
+            beam = dec._search(params, cfg, cache, 3,
+                               dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10))
+        assert sorted({len(ids) for (ids, _), _ in greedy}) == [2, 3]  # rows leave mid-search
+        assert [hyp for hyp, _ in beam] == [hyp for hyp, _ in greedy]
+        assert [pool for _, pool in greedy] == [[]] * 3
+        assert all(len(pool) >= 3 for _, pool in beam)
+
     @pytest.mark.parametrize("op, after, where", [
         ("gelu", 3, "at decoder step 3"),
         ("softmax_lastdim", 0, "in encode_source"),

@@ -423,6 +423,24 @@ class TestFinetuneStage:
                                    allow_pretrained=True)
         assert result.checkpoint.stage == "finetuned"
 
+    def test_maml_on_one_pair_is_a_named_error_before_training(self, world, pretrained,
+                                                                monkeypatch):
+        vocab, corpora, _ = world
+        pair = corpora[sorted(corpora)[1]][0]
+        target = dt.CorpusSet(role="tgt", domains={"tgt": dt.SplitPairs(train=[pair])})
+        stop = mt.StopCriteria(max_steps=1)
+        real_meta_train = mt.meta_train
+        monkeypatch.setattr(mt, "meta_train", lambda *a, **k: pytest.fail("training ran"))
+        with pytest.raises(dt.TaskSizeError, match=r"finetune_stage: .* 1 train pair.*"
+                                                   r"mode='plain' or shared_support_query=True"):
+            pl.finetune_stage(pretrained.checkpoint, target, mt.TrainHyper(), stop, seed=0,
+                              allow_pretrained=True)
+        monkeypatch.setattr(mt, "meta_train", real_meta_train)
+        shared = mt.TrainHyper(inner_steps=1, meta_batch_tasks=1, shared_support_query=True)
+        result = pl.finetune_stage(pretrained.checkpoint, target, shared, stop, seed=0,
+                                   allow_pretrained=True)
+        assert len(result.history) == 1
+
     def test_theta_frozen_end_to_end(self, world, pretrained):
         vocab, corpora, _ = world
         meta_result = self.make_meta(world, pretrained, steps=3)
