@@ -868,26 +868,15 @@ class Graph:
         self.nodes = _topo_order(tuple(outputs))
 
 
-def _normalize_wrt(wrt) -> dict[str, Node]:
-    if isinstance(wrt, Mapping):
-        return dict(wrt)
-    out = {}
-    for n in wrt:
-        if not isinstance(n, Node) or n.name is None:
-            raise ValueError("wrt must be named leaves or a name->leaf mapping")
-        out[n.name] = n
-    return out
-
-
-def backward(output: Node, wrt) -> dict[str, Node]:
+def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     """Reverse-mode gradients of a scalar output for the requested nodes.
 
-    ``wrt`` is a mapping name -> Node (or an iterable of named leaves);
-    passing the node objects lets unreachable entries still get exact-zero
-    gradients of the right shape. Entries need not be leaves: asking for the
-    gradient at an interior node (say, an updated parameter expression)
-    returns the adjoint there, still expressed as differentiable nodes, which
-    is what differentiating through a parameter-update step relies on.
+    ``wrt`` is a mapping name -> Node; passing the node objects lets
+    unreachable entries still get exact-zero gradients of the right shape.
+    Entries need not be leaves: asking for the gradient at an interior node
+    (say, an updated parameter expression) returns the adjoint there, still
+    expressed as differentiable nodes, which is what differentiating through
+    a parameter-update step relies on.
 
     Inside ``no_graph()`` the returned gradients link no inputs (a value-only
     pass). Either way each interior adjoint is released once its VJP has run;
@@ -902,7 +891,7 @@ def backward(output: Node, wrt) -> dict[str, Node]:
         check_finite(output.value, "the output of backward")
     except NonFiniteError:
         _raise_at_first_non_finite(output)
-    leaves = _normalize_wrt(wrt)
+    leaves = dict(wrt)
 
     # A node created before every requested node lies on no path from one.
     floor = min((n.serial for n in leaves.values()), default=0)
@@ -968,7 +957,7 @@ def _raise_at_first_non_finite(output: Node) -> None:
             check_finite(n.value, f"leaf {n.name!r}" if n.name else "a constant")
 
 
-def gradient_values(output: Node, wrt) -> dict[str, np.ndarray]:
+def gradient_values(output: Node, wrt: Mapping[str, Node]) -> dict[str, np.ndarray]:
     """Gradient values of ``backward(output, wrt)`` from a value-only pass."""
     with no_graph():
         grads = backward(output, wrt)

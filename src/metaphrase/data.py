@@ -143,10 +143,10 @@ def load_sentences(path, vocab: Vocab) -> list[np.ndarray]:
     return out
 
 
-def pad_batch(seqs: Sequence[np.ndarray], pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
+def pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stack variable-length id sequences into (ids, valid_mask)."""
     width = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), width), pad_id, dtype=np.int64)
+    ids = np.full((len(seqs), width), PAD, dtype=np.int64)
     mask = np.zeros((len(seqs), width), dtype=bool)
     for i, s in enumerate(seqs):
         ids[i, : len(s)] = s
@@ -154,8 +154,7 @@ def pad_batch(seqs: Sequence[np.ndarray], pad_id: int = PAD) -> tuple[np.ndarray
     return ids, mask
 
 
-def pad_tasks(tasks: Sequence[Sequence[np.ndarray]],
-              pad_id: int = PAD) -> tuple[np.ndarray, np.ndarray]:
+def pad_tasks(tasks: Sequence[Sequence[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Stack per-task id sequences into (n_tasks, batch, width) ids and valid mask.
 
     Every task is padded to the widest sequence of any task. The tasks must
@@ -165,7 +164,7 @@ def pad_tasks(tasks: Sequence[Sequence[np.ndarray]],
     sizes = [len(task) for task in tasks]
     if len(set(sizes)) != 1:
         raise TaskSizeError(f"tasks of a meta-batch must hold equal numbers of pairs, got {sizes}")
-    ids, mask = pad_batch([s for task in tasks for s in task], pad_id)
+    ids, mask = pad_batch([s for task in tasks for s in task])
     shape = (len(tasks), sizes[0], ids.shape[-1])
     return ids.reshape(shape), mask.reshape(shape)
 
@@ -371,7 +370,11 @@ class MetaTask:
 
 
 def sample_meta_task(corpus: CorpusSet, hyper, rng: np.random.Generator) -> MetaTask:
-    """Draw one task: a batch from a single domain, split support/query."""
+    """Draw one task: a batch from a single domain, split support/query.
+
+    The support set takes half the batch, rounded half to even, and each
+    side keeps at least one pair.
+    """
     labels = sorted(corpus.domains)
     domain = labels[rng.integers(len(labels))] if len(labels) > 1 else labels[0]
     train = corpus.domains[domain].train
@@ -381,10 +384,7 @@ def sample_meta_task(corpus: CorpusSet, hyper, rng: np.random.Generator) -> Meta
         )
     picked = rng.choice(len(train), size=hyper.task_batch_size, replace=False)
     batch = [train[int(i)] for i in picked]
-    if hyper.shared_support_query:
-        return MetaTask(support=batch, query=list(batch), domain=domain)
     if len(batch) < 2:
         raise TaskSizeError("task_batch_size must be >= 2 to split support from query")
-    n_support = max(1, int(round(len(batch) * hyper.support_fraction)))
-    n_support = min(n_support, len(batch) - 1)
+    n_support = min(max(1, round(len(batch) / 2)), len(batch) - 1)
     return MetaTask(support=batch[:n_support], query=batch[n_support:], domain=domain)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -67,8 +67,6 @@ class TrainHyper:
     order_mode: str = "second"
     outer_optimizer: str = "adamw"
     clip_norm: float = 1.0
-    support_fraction: float = 0.5
-    shared_support_query: bool = False
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
@@ -288,12 +286,6 @@ class HistoryRow:
     wall_time: float
 
 
-@dataclass
-class MetaTrainResult:
-    best_val_loss: float | None
-    history: list[HistoryRow] = field(default_factory=list)
-
-
 class DivergenceError(RuntimeError):
     """Validation loss became non-finite during training."""
 
@@ -303,8 +295,8 @@ StepFn = Callable[[], tuple[dict[str, np.ndarray], float, float]]
 
 def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
                stop: StopCriteria, validate: Callable[[], float] | None = None
-               ) -> MetaTrainResult:
-    """Run ``stop.max_steps`` updates of ``names``, tracking validation loss.
+               ) -> list[HistoryRow]:
+    """Run ``stop.max_steps`` updates of ``names``; returns one row per step.
 
     ``step_fn()`` returns ``(grads, support_loss, query_loss)`` for one step;
     the outer optimizer (learning rate ``hyper.beta``) applies the clipped
@@ -347,13 +339,13 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     if best is not None:
         for n in names:
             params.set(n, best[n])
-    return MetaTrainResult(best_val_loss=best_val, history=history)
+    return history
 
 
 def meta_train(params, phi_names: Sequence[str], task_sampler, hyper: TrainHyper,
                stop: StopCriteria, loss_fn: LossFn,
-               validation_sampler=None) -> MetaTrainResult:
-    """``train_loop`` over sampled meta-batches.
+               validation_sampler=None) -> list[HistoryRow]:
+    """``train_loop`` over sampled meta-batches; returns its history rows.
 
     ``task_sampler(n)`` returns a list of n tasks; ``validation_sampler()``
     returns a fixed list of held-out tasks, scored by ``evaluate_adaptation``.

@@ -342,7 +342,7 @@ def _split_heads(config, k, v):
     ]
 
 
-def _attend(p, prefix, config, queries, kv, mask, trace):
+def _attend(p, prefix, config, queries, kv, mask):
     """Multi-head attention of the queries over per-head (K, V)."""
     q = _linear(p, f"{prefix}.wq", queries)
     dh = config.d_head
@@ -352,10 +352,7 @@ def _attend(p, prefix, config, queries, kv, mask, trace):
         scores = ad.scale(ad.matmul(qh, kh, trans_b=True), 1.0 / np.sqrt(dh))
         if mask is not None:
             scores = ad.mask_fill(scores, mask, NEG_FILL)
-        probs = ad.softmax_lastdim(scores)
-        if trace is not None:
-            trace.setdefault("attention", []).append(probs)
-        heads.append(ad.matmul(probs, vh))
+        heads.append(ad.matmul(ad.softmax_lastdim(scores), vh))
     merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
     return _linear(p, f"{prefix}.wo", merged)
 
@@ -372,7 +369,7 @@ def _embed(p, table_name, ids, pos_name, config, start=0):
     return ad.add(tok, pos)
 
 
-def _encode(p, config, src, src_mask, trace):
+def _encode(p, config, src, src_mask):
     x = _embed(p, "tok_embed", src, "pos_enc", config)
     key_mask = None
     if src_mask is not None and not src_mask.all():
@@ -381,7 +378,7 @@ def _encode(p, config, src, src_mask, trace):
         prefix = f"enc.{i}"
         h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
         kv = _split_heads(config, *_project_kv(p, f"{prefix}.attn", h))
-        attn = _attend(p, f"{prefix}.attn", config, h, kv, key_mask, trace)
+        attn = _attend(p, f"{prefix}.attn", config, h, kv, key_mask)
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
         h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
         ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
@@ -389,7 +386,7 @@ def _encode(p, config, src, src_mask, trace):
     return _norm(p, "enc.final_ln", x, config.ln_eps)
 
 
-def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask, trace):
+def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
     """One pre-norm decoder layer; returns (output, self-attention (K, V)).
 
     ``past_kv`` is the full-width self-attention (K, V) of earlier positions
@@ -403,10 +400,10 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask, t
     if past_kv is not None:
         k = ad.concat([past_kv[0], k], axis=-2)
         v = ad.concat([past_kv[1], v], axis=-2)
-    attn = _attend(p, f"{prefix}.self", config, h, _split_heads(config, k, v), self_mask, trace)
+    attn = _attend(p, f"{prefix}.self", config, h, _split_heads(config, k, v), self_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
     h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
-    cross = _attend(p, f"{prefix}.cross", config, h, memory_kv, cross_mask, trace)
+    cross = _attend(p, f"{prefix}.cross", config, h, memory_kv, cross_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_cross", cross))
     h = _norm(p, f"{prefix}.ln3", x, config.ln_eps)
     ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
@@ -421,7 +418,7 @@ def _output_logits(p, config, x):
     return ad.matmul(x, p["out_proj"])
 
 
-def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask=None, trace=None) -> Node:
+def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask=None) -> Node:
     """Teacher-forced decoder logits, shape (..., batch, prefix_len, vocab).
 
     ``src``/``tgt`` are int arrays (batch, len), or (n_tasks, batch, len) for
@@ -437,7 +434,7 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
             f"got {src.shape} and {tgt.shape}"
         )
 
-    memory = _encode(p, config, src, src_mask, trace)
+    memory = _encode(p, config, src, src_mask)
     x = _embed(p, "tok_embed", tgt, "pos_dec", config)
 
     t = tgt.shape[-1]
@@ -451,7 +448,7 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
 
     for i in range(config.n_dec_layers):
         memory_kv = _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
-        x, _ = _decoder_layer(p, config, i, x, None, memory_kv, self_mask, cross_mask, trace)
+        x, _ = _decoder_layer(p, config, i, x, None, memory_kv, self_mask, cross_mask)
     return _output_logits(p, config, x)
 
 
@@ -502,7 +499,7 @@ def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
     """
     p = as_nodes(params)
     src = np.asarray(src_tokens, dtype=np.int64)
-    memory = _encode(p, config, src, None, None)
+    memory = _encode(p, config, src, None)
     kv = [
         _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
         for i in range(config.n_dec_layers)
@@ -523,7 +520,7 @@ def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[N
                config, start=cache.length)
     prefix = []
     for i in range(config.n_dec_layers):
-        x, kv = _decoder_layer(p, config, i, x, cache.prefix[i], cache.memory[i], None, None, None)
+        x, kv = _decoder_layer(p, config, i, x, cache.prefix[i], cache.memory[i], None, None)
         prefix.append(kv)
     return _output_logits(p, config, x), KVCache(cache.memory, prefix, cache.length + 1)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import math
 import os
 import struct
 import tempfile
@@ -65,8 +66,6 @@ def derive_seed(seed: int, name: str) -> int:
 class NoiseConfig:
     mask_prob: float = 0.3
     delete_prob: float = 0.1
-    mask_id: int = dt.MASK
-    seed: int = 0
 
     def __post_init__(self):
         for p in (self.mask_prob, self.delete_prob):
@@ -74,18 +73,15 @@ class NoiseConfig:
                 raise ValueError(f"corruption probabilities must be in [0, 1], got {p}")
 
 
-def corrupt(tokens, noise: NoiseConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def corrupt(tokens, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """Mask then delete non-marker tokens, independently per position.
 
-    Without an explicit rng the pattern is a pure function of (tokens, noise).
+    Masked tokens become ``data.MASK``. The pattern is a pure function of
+    (tokens, noise, rng state).
     """
-    if rng is None:
-        rng = np.random.default_rng(noise.seed)
     tokens = np.asarray(tokens, dtype=np.int64)
     marker = (tokens == dt.BOS) | (tokens == dt.EOS)
-    masked = np.where(
-        ~marker & (rng.random(tokens.shape) < noise.mask_prob), noise.mask_id, tokens
-    )
+    masked = np.where(~marker & (rng.random(tokens.shape) < noise.mask_prob), dt.MASK, tokens)
     keep = marker | (rng.random(tokens.shape) >= noise.delete_prob)
     return masked[keep]
 
@@ -111,6 +107,11 @@ class Checkpoint:
         if len(self.provenance) not in wanted[self.stage]:
             raise ValueError(
                 f"stage {self.stage!r} cannot have {len(self.provenance)} parents"
+            )
+        if self.vocab is not None and len(self.vocab) != self.config.vocab_size:
+            raise ValueError(
+                f"embedded vocab has {len(self.vocab)} tokens, "
+                f"model vocab_size is {self.config.vocab_size}"
             )
 
     def content_hash(self) -> str:
@@ -221,10 +222,10 @@ def _on_float32_grid(store: mm.ParamStore) -> mm.ParamStore:
 
 
 def _read_exact(buf: io.BytesIO, n: int, what: str) -> bytes:
-    blob = buf.read(n)
-    if len(blob) != n:
+    # Bounded before reading: buf.read raises OverflowError for n past the index range.
+    if n > len(buf.getbuffer()) - buf.tell():
         raise CheckpointError(f"corrupt checkpoint: truncated while reading {what}")
-    return blob
+    return buf.read(n)
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
@@ -266,9 +267,9 @@ def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
             struct.unpack("<Q", _read_exact(buf, 8, f"{name} extent"))[0]
             for _ in range(rank)
         )
-        count = int(np.prod(shape)) if shape else 1
-        payload = _read_exact(buf, 4 * count, f"{name} payload")
-        values = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
+        payload = _read_exact(buf, 4 * math.prod(shape), f"{name} payload")
+        with np.errstate(invalid="ignore"):  # a signalling NaN is rejected just below
+            values = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
         if not np.isfinite(values).all():
             raise CheckpointError(f"corrupt checkpoint: non-finite values in {name!r}")
         store.add(name, values, _PARTITION_NAME[part_code])
@@ -376,7 +377,7 @@ def _train_on_pairs(store, names, loss_fn, sample_batch, hyper, stop,
         def validate():
             return float(loss_fn(store.leaves(), validation).value)
 
-    return mt.train_loop(store, names, step_fn, hyper, stop, validate).history
+    return mt.train_loop(store, names, step_fn, hyper, stop, validate)
 
 
 def _train_adapters(store, config, corpus, hyper, stop, mode, rng,
@@ -398,7 +399,7 @@ def _train_adapters(store, config, corpus, hyper, stop, mode, rng,
         sampler = lambda n: [dt.sample_meta_task(corpus, hyper, rng) for _ in range(n)]
         validation_sampler = (lambda: validation) if validation else None
         return mt.meta_train(store, phi_names, sampler, hyper, stop, loss_fn,
-                             validation_sampler=validation_sampler).history
+                             validation_sampler=validation_sampler)
 
     def sample_batch():
         size = min(hyper.task_batch_size, len(train_pairs))
@@ -527,12 +528,11 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
     ``mode='maml'`` meta-trains over target-sampled tasks, validating on one
     task split from the valid pairs, then takes a deployment step: the
     inner adaptation on the whole target train set. A task splits its pairs
-    into support and query, so ``maml`` needs at least 2 train pairs unless
-    ``hyper.shared_support_query`` is set; a one-pair target raises
-    ``data.TaskSizeError`` before any training. ``mode='plain'`` minimizes
-    NLL on any number of pairs, validating on the valid pairs. An empty
-    target train set is the unsupervised configuration: phi passes through
-    unchanged.
+    into support and query, so ``maml`` needs at least 2 train pairs; a
+    one-pair target raises ``data.TaskSizeError`` before any training.
+    ``mode='plain'`` minimizes NLL on any number of pairs, validating on the
+    valid pairs. An empty target train set is the unsupervised
+    configuration: phi passes through unchanged.
     ``allow_pretrained`` admits a stage-(a) checkpoint for the backbone-only
     ablation; adapters are inserted at identity then.
     """
@@ -556,10 +556,10 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
     splits = target.domains[label]
     history: list[mt.HistoryRow] = []
 
-    if mode == "maml" and len(splits.train) == 1 and not hyper.shared_support_query:
+    if mode == "maml" and len(splits.train) == 1:
         raise dt.TaskSizeError(
             f"finetune_stage: the target {label!r} has 1 train pair, but a MAML task needs 2 "
-            "to split support from query; use mode='plain' or shared_support_query=True")
+            "to split support from query; use mode='plain'")
     if splits.train:
         rng = np.random.default_rng(derive_seed(seed, "finetune"))
         if hyper.task_batch_size > len(splits.train):

@@ -171,11 +171,14 @@ class TestSampling:
         }
         return dt.CorpusSet(role="src", domains=domains)
 
-    def test_split_sizes(self):
+    # Half the batch, rounded half to even, with at least one pair on each side.
+    @pytest.mark.parametrize("size, n_support, n_query",
+                             [(2, 1, 1), (3, 2, 1), (4, 2, 2), (5, 2, 3), (7, 4, 3), (10, 5, 5)])
+    def test_split_sizes(self, size, n_support, n_query):
         corpus = self.make_corpus()
-        hyper = TrainHyper(task_batch_size=10, support_fraction=0.5)
+        hyper = TrainHyper(task_batch_size=size)
         task = dt.sample_meta_task(corpus, hyper, np.random.default_rng(0))
-        assert len(task.support) == 5 and len(task.query) == 5
+        assert len(task.support) == n_support and len(task.query) == n_query
 
     def test_deterministic_under_rng(self):
         corpus = self.make_corpus()
@@ -215,13 +218,6 @@ class TestSampling:
         corpus = self.make_corpus()
         with pytest.raises(dt.TaskSizeError, match="split support from query"):
             dt.sample_meta_task(corpus, TrainHyper(task_batch_size=1), np.random.default_rng(0))
-
-    def test_shared_support_query_flag(self):
-        corpus = self.make_corpus()
-        hyper = TrainHyper(task_batch_size=8, shared_support_query=True)
-        task = dt.sample_meta_task(corpus, hyper, np.random.default_rng(0))
-        assert len(task.support) == len(task.query) == 8
-        assert all(a is b for a, b in zip(task.support, task.query))
 
 
 class TestSplitsAndPadding:

@@ -425,9 +425,9 @@ class TestMetaTrain:
     def test_zero_steps_is_noop(self):
         store = make_store(phi=([1.0, 2.0], "adapter"))
         before = store["phi"].copy()
-        result = mt.meta_train(store, ["phi"], lambda n: [], hyper(),
-                               mt.StopCriteria(max_steps=0), quadratic_loss)
-        assert result.history == []
+        history = mt.meta_train(store, ["phi"], lambda n: [], hyper(),
+                                mt.StopCriteria(max_steps=0), quadratic_loss)
+        assert history == []
         assert np.array_equal(store["phi"], before)
 
     def test_one_step_applies_the_outer_gradient(self):
@@ -435,9 +435,9 @@ class TestMetaTrain:
         store = make_store(phi=([1.5], "adapter"))
         grads, metrics = mt.outer_gradient(store, ["phi"], [task], hyper(), quadratic_loss)
         expected = store["phi"] - hyper().beta * grads["phi"]
-        result = train_on(store, [task], hyper())
+        history = train_on(store, [task], hyper())
         assert np.array_equal(store["phi"], expected)
-        assert result.history[0].query_loss == metrics["query_loss"]
+        assert history[0].query_loss == metrics["query_loss"]
 
     def test_adaptation_improves_on_task_family(self):
         # Tasks share structure: centers cluster near 3.0; adapting from a
@@ -455,13 +455,12 @@ class TestMetaTrain:
         store = make_store(phi=([0.0], "adapter"))
         hy = hyper(alpha=0.1, beta=0.2, meta_batch_tasks=3)
         before = mt.evaluate_adaptation(store, ["phi"], val_tasks, hy, quadratic_loss)
-        result = mt.meta_train(store, ["phi"], sampler, hy,
-                               mt.StopCriteria(max_steps=60, eval_every=10),
-                               quadratic_loss, validation_sampler=lambda: val_tasks)
+        history = mt.meta_train(store, ["phi"], sampler, hy,
+                                mt.StopCriteria(max_steps=60, eval_every=10),
+                                quadratic_loss, validation_sampler=lambda: val_tasks)
         after = mt.evaluate_adaptation(store, ["phi"], val_tasks, hy, quadratic_loss)
         assert after < before
-        assert result.best_val_loss is not None
-        assert len(result.history) == 60
+        assert len(history) == 60
 
     def test_history_csv_roundtrip(self, tmp_path):
         rows = [
@@ -498,25 +497,24 @@ class TestTrainLoop:
                 by_step[steps[-1]] = val_losses[len(by_step)]
             return by_step[steps[-1]]
 
-        result = mt.train_loop(
+        history = mt.train_loop(
             store, ["phi"], step_fn, hyper(beta=1.0),
             mt.StopCriteria(max_steps=len(val_losses), eval_every=eval_every),
             validate=validate,
         )
-        return store, result
+        return store, history
 
     def test_best_validation_parameters_restored(self):
-        store, result = self.run([3.0, 1.0, 2.0])
+        store, history = self.run([3.0, 1.0, 2.0])
         assert store["phi"][0] == 2.0  # after the second of three SGD steps
         assert store["theta"][0] == 5.0
-        assert result.best_val_loss == 1.0
         assert [(r.step, r.support_loss, r.query_loss, r.val_loss, r.grad_norm)
-                for r in result.history] == [(1, 0.5, 0.25, 3.0, 1.0), (2, 0.5, 0.25, 1.0, 1.0),
+                for r in history] == [(1, 0.5, 0.25, 3.0, 1.0), (2, 0.5, 0.25, 1.0, 1.0),
                                              (3, 0.5, 0.25, 2.0, 1.0)]
 
     def test_validates_every_eval_every_steps_and_at_the_last(self):
-        _, result = self.run([3.0, 2.0, 1.0, 0.5, 0.25], eval_every=2)
-        assert [r.val_loss for r in result.history] == [None, 3.0, None, 2.0, 1.0]
+        _, history = self.run([3.0, 2.0, 1.0, 0.5, 0.25], eval_every=2)
+        assert [r.val_loss for r in history] == [None, 3.0, None, 2.0, 1.0]
 
     def test_non_finite_validation_raises(self):
         with pytest.raises(mt.DivergenceError, match="step 2"):

@@ -171,10 +171,10 @@ def reference_forward(store, cfg, src, tgt):
     return x @ store["tok_embed"].T
 
 
-def logits_one(store, cfg, src, tgt, trace=None):
+def logits_one(store, cfg, src, tgt):
     """Decoder logits (prefix_len, vocab) of one source and prefix, from ``forward_batch``."""
     src, tgt = np.asarray(src)[None], np.asarray(tgt)[None]
-    return mm.forward_batch(store, cfg, src, tgt, trace=trace).value[0]
+    return mm.forward_batch(store, cfg, src, tgt).value[0]
 
 
 def nll_one(logits, targets):
@@ -251,10 +251,12 @@ class TestForward:
     def test_attention_rows_sum_to_one(self):
         cfg = toy_config(n_enc_layers=2, n_dec_layers=2)
         store = mm.build_model(cfg, seed=1)
-        trace = {}
-        logits_one(store, cfg, [1, 2, 3, 4], [0, 5, 6], trace=trace)
-        assert trace["attention"]
-        for probs in trace["attention"]:
+        src, tgt = np.array([[1, 2, 3, 4]]), np.array([[0, 5, 6]])
+        logits = mm.forward_batch(store, cfg, src, tgt)
+        rows = [n for n in ad.Graph(logits).nodes if n.op == "softmax_lastdim"]
+        # one per head in each encoder self-, decoder self- and decoder cross-attention
+        assert len(rows) == cfg.n_heads * (cfg.n_enc_layers + 2 * cfg.n_dec_layers)
+        for probs in rows:
             sums = probs.value.sum(axis=-1)
             np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-9)
 

@@ -52,28 +52,28 @@ def tiny_world(n_pairs=24, n_domains=2, seed=0):
 class TestCorrupt:
     def test_noop(self):
         tokens = np.array([dt.BOS, 7, 8, 9, dt.EOS])
-        noise = pl.NoiseConfig(mask_prob=0.0, delete_prob=0.0, seed=1)
-        assert np.array_equal(pl.corrupt(tokens, noise), tokens)
+        noise = pl.NoiseConfig(mask_prob=0.0, delete_prob=0.0)
+        assert np.array_equal(pl.corrupt(tokens, noise, np.random.default_rng(1)), tokens)
 
     def test_saturated_masking(self):
         tokens = np.array([dt.BOS, 7, 8, 9, dt.EOS])
-        noise = pl.NoiseConfig(mask_prob=1.0, delete_prob=0.0, seed=1)
-        out = pl.corrupt(tokens, noise)
+        noise = pl.NoiseConfig(mask_prob=1.0, delete_prob=0.0)
+        out = pl.corrupt(tokens, noise, np.random.default_rng(1))
         assert list(out) == [dt.BOS, dt.MASK, dt.MASK, dt.MASK, dt.EOS]
 
     def test_markers_never_deleted(self):
         tokens = np.array([dt.BOS, 7, 8, 9, dt.EOS])
-        noise = pl.NoiseConfig(mask_prob=0.0, delete_prob=1.0, seed=1)
-        out = pl.corrupt(tokens, noise)
+        noise = pl.NoiseConfig(mask_prob=0.0, delete_prob=1.0)
+        out = pl.corrupt(tokens, noise, np.random.default_rng(1))
         assert list(out) == [dt.BOS, dt.EOS]
 
     def test_golden_pattern(self):
         # Frozen once from the pinned generator (PCG64 via default_rng(7)).
         tokens = np.arange(5, 15)
         tokens[0], tokens[-1] = dt.BOS, dt.EOS
-        noise = pl.NoiseConfig(mask_prob=0.3, delete_prob=0.2, seed=7)
-        out = pl.corrupt(tokens, noise)
-        assert list(out) == list(pl.corrupt(tokens, noise))  # deterministic
+        noise = pl.NoiseConfig(mask_prob=0.3, delete_prob=0.2)
+        out = pl.corrupt(tokens, noise, np.random.default_rng(7))
+        assert list(out) == list(pl.corrupt(tokens, noise, np.random.default_rng(7)))  # deterministic
         assert list(out) == [0, 6, 7, 3, 9, 10, 3, 12, 13, 1]
 
     def test_probability_validation(self):
@@ -121,7 +121,11 @@ class TestCheckpointFormat:
         with pytest.raises(pl.CheckpointError, match="'enc.0.ffn.w1.w'"):
             pl.checkpoint_bytes(ckpt)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [
+        np.float32(np.inf).tobytes(),
+        np.float32(np.nan).tobytes(),
+        (0x7f800001).to_bytes(4, "little"),  # its float64 cast warns "invalid value"
+    ], ids=["inf", "nan", "signalling_nan"])
     def test_non_finite_payload_rejected(self, bad):
         ckpt = self.make_ckpt()
         values = ckpt.store["dec.0.ln2.gain"].copy()
@@ -130,8 +134,20 @@ class TestCheckpointFormat:
         blob = pl.checkpoint_bytes(ckpt)
         marker = np.float32(12345.0).tobytes()
         assert blob.count(marker) == 1
-        patched = blob.replace(marker, np.float32(bad).tobytes())
+        patched = blob.replace(marker, bad)
         with pytest.raises(pl.CheckpointError, match="'dec.0.ln2.gain'"):
+            pl.checkpoint_from_bytes(patched)
+
+    @pytest.mark.parametrize("extents", [(2**63, 8), (2**62, 2), (2**40, 2**40)],
+                             ids=["overflow", "overflow_x4", "wraps_int64_to_0"])
+    def test_huge_extents_rejected_before_reading(self, extents):
+        blob = pl.checkpoint_bytes(self.make_ckpt())
+        name = b"enc.0.ffn.w1.w"
+        assert blob.count(name) == 1
+        at = blob.index(name) + len(name) + 2  # past the partition tag and the rank
+        assert blob[at - 1] == 2
+        patched = blob[:at] + b"".join(e.to_bytes(8, "little") for e in extents) + blob[at + 16:]
+        with pytest.raises(pl.CheckpointError, match="truncated while reading enc.0.ffn.w1.w"):
             pl.checkpoint_from_bytes(patched)
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -191,9 +207,17 @@ class TestCheckpointFormat:
 
     def test_vocab_embedded(self, tmp_path):
         vocab = dt.Vocab(["alpha", "beta"])
-        ckpt = self.make_ckpt(vocab=vocab)
+        ckpt = self.make_ckpt(vocab=vocab, vocab_size=len(vocab))
         loaded = pl.checkpoint_from_bytes(pl.checkpoint_bytes(ckpt))
         assert loaded.vocab.tokens() == vocab.tokens()
+
+    def test_vocab_size_mismatch_rejected(self):
+        vocab = dt.Vocab(["alpha", "beta"])
+        with pytest.raises(ValueError, match="embedded vocab has 7 tokens, model vocab_size is 40"):
+            self.make_ckpt(vocab=vocab)
+        blob = pl.checkpoint_bytes(self.make_ckpt(vocab=vocab, vocab_size=len(vocab)))
+        with pytest.raises(pl.CheckpointError, match="embedded vocab has 8 tokens"):
+            pl.checkpoint_from_bytes(with_config_text(blob, b" beta\n", b" beta gamma\n"))
 
     def test_partition_tags_survive(self):
         config = tiny_config()
@@ -429,17 +453,11 @@ class TestFinetuneStage:
         pair = corpora[sorted(corpora)[1]][0]
         target = dt.CorpusSet(role="tgt", domains={"tgt": dt.SplitPairs(train=[pair])})
         stop = mt.StopCriteria(max_steps=1)
-        real_meta_train = mt.meta_train
         monkeypatch.setattr(mt, "meta_train", lambda *a, **k: pytest.fail("training ran"))
-        with pytest.raises(dt.TaskSizeError, match=r"finetune_stage: .* 1 train pair.*"
-                                                   r"mode='plain' or shared_support_query=True"):
+        with pytest.raises(dt.TaskSizeError,
+                           match=r"finetune_stage: .* 1 train pair.*use mode='plain'$"):
             pl.finetune_stage(pretrained.checkpoint, target, mt.TrainHyper(), stop, seed=0,
                               allow_pretrained=True)
-        monkeypatch.setattr(mt, "meta_train", real_meta_train)
-        shared = mt.TrainHyper(inner_steps=1, meta_batch_tasks=1, shared_support_query=True)
-        result = pl.finetune_stage(pretrained.checkpoint, target, shared, stop, seed=0,
-                                   allow_pretrained=True)
-        assert len(result.history) == 1
 
     def test_theta_frozen_end_to_end(self, world, pretrained):
         vocab, corpora, _ = world
