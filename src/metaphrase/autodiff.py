@@ -63,6 +63,20 @@ compute the same gradient values bit for bit, but build no gradient graph.
 training step except the inner loop of second-order MAML, whose gradients
 the outer pass differentiates). ``backward`` drops each interior adjoint as
 soon as its VJP has run, so a value-only pass holds only its frontier.
+
+A recording ``backward`` keeps a node's value only while a VJP can read it.
+Each op declares which values its VJP reads: some of its inputs (``mul``,
+``matmul``, ``relu``, ``layer_norm``, ...) or its own output
+(``softmax_lastdim``, ``_tanh``, ``_rsqrt``); every other VJP reads only
+shapes and attributes, which ``Node.shape`` keeps. At the end of the pass
+each interior node of the walked graph and of the gradient graph the pass
+built is released (``value = None``) unless a node of those two declares
+that it reads it. The output, the requested nodes and the returned
+gradients are kept. So second-order MAML holds for its outer pass only what
+that pass reads, and an op handed a released value raises
+``ReleasedValueError``. A value-only pass releases nothing. A non-finite
+output's walk skips released nodes, so it names the first non-finite node
+that is still held.
 """
 
 from __future__ import annotations
@@ -71,7 +85,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,6 +98,7 @@ __all__ = [
     "non_finite_context",
     "ShapeError",
     "NonFiniteError",
+    "ReleasedValueError",
     "leaf",
     "constant",
     "backward",
@@ -121,6 +136,10 @@ class NonFiniteError(ArithmeticError):
     """A primitive or gradient produced NaN/Inf from finite inputs."""
 
 
+class ReleasedValueError(RuntimeError):
+    """An op read the value of a node that a recording ``backward`` released."""
+
+
 def check_finite(value, context: str) -> None:
     """Raise ``NonFiniteError`` naming ``context`` unless every entry is finite.
 
@@ -152,25 +171,26 @@ class Node:
     parameters, unnamed leaves are constants. Interior nodes record the
     primitive id, input nodes and attributes so the graph can be
     differentiated. ``serial`` numbers nodes in creation order.
+
+    ``shape`` outlives ``value``: a recording ``backward`` sets ``value`` to
+    None on each interior node that no VJP can read (see ``backward``), and
+    an op that reads such a node raises ``ReleasedValueError``.
     """
 
-    __slots__ = ("op", "inputs", "attrs", "value", "name", "serial")
+    __slots__ = ("op", "inputs", "attrs", "value", "shape", "name", "serial")
 
     def __init__(self, op, inputs, attrs, value, name=None):
         self.op = op
         self.inputs = inputs
         self.attrs = attrs
         self.value = value
+        self.shape = value.shape
         self.name = name
         self.serial = next(_serials)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         tag = self.name if self.op is None else self.op
-        return f"Node({tag!r}, shape={self.value.shape})"
+        return f"Node({tag!r}, shape={self.shape})"
 
 
 def leaf(name: str, values) -> Node:
@@ -194,18 +214,36 @@ def _as_node(x) -> Node:
 # operator registry
 # ---------------------------------------------------------------------------
 
-# op_id -> (forward, vjp). forward(attrs, *input_values) -> ndarray.
-# A one-input op's vjp(node, upstream) returns a 1-tuple holding its input's
-# gradient Node. An op of several inputs takes vjp(node, upstream, needs),
-# ``needs[i]`` true when input i lies on a path from a requested node, and
-# returns one gradient Node per input; it may return None, and build
-# nothing, for an input that needs no gradient.
-_OPS: dict[str, tuple[Callable, Callable]] = {}
+class _Op(NamedTuple):
+    """A primitive: its forward, its VJP and the values that VJP reads.
+
+    ``fwd(attrs, *input_values)`` returns an ndarray. A one-input op's
+    ``vjp(node, upstream)`` returns a 1-tuple holding its input's gradient
+    Node. An op of several inputs takes ``vjp(node, upstream, needs)``,
+    ``needs[i]`` true when input i lies on a path from a requested node, and
+    returns one gradient Node per input; it may return None, and build
+    nothing, for an input that needs no gradient.
+
+    ``reads`` names the inputs whose values the VJP reads, and
+    ``reads_output`` whether it reads the node's own value. Every other
+    value the VJP touches is only a shape or an attribute, so a recording
+    ``backward`` may release it.
+    """
+
+    fwd: Callable
+    vjp: Callable
+    reads: tuple[int, ...] = ()
+    reads_output: bool = False
+
+
+_OPS: dict[str, _Op] = {}
 
 # False inside a no_graph() scope; True inside a checked() scope. Module
 # state, so not thread-safe; the package is single-threaded.
 _recording = True
 _checking = False
+# The recorded op nodes built while the innermost backward runs, else None.
+_built: list | None = None
 
 
 @contextmanager
@@ -247,17 +285,35 @@ def checked():
 
 
 def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node:
-    fwd, _ = _OPS[op_id]
-    if not _recording:
-        value = fwd(attrs, *[n.value for n in inputs])
-        if _checking:
-            check_finite(value, f"output of {op_id!r}")
-        return Node(op_id, (), attrs, value)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = fwd(attrs, *(n.value for n in inputs))
+    fwd = _OPS[op_id].fwd
+    try:
+        if not _recording:
+            value = fwd(attrs, *[n.value for n in inputs])
+        else:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = fwd(attrs, *(n.value for n in inputs))
+    except (AttributeError, TypeError, ValueError):
+        # A released (None) input fails the forward with one of these; only
+        # then is it looked for, so the happy path pays nothing.
+        for n in inputs:
+            _read(n, op_id)
+        raise
     if _checking:
         check_finite(value, f"output of {op_id!r}")
-    return Node(op_id, tuple(inputs), attrs, value)
+    if not _recording:
+        return Node(op_id, (), attrs, value)
+    node = Node(op_id, tuple(inputs), attrs, value)
+    if _built is not None:
+        _built.append(node)
+    return node
+
+
+def _read(node: Node, reader: str) -> np.ndarray:
+    """``node.value``, or ``ReleasedValueError`` naming ``reader`` and the node's op."""
+    if node.value is None:
+        raise ReleasedValueError(
+            f"{reader!r} read the value of a {node.op!r} node released by a recording backward")
+    return node.value
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +322,7 @@ def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node
 
 
 def _sum_to(node: Node, shape: tuple) -> Node:
-    if node.value.shape == tuple(shape):
+    if node.shape == tuple(shape):
         return node
     return _make("_sum_to", (node,), {"shape": tuple(shape)})
 
@@ -282,21 +338,24 @@ def _fwd_sum_to(attrs, x):
 
 
 def _vjp_sum_to(node, g):
-    return (_make("_broadcast_to", (g,), {"shape": node.inputs[0].value.shape}),)
+    return (_make("_broadcast_to", (g,), {"shape": node.inputs[0].shape}),)
 
 
-_OPS["_sum_to"] = (_fwd_sum_to, _vjp_sum_to)
+_OPS["_sum_to"] = _Op(_fwd_sum_to, _vjp_sum_to)
 
 
 def _fwd_broadcast_to(attrs, x):
-    return np.broadcast_to(x, attrs["shape"]).copy()
+    # x.dtype raises on a released (None) input; broadcasting None would not.
+    out = np.empty(attrs["shape"], dtype=x.dtype)
+    out[...] = x
+    return out
 
 
 def _vjp_broadcast_to(node, g):
-    return (_sum_to(g, node.inputs[0].value.shape),)
+    return (_sum_to(g, node.inputs[0].shape),)
 
 
-_OPS["_broadcast_to"] = (_fwd_broadcast_to, _vjp_broadcast_to)
+_OPS["_broadcast_to"] = _Op(_fwd_broadcast_to, _vjp_broadcast_to)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +369,11 @@ def _fwd_add(attrs, a, b):
 
 def _vjp_add(node, g, needs):
     a, b = node.inputs
-    return (_sum_to(g, a.value.shape) if needs[0] else None,
-            _sum_to(g, b.value.shape) if needs[1] else None)
+    return (_sum_to(g, a.shape) if needs[0] else None,
+            _sum_to(g, b.shape) if needs[1] else None)
 
 
-_OPS["add"] = (_fwd_add, _vjp_add)
+_OPS["add"] = _Op(_fwd_add, _vjp_add)
 
 
 def _fwd_mul(attrs, a, b):
@@ -323,11 +382,11 @@ def _fwd_mul(attrs, a, b):
 
 def _vjp_mul(node, g, needs):
     a, b = node.inputs
-    return (_sum_to(mul(g, b), a.value.shape) if needs[0] else None,
-            _sum_to(mul(g, a), b.value.shape) if needs[1] else None)
+    return (_sum_to(mul(g, b), a.shape) if needs[0] else None,
+            _sum_to(mul(g, a), b.shape) if needs[1] else None)
 
 
-_OPS["mul"] = (_fwd_mul, _vjp_mul)
+_OPS["mul"] = _Op(_fwd_mul, _vjp_mul, reads=(0, 1))
 
 
 def _fwd_scale(attrs, x):
@@ -338,7 +397,7 @@ def _vjp_scale(node, g):
     return (scale(g, node.attrs["c"]),)
 
 
-_OPS["scale"] = (_fwd_scale, _vjp_scale)
+_OPS["scale"] = _Op(_fwd_scale, _vjp_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +423,7 @@ def _vjp_matmul(node, g, needs):
     a, b = node.inputs
     ta, tb = node.attrs["trans_a"], node.attrs["trans_b"]
     ga = gb = None
-    if b.value.ndim == 2 and a.value.ndim > 2 and not ta:
+    if len(b.shape) == 2 and len(a.shape) > 2 and not ta:
         # Rows of x and g pair up across every leading axis.
         if needs[0]:
             ga = matmul(g, b, trans_b=not tb)
@@ -376,17 +435,17 @@ def _vjp_matmul(node, g, needs):
             ga = matmul(g, b, trans_b=not tb)
         else:
             ga = matmul(b, g, trans_a=tb, trans_b=True)
-        ga = _sum_to(ga, a.value.shape)
+        ga = _sum_to(ga, a.shape)
     if needs[1]:
         if not tb:
             gb = matmul(a, g, trans_a=not ta)
         else:
             gb = matmul(g, a, trans_a=True, trans_b=ta)
-        gb = _sum_to(gb, b.value.shape)
+        gb = _sum_to(gb, b.shape)
     return (ga, gb)
 
 
-_OPS["matmul"] = (_fwd_matmul, _vjp_matmul)
+_OPS["matmul"] = _Op(_fwd_matmul, _vjp_matmul, reads=(0, 1))
 
 
 def _fwd_flat_matmul(attrs, a, b):
@@ -402,7 +461,7 @@ def _vjp_flat_matmul(node, g, needs):
             matmul(a, g) if needs[1] else None)
 
 
-_OPS["_flat_matmul"] = (_fwd_flat_matmul, _vjp_flat_matmul)
+_OPS["_flat_matmul"] = _Op(_fwd_flat_matmul, _vjp_flat_matmul, reads=(0, 1))
 
 
 def _fwd_transpose_last2(attrs, x):
@@ -415,7 +474,7 @@ def _vjp_transpose_last2(node, g):
     return (transpose_last2(g),)
 
 
-_OPS["transpose_last2"] = (_fwd_transpose_last2, _vjp_transpose_last2)
+_OPS["transpose_last2"] = _Op(_fwd_transpose_last2, _vjp_transpose_last2)
 
 
 def _fwd_reshape(attrs, x):
@@ -426,10 +485,10 @@ def _fwd_reshape(attrs, x):
 
 
 def _vjp_reshape(node, g):
-    return (reshape(g, node.inputs[0].value.shape),)
+    return (reshape(g, node.inputs[0].shape),)
 
 
-_OPS["reshape"] = (_fwd_reshape, _vjp_reshape)
+_OPS["reshape"] = _Op(_fwd_reshape, _vjp_reshape)
 
 
 def _fwd_concat(attrs, *xs):
@@ -441,13 +500,13 @@ def _vjp_concat(node, g, needs):
     axis = node.attrs["axis"]
     grads, start = [], 0
     for inp in node.inputs:
-        n = inp.value.shape[axis]
+        n = inp.shape[axis]
         grads.append(slice_axis(g, axis, start, start + n))
         start += n
     return tuple(grads)
 
 
-_OPS["concat"] = (_fwd_concat, _vjp_concat)
+_OPS["concat"] = _Op(_fwd_concat, _vjp_concat)
 
 
 def _fwd_slice(attrs, x):
@@ -467,20 +526,20 @@ def _vjp_slice(node, g):
     axis, start, stop = node.attrs["axis"], node.attrs["start"], node.attrs["stop"]
     pieces = []
     if start > 0:
-        shape = list(x.value.shape)
+        shape = list(x.shape)
         shape[axis] = start
         pieces.append(constant(np.zeros(shape)))
     pieces.append(g)
-    if stop < x.value.shape[axis]:
-        shape = list(x.value.shape)
-        shape[axis] = x.value.shape[axis] - stop
+    if stop < x.shape[axis]:
+        shape = list(x.shape)
+        shape[axis] = x.shape[axis] - stop
         pieces.append(constant(np.zeros(shape)))
     if len(pieces) == 1:
         return (g,)
     return (concat(pieces, axis=axis),)
 
 
-_OPS["slice"] = (_fwd_slice, _vjp_slice)
+_OPS["slice"] = _Op(_fwd_slice, _vjp_slice)
 
 
 def _fwd_embed_lookup(attrs, table):
@@ -501,12 +560,12 @@ def _vjp_embed_lookup(node, g):
         _make(
             "_scatter_rows",
             (g,),
-            {"ids": node.attrs["ids"], "n_rows": table.value.shape[0]},
+            {"ids": node.attrs["ids"], "n_rows": table.shape[0]},
         ),
     )
 
 
-_OPS["embed_lookup"] = (_fwd_embed_lookup, _vjp_embed_lookup)
+_OPS["embed_lookup"] = _Op(_fwd_embed_lookup, _vjp_embed_lookup)
 
 
 def _fwd_scatter_rows(attrs, g):
@@ -520,7 +579,7 @@ def _vjp_scatter_rows(node, g):
     return (embed_lookup(g, node.attrs["ids"]),)
 
 
-_OPS["_scatter_rows"] = (_fwd_scatter_rows, _vjp_scatter_rows)
+_OPS["_scatter_rows"] = _Op(_fwd_scatter_rows, _vjp_scatter_rows)
 
 
 def _fwd_mask_fill(attrs, x):
@@ -535,11 +594,11 @@ def _fwd_mask_fill(attrs, x):
 
 
 def _vjp_mask_fill(node, g):
-    keep = constant((~np.broadcast_to(node.attrs["mask"], g.value.shape)).astype(np.float64))
+    keep = constant((~np.broadcast_to(node.attrs["mask"], g.shape)).astype(np.float64))
     return (mul(g, keep),)
 
 
-_OPS["mask_fill"] = (_fwd_mask_fill, _vjp_mask_fill)
+_OPS["mask_fill"] = _Op(_fwd_mask_fill, _vjp_mask_fill)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +612,11 @@ def _fwd_relu(attrs, x):
 
 def _vjp_relu(node, g):
     # Subgradient at 0 is 0 (strict inequality).
-    mask = constant((node.inputs[0].value > 0.0).astype(np.float64))
+    mask = constant((_read(node.inputs[0], "relu") > 0.0).astype(np.float64))
     return (mul(g, mask),)
 
 
-_OPS["relu"] = (_fwd_relu, _vjp_relu)
+_OPS["relu"] = _Op(_fwd_relu, _vjp_relu, reads=(0,))
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
@@ -582,7 +641,7 @@ def _vjp_gelu(node, g):
     return (mul(g, d),)
 
 
-_OPS["gelu"] = (_fwd_gelu, _vjp_gelu)
+_OPS["gelu"] = _Op(_fwd_gelu, _vjp_gelu, reads=(0,))
 
 
 def _fwd_tanh(attrs, x):
@@ -594,7 +653,7 @@ def _vjp_tanh(node, g):
     return (mul(g, sub(constant(np.ones(())), mul(t, t))),)
 
 
-_OPS["_tanh"] = (_fwd_tanh, _vjp_tanh)
+_OPS["_tanh"] = _Op(_fwd_tanh, _vjp_tanh, reads_output=True)
 
 
 def _fwd_rsqrt(attrs, x):
@@ -606,7 +665,7 @@ def _vjp_rsqrt(node, g):
     return (mul(g, scale(mul(mul(y, y), y), -0.5)),)
 
 
-_OPS["_rsqrt"] = (_fwd_rsqrt, _vjp_rsqrt)
+_OPS["_rsqrt"] = _Op(_fwd_rsqrt, _vjp_rsqrt, reads_output=True)
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +682,13 @@ def _vjp_mean_last(node, g):
     return (
         _make(
             "_broadcast_to",
-            (scale(g, 1.0 / x.value.shape[-1]),),
-            {"shape": x.value.shape},
+            (scale(g, 1.0 / x.shape[-1]),),
+            {"shape": x.shape},
         ),
     )
 
 
-_OPS["_mean_last"] = (_fwd_mean_last, _vjp_mean_last)
+_OPS["_mean_last"] = _Op(_fwd_mean_last, _vjp_mean_last)
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +705,10 @@ def _fwd_softmax_lastdim(attrs, x):
 def _vjp_softmax_lastdim(node, g):
     y = node
     gy = mul(g, y)
-    return (sub(gy, mul(y, _sum_to(gy, gy.value.shape[:-1] + (1,)))),)
+    return (sub(gy, mul(y, _sum_to(gy, gy.shape[:-1] + (1,)))),)
 
 
-_OPS["softmax_lastdim"] = (_fwd_softmax_lastdim, _vjp_softmax_lastdim)
+_OPS["softmax_lastdim"] = _Op(_fwd_softmax_lastdim, _vjp_softmax_lastdim, reads_output=True)
 
 
 def _fwd_layer_norm(attrs, x, gain, bias):
@@ -694,12 +753,12 @@ def _vjp_layer_norm(node, g, needs):
             ),
         ),
     )
-    dgain = _sum_to(mul(g, xhat), gain.value.shape)
-    dbias = _sum_to(g, bias.value.shape)
+    dgain = _sum_to(mul(g, xhat), gain.shape)
+    dbias = _sum_to(g, bias.shape)
     return (dx, dgain, dbias)
 
 
-_OPS["layer_norm"] = (_fwd_layer_norm, _vjp_layer_norm)
+_OPS["layer_norm"] = _Op(_fwd_layer_norm, _vjp_layer_norm, reads=(0, 1))
 
 
 def _fwd_cross_entropy(attrs, logits):
@@ -720,13 +779,13 @@ def _fwd_cross_entropy(attrs, logits):
 def _vjp_cross_entropy(node, g):
     logits = node.inputs[0]
     targets = node.attrs["targets"]
-    onehot = np.zeros(logits.value.shape)
+    onehot = np.zeros(logits.shape)
     np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
     diff = sub(softmax_lastdim(logits), constant(onehot))
-    return (mul(diff, reshape(g, g.value.shape + (1,))),)
+    return (mul(diff, reshape(g, g.shape + (1,))),)
 
 
-_OPS["cross_entropy_with_logits"] = (_fwd_cross_entropy, _vjp_cross_entropy)
+_OPS["cross_entropy_with_logits"] = _Op(_fwd_cross_entropy, _vjp_cross_entropy, reads=(0,))
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +873,7 @@ def sum_all(x) -> Node:
 
 def mean_all(x) -> Node:
     x = _as_node(x)
-    return scale(sum_all(x), 1.0 / x.value.size)
+    return scale(sum_all(x), 1.0 / math.prod(x.shape))
 
 
 def sum_to(x, shape) -> Node:
@@ -882,17 +941,51 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     pass). Either way each interior adjoint is released once its VJP has run;
     only the adjoints of requested entries are kept.
 
+    A recording pass then releases values: it sets ``value`` to None on
+    every interior node, of the walked forward graph and of the gradient
+    graph it built, whose value no VJP of either reads by its op's
+    declaration (``_Op.reads`` and ``_Op.reads_output``). It keeps the
+    output, the requested nodes, the returned gradients and every leaf. A
+    later ``backward`` through this output or through the returned gradients
+    (second order) reads only kept values, so its results do not change. A
+    caller that reads an interior node's value afterwards finds None there,
+    and an op given such a node raises ``ReleasedValueError``; so does a
+    ``backward`` through another graph whose VJPs read a node that this pass
+    released. A value-only pass releases nothing.
+
     A non-finite output or gradient raises ``NonFiniteError`` naming the op
     that made it (see the module docstring).
     """
-    if output.value.size != 1:
-        raise ValueError(f"backward needs a scalar output, got shape {output.value.shape}")
+    global _built
+    if math.prod(output.shape) != 1:
+        raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
     try:
-        check_finite(output.value, "the output of backward")
+        check_finite(_read(output, "backward"), "the output of backward")
     except NonFiniteError:
         _raise_at_first_non_finite(output)
     leaves = dict(wrt)
 
+    outer, _built = _built, []
+    try:
+        order, result = _walk(output, leaves)
+        built = _built
+    finally:
+        _built = outer
+    try:
+        for name, g in result.items():
+            check_finite(g.value, f"gradient of {name!r}")
+    except NonFiniteError:
+        if not _checking:
+            with checked():
+                backward(output, wrt)  # the VJP op that made the value raises
+        raise
+    if _recording:
+        _release_unread((order, built), (output, *leaves.values(), *result.values()))
+    return result
+
+
+def _walk(output: Node, leaves: dict[str, Node]) -> tuple[list[Node], dict[str, Node]]:
+    """(the walked forward nodes, the gradients) of ``backward``."""
     # A node created before every requested node lies on no path from one.
     floor = min((n.serial for n in leaves.values()), default=0)
     order = _topo_order((output,), floor)
@@ -903,11 +996,9 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         if id(n) in wanted or any(id(i) in relevant for i in n.inputs):
             relevant.add(id(n))
     if id(output) not in relevant:
-        return {
-            name: constant(np.zeros(n.value.shape)) for name, n in leaves.items()
-        }
+        return order, {name: constant(np.zeros(n.shape)) for name, n in leaves.items()}
 
-    adjoint: dict[int, Node] = {id(output): constant(np.ones(output.value.shape))}
+    adjoint: dict[int, Node] = {id(output): constant(np.ones(output.shape))}
     for n in reversed(order):
         g = adjoint.get(id(n))
         if g is None or n.op is None:
@@ -917,7 +1008,7 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         needs = tuple(id(i) in relevant for i in n.inputs)
         if not any(needs):
             continue  # a requested node whose inputs lie below the floor
-        _, vjp = _OPS[n.op]
+        vjp = _OPS[n.op].vjp
         grads = vjp(n, g, needs) if len(needs) > 1 else vjp(n, g)
         for inp, gi, need in zip(n.inputs, grads, needs):
             if not need:
@@ -929,28 +1020,46 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     for name, n in leaves.items():
         g = adjoint.get(id(n))
         if g is None:
-            g = constant(np.zeros(n.value.shape))
-        elif g.value.shape != n.value.shape:
-            g = _sum_to(g, n.value.shape)
+            g = constant(np.zeros(n.shape))
+        elif g.shape != n.shape:
+            g = _sum_to(g, n.shape)
         result[name] = g
-    try:
-        for name, g in result.items():
-            check_finite(g.value, f"gradient of {name!r}")
-    except NonFiniteError:
-        if not _checking:
-            with checked():
-                backward(output, wrt)  # the VJP op that made the value raises
-        raise
-    return result
+    return order, result
+
+
+def _release_unread(node_lists: Sequence[list[Node]], keep: Sequence[Node]) -> None:
+    """Set ``value = None`` on each interior node of the lists that no VJP reads.
+
+    A node's value is read when one of the lists' nodes declares that its
+    VJP reads that input, or when the node's own op declares that its VJP
+    reads its output. Leaves, and nodes built inside ``no_graph()``, link no
+    inputs and are never released.
+    """
+    needed = {id(n) for n in keep}
+    for nodes in node_lists:
+        for n in nodes:
+            if n.inputs:
+                op = _OPS[n.op]
+                if op.reads_output:
+                    needed.add(id(n))
+                for i in op.reads:
+                    needed.add(id(n.inputs[i]))
+    for nodes in node_lists:
+        for n in nodes:
+            if n.inputs and id(n) not in needed:
+                n.value = None
 
 
 def _raise_at_first_non_finite(output: Node) -> None:
     """Raise naming the first non-finite node of ``output``'s recorded graph.
 
     In topological order that node's inputs are all finite, so its op made
-    the non-finite value.
+    the non-finite value. Released nodes are skipped; ``output`` itself is
+    non-finite and never released, so a ``NonFiniteError`` is always raised.
     """
     for n in _topo_order((output,)):
+        if n.value is None:
+            continue
         if n.op is not None:
             check_finite(n.value, f"output of {n.op!r}")
         else:

@@ -35,6 +35,7 @@ and log-probs it gets when decoded alone; ``decode`` is the batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ class DecodeConfig:
             raise ValueError("beam_width must be >= 1")
         if self.max_decode_len < 2:
             raise ValueError("max_decode_len must fit the markers")
+        if not math.isfinite(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -69,8 +69,12 @@ class TrainHyper:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("step sizes must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in (self.alpha, self.beta)):
+            raise ValueError(f"step sizes must be finite and positive, got alpha={self.alpha}, "
+                             f"beta={self.beta}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValueError(f"clip_norm must be finite and >= 0 (0 disables clipping), "
+                             f"got {self.clip_norm}")
         if self.inner_steps < 1 or self.meta_batch_tasks < 1 or self.task_batch_size < 1:
             raise ValueError("inner_steps, meta_batch_tasks, task_batch_size must be >= 1")
         if self.order_mode not in ("second", "first"):

@@ -79,6 +79,8 @@ class ModelConfig:
             )
         if self.adapter_hidden < 0:
             raise ValueError("adapter_hidden must be >= 0")
+        if not (math.isfinite(self.ln_eps) and self.ln_eps > 0):
+            raise ValueError(f"ln_eps must be finite and positive, got {self.ln_eps}")
         unknown = set(self.adapter_placement) - set(ADAPTER_SITES)
         if unknown:
             raise ValueError(f"unknown adapter sites: {sorted(unknown)}")

@@ -311,9 +311,8 @@ class TestGradCheckOp:
     def test_vjp_that_freezes_a_value_fails(self, monkeypatch):
         # d tanh = 1 - t^2 with t captured as a constant: right values, but
         # the VJP's own derivative in x is lost.
-        fwd, _ = ad._OPS["_tanh"]
         frozen = lambda node, g: (ad.mul(g, ad.sub(1.0, ad.constant(node.value ** 2))),)
-        monkeypatch.setitem(ad._OPS, "_tanh", (fwd, frozen))
+        monkeypatch.setitem(ad._OPS, "_tanh", ad._OPS["_tanh"]._replace(vjp=frozen))
 
         def first_grad(params):
             out = ad.sum_all(ad._make("_tanh", (params["x"],)))
@@ -627,3 +626,88 @@ class TestNonFiniteToFinite:
         with pytest.raises(ad.NonFiniteError, match="output of 'add'$"):
             with ad.checked():
                 fn(ad.add(w, bad))
+
+
+def _released_run(build, values):
+    """(values kept by the first release, gradients, second-order gradients) of ``build``.
+
+    Each input enters as an interior copy, so a release can reach it, and the
+    readout masks the op's output, which reads no value of it. A first
+    backward, for a leaf ``z`` older than the op's graph, walks that graph
+    without running its VJPs, so only the declarations decide what it
+    releases. A second records the gradients, and a third differentiates
+    through them. The first item holds the op's inputs whose values the first
+    release kept, and whether it kept the op's output.
+    """
+    rng = np.random.default_rng(21)
+    z = ad.leaf("z", np.array(1.5))
+    leaves = {n: ad.leaf(n, v) for n, v in values.items()}
+    y = build({n: ad.scale(x, 1.0) for n, x in leaves.items()})
+    dropped = rng.random(y.shape) < 0.3
+    out = ad.add(ad.sum_all(ad.mask_fill(y, dropped, 0.0)), ad.mul(z, z))
+    ad.backward(out, {"z": z})
+    kept = (tuple(i for i, x in enumerate(y.inputs) if x.value is not None), y.value is not None)
+    grads = ad.backward(out, leaves)
+    w = {n: rng.standard_normal(np.shape(v)) for n, v in values.items()}
+    hvp = reduce(ad.add, [ad.sum_all(ad.mul(grads[n], ad.constant(w[n]))) for n in leaves])
+    second = ad.backward(hvp, leaves)
+    return (kept, {n: g.value for n, g in grads.items()},
+            {n: g.value for n, g in second.items()})
+
+
+class TestRelease:
+    """A recording backward releases the values that no declared VJP read needs."""
+
+    @pytest.mark.parametrize("op", sorted(ad._OPS))
+    def test_declared_reads_suffice_and_change_no_bit(self, op, monkeypatch):
+        build, values = _op_cases()[op]
+        kept, grads, second = _released_run(build, values)
+        assert kept == (ad._OPS[op].reads, ad._OPS[op].reads_output)
+
+        monkeypatch.setattr(ad, "_release_unread", lambda *args: None)
+        _, kept_grads, kept_second = _released_run(build, values)
+        for n in values:
+            np.testing.assert_array_equal(grads[n], kept_grads[n], err_msg=n)
+            np.testing.assert_array_equal(second[n], kept_second[n], err_msg=n)
+
+    @pytest.mark.parametrize("op", sorted(n for n, o in ad._OPS.items()
+                                          if o.reads or o.reads_output))
+    def test_an_undeclared_read_fails_loudly(self, op, monkeypatch):
+        monkeypatch.setitem(ad._OPS, op, ad._OPS[op]._replace(reads=(), reads_output=False))
+        with pytest.raises(ad.ReleasedValueError, match="released by a recording backward"):
+            _released_run(*_op_cases()[op])
+
+    @pytest.mark.parametrize("scope", [nullcontext, ad.no_graph], ids=["recording", "no_graph"])
+    @pytest.mark.parametrize("op", sorted(ad._OPS))
+    def test_reading_a_released_value_names_both_ops(self, op, scope):
+        build, values = _op_cases()[op]
+        leaves = {n: ad.leaf(n, v) for n, v in values.items()}
+        copies = {n: ad.scale(x, 1.0) for n, x in leaves.items()}
+        ad.backward(reduce(ad.add, [ad.sum_all(c) for c in copies.values()]), leaves)
+        assert all(c.value is None for c in copies.values())
+        with scope(), pytest.raises(ad.ReleasedValueError,
+                                    match=f"^'{op}' read the value of a 'scale' node"):
+            build(copies)
+
+    def test_kept_and_released_nodes(self):
+        x = ad.leaf("x", np.array([0.5, -1.5]))
+        h = ad.scale(x, 3.0)
+        hh = ad.mul(h, h)
+        out = ad.sum_all(ad.scale(hh, 2.0))
+        grads = ad.backward(out, {"x": x, "h": h})
+        assert hh.value is None  # read by no VJP
+        assert out.value is not None and h.value is not None  # output, requested
+        assert all(g.value is not None for g in grads.values())
+        with ad.no_graph():
+            value_only = ad.backward(ad.sum_all(ad.mul(h, h)), {"x": x})
+        assert value_only["x"].value is not None
+
+    def test_non_finite_output_over_released_nodes_names_the_op(self):
+        x = ad.leaf("x", np.ones(3))
+        h = ad.scale(x, 2.0)
+        loss = ad.sum_all(h)
+        ad.backward(loss, {"x": x})
+        assert h.value is None
+        out = ad.mul(ad.scale(loss, 1e300), ad.constant(1e300))
+        with pytest.raises(ad.NonFiniteError, match="output of 'mul'$"):
+            ad.backward(out, {"x": x})

@@ -34,6 +34,12 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             dec.DecodeConfig(max_decode_len=1)
 
+    @pytest.mark.parametrize("penalty", [np.nan, np.inf, -np.inf])
+    def test_length_penalty_must_be_finite(self, penalty):
+        # A NaN penalty would rank beam hypotheses on NaN scores.
+        with pytest.raises(ValueError, match="length_penalty"):
+            dec.DecodeConfig(strategy="beam", length_penalty=penalty)
+
 
 class TestGreedy:
     def test_all_zero_model_emits_lowest_id(self):
@@ -305,23 +311,23 @@ class TestIncrementalDecoding:
             steps[0] += 1
             return real_step(*args)
 
-        fwd, vjp = ad._OPS[op]
+        fwd = ad._OPS[op].fwd
 
         def faulty(attrs, *xs):
             out = fwd(attrs, *xs)
             return np.full_like(out, np.nan) if steps[0] >= after else out
 
         monkeypatch.setattr(mm, "decoder_step", counted_step)
-        monkeypatch.setitem(ad._OPS, op, (faulty, vjp))
+        monkeypatch.setitem(ad._OPS, op, ad._OPS[op]._replace(fwd=faulty))
         with pytest.raises(ad.NonFiniteError, match=f"output of '{op}' {where}$"):
             dec.decode(store, cfg, np.array([dt.BOS, 6, dt.EOS]),
                        dec.DecodeConfig(strategy="greedy", max_decode_len=10))
 
     def test_non_finite_score_rows_name_the_op(self, monkeypatch):
         cfg, store = random_model(12)
-        fwd, vjp = ad._OPS["layer_norm"]
-        monkeypatch.setitem(ad._OPS, "layer_norm",
-                            (lambda attrs, *xs: np.full_like(fwd(attrs, *xs), np.nan), vjp))
+        fwd = ad._OPS["layer_norm"].fwd
+        monkeypatch.setitem(ad._OPS, "layer_norm", ad._OPS["layer_norm"]._replace(
+            fwd=lambda attrs, *xs: np.full_like(fwd(attrs, *xs), np.nan)))
         with pytest.raises(ad.NonFiniteError,
                            match="output of 'layer_norm' in hypothesis_score$"):
             dec.hypothesis_score(store, cfg, np.array([dt.BOS, 6, dt.EOS]),

@@ -1,5 +1,7 @@
 """Meta-learning oracles: scalar surrogates with closed forms, FD checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,17 @@ class TestHyper:
             hyper(order_mode="zeroth")
         with pytest.raises(ValueError):
             hyper(outer_optimizer="rmsprop")
+
+    @pytest.mark.parametrize("kw", [dict(alpha=np.nan), dict(beta=np.inf)], ids=str)
+    def test_rejects_non_finite_step_sizes(self, kw):
+        with pytest.raises(ValueError, match="step sizes must be finite"):
+            hyper(**kw)
+
+    @pytest.mark.parametrize("clip", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_clip_norm(self, clip):
+        with pytest.raises(ValueError, match="clip_norm"):
+            hyper(clip_norm=clip)
+        assert hyper(clip_norm=0.0).clip_norm == 0.0  # 0 still disables clipping
 
 
 class TestInnerAdapt:
@@ -347,6 +360,19 @@ class TestTransformerOuterGradient:
         report = ad.grad_check(objective, {n: store[n] for n in phi}, step=step, max_elements=1,
                                rng=np.random.default_rng(0))
         assert report.passed, report.per_leaf
+
+
+def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transformer):
+    # A recording backward releases each interior value that no VJP reads;
+    # at this config 43% of the bytes stay (ROADMAP item 3, 100% before).
+    t = tiny_transformer
+    _, phi = mm.partition_params(t.store)
+    adapted, _ = mt.inner_adapt(t.store, phi, [t.pairs[:4], t.pairs[4:]],
+                                hyper(inner_steps=2, meta_batch_tasks=2), t.loss_fn)
+    interior = [n for n in ad.Graph(list(adapted.values())).nodes if n.inputs]
+    total = 8 * sum(math.prod(n.shape) for n in interior)
+    held = sum(n.value.nbytes for n in interior if n.value is not None)
+    assert held <= 0.45 * total
 
 
 class TestMetaStep:

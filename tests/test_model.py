@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="adapter sites"):
             toy_config(adapter_placement=frozenset({"enc_attn", "bogus"}))
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-5])
+    def test_ln_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="ln_eps"):
+            toy_config(ln_eps=eps)
+
 
 class TestBuild:
     def test_deterministic(self):

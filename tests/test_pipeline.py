@@ -188,6 +188,13 @@ class TestCheckpointFormat:
         with pytest.raises(pl.CheckpointError, match="missing field 'model.ln_eps'"):
             pl.checkpoint_from_bytes(patched)
 
+    def test_non_finite_config_value_rejected(self):
+        blob = pl.checkpoint_bytes(self.make_ckpt())
+        patched = blob.replace(b"model.ln_eps = 1e-05\n", b"model.ln_eps = nan  \n")
+        assert len(patched) == len(blob) and patched != blob
+        with pytest.raises(pl.CheckpointError, match="ln_eps must be finite"):
+            pl.checkpoint_from_bytes(patched)
+
     def test_config_text_encoding(self):
         config = tiny_config(adapter_placement=frozenset({"enc_ffn", "dec_attn"}),
                              tie_embeddings=False, ln_eps=1e-6)
@@ -542,14 +549,14 @@ def inject_nan(monkeypatch, op, step):
 
         return real_loop(params, names, counted, *args, **kwargs)
 
-    fwd, vjp = ad._OPS[op]
+    fwd = ad._OPS[op].fwd
 
     def faulty(attrs, *xs):
         out = fwd(attrs, *xs)
         return np.full_like(out, np.nan) if steps[0] >= step else out
 
     monkeypatch.setattr(mt, "train_loop", counting_loop)
-    monkeypatch.setitem(ad._OPS, op, (faulty, vjp))
+    monkeypatch.setitem(ad._OPS, op, ad._OPS[op]._replace(fwd=faulty))
 
 
 class TestInjectedNaN:
