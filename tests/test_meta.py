@@ -364,7 +364,7 @@ class TestTransformerOuterGradient:
 
 def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transformer):
     # A recording backward releases each interior value that no VJP reads;
-    # at this config 43% of the bytes stay (ROADMAP item 3, 100% before).
+    # at this config 43% of the interior bytes stay held.
     t = tiny_transformer
     _, phi = mm.partition_params(t.store)
     adapted, _ = mt.inner_adapt(t.store, phi, [t.pairs[:4], t.pairs[4:]],
