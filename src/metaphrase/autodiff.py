@@ -16,9 +16,12 @@ and every gradient it returns, which covers each training loss and gradient,
 also in value-only passes. Between these boundaries a NaN or Inf propagates.
 When ``backward``'s output is non-finite it walks the recorded forward graph
 in order and raises ``NonFiniteError`` naming the op of the first non-finite
-node, whose inputs are all finite. When only a gradient is non-finite it runs
-once more inside ``checked()``, the scope in which every op checks its own
-output, so the VJP op that made the value raises under its name. Every
+node, whose inputs are all finite. When only a gradient is non-finite,
+``check_boundary`` runs ``backward`` once more inside ``checked()``, the
+scope in which every op checks its own output, so the VJP op that made the
+value raises under its name. ``check_boundary`` is the one re-run rule:
+decoding's boundaries use it too. Only ``meta.train_loop``'s validation check
+re-runs on its own, because it raises ``DivergenceError``. Every
 check is ``check_finite``: it first sums the array, a finite sum means every
 entry is finite, and only a non-finite sum (a NaN or Inf entry, or finite
 entries whose sum overflows) pays for the entry-wise check.
@@ -85,7 +88,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +98,7 @@ __all__ = [
     "no_graph",
     "checked",
     "check_finite",
+    "check_boundary",
     "non_finite_context",
     "ShapeError",
     "NonFiniteError",
@@ -149,6 +153,24 @@ def check_finite(value, context: str) -> None:
         total = value.sum()
     if not math.isfinite(total) and not np.isfinite(value).all():
         raise NonFiniteError(f"non-finite values in {context}")
+
+
+def check_boundary(checks: Iterable[tuple[str, np.ndarray]], rerun: Callable[[], object]) -> None:
+    """``check_finite`` each (context, array) pair; on failure name the op that made it.
+
+    A failure runs ``rerun()``, the computation that made the arrays, inside
+    ``checked()``, where that op raises under its name. Inside ``checked()``
+    the op has already raised, so nothing re-runs. A re-run that stays
+    finite leaves the boundary's own error.
+    """
+    try:
+        for context, value in checks:
+            check_finite(value, context)
+    except NonFiniteError:
+        if not _checking:
+            with checked():
+                rerun()
+        raise
 
 
 @contextmanager
@@ -971,14 +993,8 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         built = _built
     finally:
         _built = outer
-    try:
-        for name, g in result.items():
-            check_finite(g.value, f"gradient of {name!r}")
-    except NonFiniteError:
-        if not _checking:
-            with checked():
-                backward(output, wrt)  # the VJP op that made the value raises
-        raise
+    check_boundary(((f"gradient of {name!r}", g.value) for name, g in result.items()),
+                   lambda: backward(output, wrt))
     if _recording:
         _release_unread((order, built), (output, *leaves.values(), *result.values()))
     return result

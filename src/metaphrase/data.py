@@ -17,6 +17,8 @@ import numpy as np
 
 RESERVED = ("<s>", "</s>", "<pad>", "<mask>", "<unk>")
 BOS, EOS, PAD, MASK, UNK = range(5)
+# The sentence markers and padding: stripped from decoded text and metrics.
+MARKERS = (RESERVED[BOS], RESERVED[EOS], RESERVED[PAD])
 
 MAX_CONTENT_WORDS = 20
 
@@ -73,11 +75,19 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """One token per line, the reserved tokens first; a token's id is its line index."""
         with open(path, encoding="utf-8") as fh:
             tokens = [line.rstrip("\n") for line in fh]
         if tokens[: len(RESERVED)] != list(RESERVED):
             raise CorpusFormatError(f"vocab file {path} is missing the reserved tokens")
-        return cls(tokens[len(RESERVED):])
+        vocab = cls()
+        for lineno, token in enumerate(tokens[len(RESERVED):], start=len(RESERVED) + 1):
+            try:
+                if vocab.add(token) != lineno - 1:  # a merged duplicate shifts later ids
+                    raise ValueError(f"duplicate vocabulary token {token!r}")
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        return vocab
 
     @classmethod
     def build(cls, corpora: Iterable[Iterable[str]]) -> "Vocab":
@@ -102,7 +112,7 @@ def preprocess(text: str, vocab: Vocab) -> np.ndarray:
 def detokenize(ids: Sequence[int], vocab: Vocab) -> str:
     """Marker-stripped, space-joined text for a token id sequence."""
     words = [vocab.decode(int(i)) for i in ids]
-    return " ".join(w for w in words if w not in ("<s>", "</s>", "<pad>"))
+    return " ".join(w for w in words if w not in MARKERS)
 
 
 @dataclass
@@ -124,9 +134,12 @@ def load_pairs(path, vocab: Vocab) -> list[ParaphrasePair]:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 2 tab-separated columns, got {len(columns)}"
                 )
-            pairs.append(
-                ParaphrasePair(preprocess(columns[0], vocab), preprocess(columns[1], vocab))
-            )
+            try:
+                pairs.append(
+                    ParaphrasePair(preprocess(columns[0], vocab), preprocess(columns[1], vocab))
+                )
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
     if not pairs:
         raise CorpusFormatError(f"{path}: no pairs found")
     return pairs
@@ -283,8 +296,8 @@ def _word_factory(rng: np.random.Generator, taken: set[str]):
     return new_word
 
 
-def domain_family(n_domains: int, seed: int, nouns: int = 6, verbs: int = 4,
-                  places: int = 4, subst_prob: float = 1.0,
+def domain_family(n_domains: int, seed: int, nouns: int = 14, verbs: int = 8,
+                  places: int = 8, subst_prob: float = 1.0,
                   reorder_prob: float = 0.6) -> list[DomainSpec]:
     """Build domains with disjoint content vocabularies and synonym maps.
 
@@ -343,11 +356,11 @@ class SplitPairs:
 class CorpusSet:
     """Labeled pairs for one role, keyed by domain label."""
 
-    role: str  # pre | src | tgt
+    role: str  # src | tgt
     domains: dict[str, SplitPairs]
 
     def __post_init__(self):
-        if self.role not in ("pre", "src", "tgt"):
+        if self.role not in ("src", "tgt"):
             raise ValueError(f"unknown corpus role {self.role!r}")
 
 

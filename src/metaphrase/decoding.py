@@ -21,10 +21,11 @@ beam decode takes no more decoder steps than its longer search.
 
 Decoding checks finiteness at its boundaries, not after every op: the
 encoded cache, each decoder step's log-probs and ``hypothesis_score``'s
-rows. A failed check re-runs that one ``encode_source``, ``decoder_step``
-or forward inside ``autodiff.checked()``, which raises ``NonFiniteError``
-naming the op; the error also names the decoder step. The re-run sees the
-inputs of the first run, since a ``KVCache`` is never mutated.
+rows. Each is an ``autodiff.check_boundary``, the one re-run rule: a failed
+check re-runs that one ``encode_source``, ``decoder_step`` or forward inside
+``autodiff.checked()``, which raises ``NonFiniteError`` naming the op; the
+error also names the decoder step. The re-run sees the inputs of the first
+run, since a ``KVCache`` is never mutated.
 
 ``decode_batch`` decodes sources of exactly equal token length together:
 their hypotheses are stacked into one decoder step, with no padding. Every
@@ -54,7 +55,7 @@ _MAX_BATCH = 64
 class DecodeConfig:
     strategy: str = "greedy"
     beam_width: int = 4
-    max_decode_len: int = 22  # 20 content words + markers
+    max_decode_len: int = dt.MAX_CONTENT_WORDS + 2  # the longest source and its markers
     length_penalty: float = 0.0
 
     def __post_init__(self):
@@ -74,23 +75,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _check_boundary(arrays, what: str, where: str, rerun) -> None:
-    """Raise ``NonFiniteError`` unless every array is finite.
-
-    On failure ``rerun()`` repeats the computation that made the arrays
-    inside ``autodiff.checked()``, which names the op; ``where`` ends the
-    message either way.
-    """
-    with ad.non_finite_context(where):
-        try:
-            for arr in arrays:
-                ad.check_finite(arr, what)
-        except ad.NonFiniteError:
-            with ad.checked():
-                rerun()
-            raise
-
-
 def _next_logprobs(params, config, cache, prefixes: list[list[int]]):
     """Next-position log-probs for equal-length prefixes, shape (B, vocab).
 
@@ -100,8 +84,9 @@ def _next_logprobs(params, config, cache, prefixes: list[list[int]]):
     last = [ids[-1] for ids in prefixes]
     logits, grown = mm.decoder_step(params, config, cache, last)
     rows = _log_softmax(logits.value[:, -1, :])
-    _check_boundary([rows], "the log-probs", f"at decoder step {cache.length + 1}",
-                    lambda: mm.decoder_step(params, config, cache, last))
+    with ad.non_finite_context(f"at decoder step {cache.length + 1}"):
+        ad.check_boundary([("the log-probs", rows)],
+                          lambda: mm.decoder_step(params, config, cache, last))
     return rows, grown
 
 
@@ -193,9 +178,10 @@ def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[lis
     """
     with ad.no_graph():
         cache = mm.encode_source(params, config, src)
-        _check_boundary([a.value for layer in cache.memory for pair in layer for a in pair],
-                        "the encoded source", "in encode_source",
-                        lambda: mm.encode_source(params, config, src))
+        with ad.non_finite_context("in encode_source"):
+            ad.check_boundary([("the encoded source", a.value)
+                               for layer in cache.memory for pair in layer for a in pair],
+                              lambda: mm.encode_source(params, config, src))
         searched = _search(params, config, cache, src.shape[0], dc)
     out = []
     for greedy_hyp, pool in searched:
@@ -249,8 +235,9 @@ def hypothesis_score(params, config, src_tokens, ids, dc: DecodeConfig) -> float
         with ad.no_graph():
             logits = mm.forward_batch(params, config, src[None, :], prefix)
             rows = _log_softmax(logits.value[0])
-            _check_boundary([rows], "the log-probs", "in hypothesis_score",
-                            lambda: mm.forward_batch(params, config, src[None, :], prefix))
+            with ad.non_finite_context("in hypothesis_score"):
+                ad.check_boundary([("the log-probs", rows)],
+                                  lambda: mm.forward_batch(params, config, src[None, :], prefix))
         for t in range(1, len(ids)):
             logprob += float(rows[t - 1, ids[t]])
     return _hyp_score(logprob, len(ids) - 1, dc.length_penalty)

@@ -7,7 +7,8 @@ ladder, and scores target-dev generations:
 * ``baseline``: pretrain, then fine-tune adapters on the target pairs.
 * ``plain_source``: pretrain, plain adapter training on pooled source pairs,
   then fine-tune.
-* ``meta``: pretrain, meta-train adapters on source tasks, then fine-tune.
+* ``meta``: pretrain, meta-train adapters on source tasks, then fine-tune
+  them by MAML over target tasks; the other two fine-tune by plain NLL.
 
 Domain roles inside a family of n: the last domain is the target, the
 second-to-last is the meta-validation domain, the rest are sources.
@@ -28,6 +29,9 @@ from . import metrics as mx
 from . import model as mm
 from . import pipeline as pl
 
+# Seed of the world's domain family (``data.domain_family``).
+SYNTH_SEED = 1234
+
 
 @dataclass
 class DataSettings:
@@ -38,12 +42,6 @@ class DataSettings:
     target_test: int = 48
     source_valid: int = 64
     pre_cap: int = 4000  # unlabeled sentences kept for stage (a)
-    synth_seed: int = 1234
-    nouns: int = 14
-    verbs: int = 8
-    places: int = 8
-    subst_prob: float = 1.0
-    reorder_prob: float = 0.6
 
 
 @dataclass
@@ -69,11 +67,7 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
         raise ValueError("need at least one source, one validation and one target domain")
     os.makedirs(os.path.join(out_dir, "pairs"), exist_ok=True)
 
-    specs = dt.domain_family(
-        settings.n_domains, seed=settings.synth_seed, nouns=settings.nouns,
-        verbs=settings.verbs, places=settings.places,
-        subst_prob=settings.subst_prob, reorder_prob=settings.reorder_prob,
-    )
+    specs = dt.domain_family(settings.n_domains, seed=SYNTH_SEED)
     unlabeled: list[str] = []
     source_train_texts: list[str] = []
 
@@ -194,7 +188,6 @@ class RunSettings:
     pretrain_clean_frac: float = 0.5
     meta_steps: int = 200
     finetune_steps: int = 200
-    finetune_mode: str = "maml"
     eval_every: int = 20
 
 
@@ -203,18 +196,18 @@ def log(msg: str) -> None:
 
 
 def evaluate_checkpoint(ckpt_path, world: World, decode_cfg: dec.DecodeConfig,
-                        out_dir, tag: str) -> mx.MetricReport:
-    """Greedy-decode the target dev sources and score against references."""
-    src_path = os.path.join(out_dir, f"{tag}.src.txt")
-    ref_path = os.path.join(out_dir, f"{tag}.ref.txt")
-    gen_path = os.path.join(out_dir, f"{tag}.gen.txt")
+                        out_dir) -> mx.MetricReport:
+    """Decode the target dev sources and score against references, as ``dev.*`` files."""
+    src_path = os.path.join(out_dir, "dev.src.txt")
+    ref_path = os.path.join(out_dir, "dev.ref.txt")
+    gen_path = os.path.join(out_dir, "dev.gen.txt")
     with open(src_path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in world.target_dev_src)
     with open(ref_path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in world.target_dev_ref)
     dec.generate_file(ckpt_path, src_path, gen_path, decode_cfg)
     report = mx.evaluate_corpus(gen_path, ref_path, src_path)
-    with open(os.path.join(out_dir, f"{tag}.metrics.csv"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "dev.metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     return report
 
@@ -243,12 +236,11 @@ def run_variant(variant: str, pretrained_path: str, world: World,
     stop_meta = mt.StopCriteria(max_steps=run.meta_steps, eval_every=run.eval_every)
     stop_ft = mt.StopCriteria(max_steps=run.finetune_steps, eval_every=run.eval_every)
 
+    mode = "maml" if variant == "meta" else "plain"  # of stages (b) and (c)
     if variant == "baseline":
         ft_parent = pretrained
         allow_pretrained = True
-        ft_mode = "plain"
     elif variant in ("plain_source", "meta"):
-        mode = "plain" if variant == "plain_source" else "maml"
         if mode == "plain":
             # Match the meta variant's stage-(b) data exposure: one meta
             # step visits meta_batch_tasks batches, a plain step visits one.
@@ -266,14 +258,13 @@ def run_variant(variant: str, pretrained_path: str, world: World,
         mt.write_history_csv(stage_b.history, os.path.join(out_dir, "stage_b_history.csv"))
         ft_parent = stage_b.checkpoint
         allow_pretrained = False
-        ft_mode = run.finetune_mode if variant == "meta" else "plain"
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
     stage_c = pl.finetune_stage(
         ft_parent, world.target, hyper, stop_ft,
         seed=pl.derive_seed(seed, f"{variant}-stage-c"),
-        mode=ft_mode, allow_pretrained=allow_pretrained,
+        mode=mode, allow_pretrained=allow_pretrained,
     )
     ft_path = os.path.join(out_dir, "finetuned.ckpt")
     pl.save_checkpoint(stage_c.checkpoint, ft_path)
@@ -285,10 +276,10 @@ LADDER_VARIANTS = ("baseline", "plain_source", "meta")
 
 
 def run_ladder(world: World, config: mm.ModelConfig, noise: pl.NoiseConfig,
-               hyper: mt.TrainHyper, run: RunSettings, seed: int, out_dir,
-               decode_cfg: dec.DecodeConfig | None = None) -> dict[str, mx.MetricReport]:
-    """Pretrain once, run all three variants, score target dev; one seed."""
-    decode_cfg = decode_cfg or dec.DecodeConfig(strategy="greedy", max_decode_len=config.max_len)
+               hyper: mt.TrainHyper, run: RunSettings, seed: int,
+               out_dir) -> dict[str, mx.MetricReport]:
+    """Pretrain once, run all three variants, greedy-score target dev; one seed."""
+    decode_cfg = dec.DecodeConfig(strategy="greedy", max_decode_len=config.max_len)
     os.makedirs(out_dir, exist_ok=True)
     log(f"[seed {seed}] pretraining ({run.pretrain_steps} steps)")
     pretrained_path = run_pretrain(world, config, noise, run, seed, out_dir)
@@ -298,6 +289,6 @@ def run_ladder(world: World, config: mm.ModelConfig, noise: pl.NoiseConfig,
         log(f"[seed {seed}] variant {variant}")
         variant_dir = os.path.join(out_dir, variant)
         ft_path = run_variant(variant, pretrained_path, world, hyper, run, seed, variant_dir)
-        reports[variant] = evaluate_checkpoint(ft_path, world, decode_cfg, variant_dir, "dev")
+        reports[variant] = evaluate_checkpoint(ft_path, world, decode_cfg, variant_dir)
         log(f"[seed {seed}] {variant}: BLEU-2 {reports[variant].scores['BLEU-2']:.2f}")
     return reports

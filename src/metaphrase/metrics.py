@@ -1,6 +1,6 @@
 """Paraphrase quality metrics: corpus BLEU-n, iBLEU, ROUGE-1/2, reporting.
 
-All metrics work on whitespace token lists with sentence markers stripped.
+All metrics work on whitespace token lists with ``data.MARKERS`` stripped.
 BLEU is the standard modified-precision geometric mean with a brevity
 penalty; n-gram orders longer than the candidate are dropped from the mean
 rather than zeroing it (a three-token candidate scores BLEU-4 over orders
@@ -11,7 +11,8 @@ report flags which mode produced it.
 
 iBLEU = alpha * BLEU(candidate, reference) - (1 - alpha) * BLEU(candidate,
 source): high overlap with the reference is rewarded, copying the source is
-penalized. The balancing default is alpha = 0.9 with BLEU-4 inside.
+penalized. Corpus reports use alpha = ``IBLEU_ALPHA`` = 0.9 with BLEU-4
+inside.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-MARKERS = ("<s>", "</s>", "<pad>")
+from .data import MARKERS
 
 IBLEU_ALPHA = 0.9
 
@@ -141,7 +142,6 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> float
 
 @dataclass
 class EvalConfig:
-    alpha: float = IBLEU_ALPHA
     smooth_eps: float = 0.0  # corpus scores are unsmoothed by default
 
 
@@ -149,7 +149,6 @@ class EvalConfig:
 class MetricReport:
     scores: dict[str, float]  # reported x100
     pairs: int
-    alpha: float
     smoothing: str
 
     def to_csv(self) -> str:
@@ -157,14 +156,6 @@ class MetricReport:
         for name, value in self.scores.items():
             lines.append(f"{name},{value:.4f}")
         return "\n".join(lines) + "\n"
-
-    def to_table(self) -> str:
-        width = max(len(n) for n in self.scores)
-        lines = [f"{name.ljust(width)}  {value:8.2f}" for name, value in self.scores.items()]
-        header = f"{'metric'.ljust(width)}  {'score':>8}"
-        rule = "-" * len(header)
-        footer = f"pairs={self.pairs} alpha={self.alpha} smoothing={self.smoothing}"
-        return "\n".join([header, rule] + lines + [rule, footer]) + "\n"
 
 
 def _read_token_lines(path) -> list[list[str]]:
@@ -184,11 +175,6 @@ def evaluate_corpus(generated_path, reference_path, source_path,
             f"line counts differ: generated={len(generated)} "
             f"references={len(references)} sources={len(sources)}"
         )
-    return evaluate_pairs(generated, references, sources, config)
-
-
-def evaluate_pairs(generated, references, sources, config: EvalConfig | None = None) -> MetricReport:
-    config = config or EvalConfig()
     single_refs = [[r] for r in references]
     eps = config.smooth_eps
     bleu4 = corpus_bleu(generated, single_refs, 4, eps)
@@ -196,7 +182,7 @@ def evaluate_pairs(generated, references, sources, config: EvalConfig | None = N
     scores = {
         "BLEU-2": 100.0 * corpus_bleu(generated, single_refs, 2, eps),
         "BLEU-4": 100.0 * bleu4,
-        "iBLEU": 100.0 * ibleu(bleu4, bleu4_src, config.alpha),
+        "iBLEU": 100.0 * ibleu(bleu4, bleu4_src),
         "ROUGE-1": 100.0 * sum(rouge_n(c, r, 1) for c, r in zip(generated, references))
         / len(generated),
         "ROUGE-2": 100.0 * sum(rouge_n(c, r, 2) for c, r in zip(generated, references))
@@ -205,6 +191,5 @@ def evaluate_pairs(generated, references, sources, config: EvalConfig | None = N
     return MetricReport(
         scores=scores,
         pairs=len(generated),
-        alpha=config.alpha,
         smoothing="unsmoothed" if eps == 0.0 else f"add-eps({eps})",
     )

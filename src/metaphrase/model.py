@@ -293,19 +293,10 @@ def insert_adapters(store: ParamStore, config: ModelConfig, seed: int) -> ParamS
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdapterLayer:
-    """Bottleneck adapter: up(relu(down(z))) + z, biases on both projections."""
-
-    w_down: Node
-    b_down: Node
-    w_up: Node
-    b_up: Node
-
-
-def adapter_apply(adapter: AdapterLayer, z: Node) -> Node:
-    hidden = ad.relu(ad.add(ad.matmul(z, adapter.w_down), adapter.b_down))
-    return ad.add(ad.add(ad.matmul(hidden, adapter.w_up), adapter.b_up), z)
+def adapter_apply(p, prefix: str, z: Node) -> Node:
+    """Bottleneck adapter ``prefix``: up(relu(down(z))) + z, biases on both projections."""
+    hidden = ad.relu(ad.add(ad.matmul(z, p[f"{prefix}.wd"]), p[f"{prefix}.bd"]))
+    return ad.add(ad.add(ad.matmul(hidden, p[f"{prefix}.wu"]), p[f"{prefix}.bu"]), z)
 
 
 def as_nodes(params) -> Mapping[str, Node]:
@@ -326,8 +317,7 @@ def _norm(p, prefix, x, eps):
 def _maybe_adapter(p, prefix, x):
     if f"{prefix}.wd" not in p:
         return x
-    layer = AdapterLayer(p[f"{prefix}.wd"], p[f"{prefix}.bd"], p[f"{prefix}.wu"], p[f"{prefix}.bu"])
-    return adapter_apply(layer, x)
+    return adapter_apply(p, prefix, x)
 
 
 def _project_kv(p, prefix, keys):

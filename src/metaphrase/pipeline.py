@@ -13,6 +13,13 @@ stage ordering, and an embedded vocabulary so decoding needs nothing else.
 Each stage returns its store rounded to the float32 grid, exactly the values
 that a reload of its checkpoint gives, so a chain run in memory and the same
 chain resumed from disk are bit-identical.
+
+A checkpoint has one byte form: ``checkpoint_from_bytes`` accepts config
+text only as ``_config_text`` renders the parsed checkpoint, and records only
+in strictly increasing name order, so a loaded checkpoint's
+``content_hash()`` is its file's sha256. There is no checksum, so a flipped
+payload bit loads as another value: adding one would change every
+checkpoint's bytes, and so every pinned chain hash.
 """
 
 from __future__ import annotations
@@ -154,8 +161,6 @@ def _config_text(ckpt: Checkpoint) -> str:
 def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.Vocab | None]:
     entries: dict[str, str] = {}
     for line in text.splitlines():
-        if not line.strip():
-            continue
         if "=" not in line:
             raise CheckpointError(f"malformed config line {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -167,6 +172,7 @@ def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.V
             for f in fields(mm.ModelConfig)
         })
         stage = entries["stage"]
+        provenance = entries["provenance"].split()
     except KeyError as exc:
         raise CheckpointError(f"config text missing field {exc}") from exc
 
@@ -175,13 +181,9 @@ def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.V
         for key, value in entries.items()
         if key.startswith("seed.")
     }
-    provenance = entries.get("provenance", "").split()
     vocab = None
-    if "vocab" in entries:
-        tokens = entries["vocab"].split()
-        if tokens[: len(dt.RESERVED)] != list(dt.RESERVED):
-            raise CheckpointError("embedded vocab is missing reserved tokens")
-        vocab = dt.Vocab(tokens[len(dt.RESERVED):])
+    if "vocab" in entries:  # one without the reserved tokens fails the canonical check
+        vocab = dt.Vocab(entries["vocab"].split()[len(dt.RESERVED):])
     return config, stage, seeds, provenance, vocab
 
 
@@ -251,6 +253,7 @@ def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
     config, stage, seeds, provenance, vocab = _parse_config_text(config_text)
 
     store = mm.ParamStore()
+    name = ""
     while True:
         head = buf.read(4)
         if not head:
@@ -258,7 +261,9 @@ def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
         if len(head) != 4:
             raise CheckpointError("corrupt checkpoint: truncated record header")
         (name_len,) = struct.unpack("<I", head)
-        name = _read_exact(buf, name_len, "record name").decode("utf-8")
+        previous, name = name, _read_exact(buf, name_len, "record name").decode("utf-8")
+        if name <= previous:
+            raise CheckpointError(f"corrupt checkpoint: record {name!r} is out of name order")
         (part_code,) = struct.unpack("<B", _read_exact(buf, 1, f"{name} partition"))
         if part_code not in _PARTITION_NAME:
             raise CheckpointError(f"corrupt checkpoint: bad partition tag for {name!r}")
@@ -283,10 +288,13 @@ def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
             "checkpoint parameters do not match the embedded config "
             f"(missing/mismatched: {sorted(missing)[:3]}, unexpected: {sorted(extra)[:3]})"
         )
-    return Checkpoint(
+    ckpt = Checkpoint(
         config=config, stage=stage, seeds=seeds, provenance=provenance,
         store=store, vocab=vocab,
     )
+    if _config_text(ckpt) != config_text:
+        raise CheckpointError("corrupt checkpoint: config text is not in canonical form")
+    return ckpt
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> str:

@@ -584,6 +584,29 @@ class TestBoundaryChecks:
         with pytest.raises(ad.NonFiniteError, match="a constant$"):
             ad.gradient_values(out, {"x": x})
 
+    def test_check_boundary_reruns_once_to_name_the_op(self):
+        big = np.full((2,), 1e300)
+        bad = ad.mul(big, big).value
+        reruns = []
+
+        def rerun():
+            reruns.append(None)
+            ad.mul(big, big)
+
+        ad.check_boundary([("a", np.ones(2))], rerun)
+        assert not reruns
+        # A re-run that raises names the op.
+        with pytest.raises(ad.NonFiniteError, match="output of 'mul'$"):
+            ad.check_boundary([("a", np.ones(2)), ("b", bad)], rerun)
+        assert len(reruns) == 1
+        # Inside checked() the op has already raised: no re-run.
+        with ad.checked(), pytest.raises(ad.NonFiniteError, match="^non-finite values in b$"):
+            ad.check_boundary([("b", bad)], rerun)
+        assert len(reruns) == 1
+        # A re-run that stays finite leaves the boundary's own error.
+        with pytest.raises(ad.NonFiniteError, match="^non-finite values in b$"):
+            ad.check_boundary([("b", bad)], lambda: ad.mul(big, 1.0))
+
     def test_non_finite_recorded_gradient_names_the_vjp_op(self):
         x = ad.leaf("x", np.array([1e-200, 2e-200]))
         out = ad.sum_all(ad.scale(ad.scale(x, 1e300), 1e10))

@@ -34,6 +34,19 @@ class TestVocab:
         with pytest.raises(ValueError):
             dt.Vocab(["two words"])
 
+    @pytest.mark.parametrize("token, message", [
+        ("", "invalid vocabulary token ''"),
+        ("  ", "invalid vocabulary token '  '"),
+        ("cat", "duplicate vocabulary token 'cat'"),
+        ("<pad>", "duplicate vocabulary token '<pad>'"),
+    ], ids=["blank", "whitespace", "duplicate", "duplicate_reserved"])
+    def test_load_names_the_line_of_a_bad_token(self, tmp_path, token, message):
+        # A merged duplicate would shift the id of every later token.
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(dt.RESERVED + ("cat", "dog", token, "sat")) + "\n")
+        with pytest.raises(dt.CorpusFormatError, match=rf"vocab\.txt:8: {message}$"):
+            dt.Vocab.load(path)
+
 
 class TestPreprocess:
     def test_truncates_to_twenty_content_words(self, vocab):
@@ -76,6 +89,14 @@ class TestLoadPairs:
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\nx\ty\tz\tw\n")
         with pytest.raises(dt.CorpusFormatError, match=":2:"):
+            dt.load_pairs(path, vocab)
+
+    @pytest.mark.parametrize("line", ["\tworld hello", "hello world\t  "],
+                             ids=["empty_source", "whitespace_target"])
+    def test_empty_side_names_line(self, vocab, tmp_path, line):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"hello\tworld\n{line}\n")
+        with pytest.raises(dt.CorpusFormatError, match=r"pairs\.tsv:2: sentence is empty"):
             dt.load_pairs(path, vocab)
 
     def test_comments_skipped(self, vocab, tmp_path):

@@ -28,7 +28,7 @@ def test_run_ladder_all_variants(tmp_path):
     # second order with the maml fine-tune covers every gradient path.
     hyper = mt.TrainHyper(inner_steps=1, meta_batch_tasks=2, task_batch_size=4)
     run = ex.RunSettings(pretrain_steps=3, pretrain_batch=8, meta_steps=2, finetune_steps=2,
-                         finetune_mode="maml", eval_every=1)
+                         eval_every=1)
     out = tmp_path / "ladder"
 
     reports = ex.run_ladder(world, config, pl.NoiseConfig(), hyper, run, seed=5, out_dir=out)

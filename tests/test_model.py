@@ -70,41 +70,30 @@ class TestBuild:
         assert all(store.partition(n) == "norm" for n in phi)
 
 
+def adapter(wd, bd, wu, bu):
+    """Constant arrays of one adapter named ``a``."""
+    arrays = {"wd": wd, "bd": bd, "wu": wu, "bu": bu}
+    return {f"a.{k}": ad.constant(np.asarray(v, dtype=float)) for k, v in arrays.items()}
+
+
 class TestAdapter:
     def test_identity_at_init(self):
         store = mm.build_model(toy_config(), seed=3)
         rng = np.random.default_rng(0)
         z = ad.constant(rng.standard_normal((4, 8)))
-        p = store.leaves()
-        layer = mm.AdapterLayer(
-            p["enc.0.adapter_attn.wd"],
-            p["enc.0.adapter_attn.bd"],
-            p["enc.0.adapter_attn.wu"],
-            p["enc.0.adapter_attn.bu"],
-        )
-        out = mm.adapter_apply(layer, z)
+        out = mm.adapter_apply(store.leaves(), "enc.0.adapter_attn", z)
         assert np.array_equal(out.value, z.value)
 
     def test_zero_input_zero_biases(self):
-        layer = mm.AdapterLayer(
-            ad.constant(np.ones((3, 2))),
-            ad.constant(np.zeros(2)),
-            ad.constant(np.ones((2, 3))),
-            ad.constant(np.zeros(3)),
-        )
-        out = mm.adapter_apply(layer, ad.constant(np.zeros((1, 3))))
+        p = adapter(np.ones((3, 2)), np.zeros(2), np.ones((2, 3)), np.zeros(3))
+        out = mm.adapter_apply(p, "a", ad.constant(np.zeros((1, 3))))
         assert np.array_equal(out.value, np.zeros((1, 3)))
 
     def test_hand_computed_small_case(self):
         # d_model 2, hidden 1: out = relu(z . wd + bd) * wu + bu + z
-        layer = mm.AdapterLayer(
-            ad.constant(np.array([[0.3], [-0.7]])),
-            ad.constant(np.array([0.1])),
-            ad.constant(np.array([[0.5, -0.2]])),
-            ad.constant(np.array([0.05, 0.1])),
-        )
+        p = adapter([[0.3], [-0.7]], [0.1], [[0.5, -0.2]], [0.05, 0.1])
         z = np.array([[2.0, 0.5]])
-        out = mm.adapter_apply(layer, ad.constant(z))
+        out = mm.adapter_apply(p, "a", ad.constant(z))
         hidden = max(0.0, 2.0 * 0.3 + 0.5 * -0.7 + 0.1)  # 0.35
         expected = np.array(
             [[hidden * 0.5 + 0.05 + 2.0, hidden * -0.2 + 0.1 + 0.5]]
@@ -113,15 +102,8 @@ class TestAdapter:
 
     def test_shape_mismatch(self):
         store = mm.build_model(toy_config(), seed=3)
-        p = store.leaves()
-        layer = mm.AdapterLayer(
-            p["enc.0.adapter_attn.wd"],
-            p["enc.0.adapter_attn.bd"],
-            p["enc.0.adapter_attn.wu"],
-            p["enc.0.adapter_attn.bu"],
-        )
         with pytest.raises(ad.ShapeError):
-            mm.adapter_apply(layer, ad.constant(np.zeros((2, 5))))
+            mm.adapter_apply(store.leaves(), "enc.0.adapter_attn", ad.constant(np.zeros((2, 5))))
 
 
 def reference_forward(store, cfg, src, tgt):

@@ -6,6 +6,7 @@ each entry's pinned hash, this tree's hash and whether it changed.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,68 @@ def test_malformed_config_text_is_a_named_checkpoint_error(old, new):
     with pytest.raises(pl.CheckpointError, match="^corrupt checkpoint: ") as info:
         pl.checkpoint_from_bytes(with_config_text(blob, old, new))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def split_records(blob):
+    """(header and config text, raw parameter records) of checkpoint bytes."""
+    at = 12 + int.from_bytes(blob[8:12], "little")
+    header, records = blob[:at], []
+    while at < len(blob):
+        start = at
+        at += 4 + int.from_bytes(blob[at:at + 4], "little") + 1  # name, partition tag
+        rank = blob[at]
+        shape = [int.from_bytes(blob[at + 1 + 8 * i:at + 9 + 8 * i], "little")
+                 for i in range(rank)]
+        at += 1 + 8 * rank + 4 * math.prod(shape)
+        records.append(blob[start:at])
+    return header, records
+
+
+def records_reversed(blob):
+    header, records = split_records(blob)
+    return header + b"".join(reversed(records))
+
+
+@pytest.mark.parametrize("patch, message", [
+    (lambda b: with_config_text(b, b"seed.bundle = 3\n", b"seed.bundle = 3\nextra = 1\n"),
+     "canonical"),
+    (lambda b: with_config_text(b, b"model.d_ff = 16\n", b"model.d_ff = 32\nmodel.d_ff = 16\n"),
+     "canonical"),
+    (lambda b: with_config_text(b, b"seed.bundle = 3\n", b"seed.bundle=3\n"), "canonical"),
+    (lambda b: with_config_text(b, b"seed.bundle = 3\n", b"seed.bundle = 3\n\n"), "malformed"),
+    (lambda b: with_config_text(b, b"provenance = \n", b""), "missing field 'provenance'"),
+    (records_reversed, "out of name order"),
+], ids=["unknown_key", "repeated_key", "no_spaces", "blank_line", "no_provenance",
+        "records_reversed"])
+def test_non_canonical_checkpoint_bytes_rejected(patch, message):
+    # Each form would load as a checkpoint whose content_hash() is not the
+    # sha256 of the bytes it came from.
+    blob = pl.checkpoint_bytes(TestCheckpointFormat().make_ckpt())
+    patched = patch(blob)
+    assert patched != blob and len(split_records(patched)[1]) == len(split_records(blob)[1])
+    with pytest.raises(pl.CheckpointError, match=message):
+        pl.checkpoint_from_bytes(patched)
+
+
+def canonical_checkpoints():
+    vocab = dt.Vocab([f"w{i}" for i in range(35)])
+    plain = tiny_config(adapter_placement=frozenset())
+    adapted = tiny_config(tie_embeddings=False, ln_eps=1e-6)
+    parent = "ab" * 32
+    return [
+        pl.Checkpoint(config=plain, stage="pretrained", seeds={"pretrain": 7}, provenance=[],
+                      store=mm.build_model(plain, seed=1)),
+        pl.Checkpoint(config=adapted, stage="meta_trained", seeds={"b": 2, "a": 1},
+                      provenance=[parent], store=mm.build_model(adapted, seed=2), vocab=vocab),
+        pl.Checkpoint(config=adapted, stage="finetuned", seeds={}, provenance=[parent, "cd" * 32],
+                      store=mm.build_model(adapted, seed=3), vocab=vocab),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["pretrained", "meta_trained", "finetuned"])
+def test_checkpoint_bytes_roundtrip_exactly(index):
+    blob = pl.checkpoint_bytes(canonical_checkpoints()[index])
+    assert pl.checkpoint_bytes(pl.checkpoint_from_bytes(blob)) == blob
 
 
 @pytest.fixture(scope="module")
