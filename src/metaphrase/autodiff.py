@@ -62,10 +62,12 @@ numpy's error state once, where recorded ops enter it once each.
 
 A ``backward`` run inside ``no_graph()`` is a value-only pass: the same VJPs
 compute the same gradient values bit for bit, but build no gradient graph.
-``gradient_values`` wraps this for callers that only read the numbers (every
-training step except the inner loop of second-order MAML, whose gradients
-the outer pass differentiates). ``backward`` drops each interior adjoint as
-soon as its VJP has run, so a value-only pass holds only its frontier.
+``gradient_values`` wraps this for callers that only read the numbers: the
+MAML outer pass, pretraining, plain adapter training and ``grad_check``.
+First-order MAML's inner loop runs ``backward`` inside ``no_graph()``
+itself, so each step's gradient enters its update as a constant node.
+``backward`` drops each interior adjoint as soon as its VJP has run, so a
+value-only pass holds only its frontier.
 
 A recording ``backward`` keeps a node's value only while a VJP can read it.
 Each op declares which values its VJP reads: some of its inputs (``mul``,

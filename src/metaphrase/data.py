@@ -10,6 +10,7 @@ multi-domain pair corpora at desk scale.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,10 +31,26 @@ class CorpusFormatError(ValueError):
 class TaskSizeError(ValueError):
     """A meta-learning task cannot hold the pairs it needs.
 
-    Raised when a domain has fewer train pairs than a task draws, when a
-    task is too small to split into support and query, and when the tasks
-    of a meta-batch hold different numbers of pairs.
+    Raised when a corpus has no domain to draw a task from, when a domain
+    has fewer train pairs than a task draws, when a task is too small to
+    split into support and query, and when the tasks of a meta-batch hold
+    different numbers of pairs.
     """
+
+
+def read_lines(path) -> list[str]:
+    """A UTF-8 text file's lines without newlines, read as a text-mode ``open`` splits them.
+
+    Bytes that are not UTF-8 raise ``CorpusFormatError`` naming ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CorpusFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
 
 
 class Vocab:
@@ -76,8 +93,7 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         """One token per line, the reserved tokens first; a token's id is its line index."""
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = read_lines(path)
         if tokens[: len(RESERVED)] != list(RESERVED):
             raise CorpusFormatError(f"vocab file {path} is missing the reserved tokens")
         vocab = cls()
@@ -124,22 +140,20 @@ class ParaphrasePair:
 def load_pairs(path, vocab: Vocab) -> list[ParaphrasePair]:
     """Read source<TAB>target pairs, one per line; '#' lines are comments."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            columns = line.split("\t")
-            if len(columns) != 2:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 2 tab-separated columns, got {len(columns)}"
-                )
-            try:
-                pairs.append(
-                    ParaphrasePair(preprocess(columns[0], vocab), preprocess(columns[1], vocab))
-                )
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if line.startswith("#"):
+            continue
+        columns = line.split("\t")
+        if len(columns) != 2:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: expected 2 tab-separated columns, got {len(columns)}"
+            )
+        try:
+            pairs.append(
+                ParaphrasePair(preprocess(columns[0], vocab), preprocess(columns[1], vocab))
+            )
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
     if not pairs:
         raise CorpusFormatError(f"{path}: no pairs found")
     return pairs
@@ -147,13 +161,7 @@ def load_pairs(path, vocab: Vocab) -> list[ParaphrasePair]:
 
 def load_sentences(path, vocab: Vocab) -> list[np.ndarray]:
     """One sentence per line, preprocessed."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(preprocess(line, vocab))
-    return out
+    return [preprocess(line, vocab) for line in map(str.strip, read_lines(path)) if line]
 
 
 def pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -389,6 +397,8 @@ def sample_meta_task(corpus: CorpusSet, hyper, rng: np.random.Generator) -> Meta
     side keeps at least one pair.
     """
     labels = sorted(corpus.domains)
+    if not labels:
+        raise TaskSizeError(f"the {corpus.role!r} corpus has no domain to draw a task from")
     domain = labels[rng.integers(len(labels))] if len(labels) > 1 else labels[0]
     train = corpus.domains[domain].train
     if len(train) < hyper.task_batch_size:

@@ -78,10 +78,8 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
             labeled = texts[: n_train + n_valid + n_test]
             leftover = texts[n_train + n_valid + n_test :]
             _write_pairs_tsv(os.path.join(out_dir, "pairs", "target.train.tsv"), labeled[:n_train])
-            _write_pairs_tsv(
-                os.path.join(out_dir, "pairs", "target.valid.tsv"),
-                labeled[n_train : n_train + n_valid],
-            )
+            dev = labeled[n_train : n_train + n_valid]
+            _write_pairs_tsv(os.path.join(out_dir, "pairs", "target.valid.tsv"), dev)
             _write_pairs_tsv(
                 os.path.join(out_dir, "pairs", "target.test.tsv"),
                 labeled[n_train + n_valid :],
@@ -115,12 +113,10 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
             fh.write(line + "\n")
 
     # Convenience evaluation inputs for the target dev split.
-    with open(os.path.join(out_dir, "pairs", "target.valid.tsv"), encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
     with open(os.path.join(out_dir, "target_dev.src.txt"), "w", encoding="utf-8") as fh:
-        fh.writelines(a + "\n" for a, _ in rows)
+        fh.writelines(a + "\n" for a, _ in dev)
     with open(os.path.join(out_dir, "target_dev.ref.txt"), "w", encoding="utf-8") as fh:
-        fh.writelines(b + "\n" for _, b in rows)
+        fh.writelines(b + "\n" for _, b in dev)
 
 
 def load_world(data_dir) -> World:
@@ -160,18 +156,14 @@ def load_world(data_dir) -> World:
             )
         },
     )
-    with open(os.path.join(data_dir, "target_dev.src.txt"), encoding="utf-8") as fh:
-        dev_src = fh.read().splitlines()
-    with open(os.path.join(data_dir, "target_dev.ref.txt"), encoding="utf-8") as fh:
-        dev_ref = fh.read().splitlines()
     return World(
         vocab=vocab,
         pre_corpus=pre_corpus,
         source=dt.CorpusSet(role="src", domains=source_domains),
         validation=dt.CorpusSet(role="src", domains=validation_domains),
         target=target,
-        target_dev_src=dev_src,
-        target_dev_ref=dev_ref,
+        target_dev_src=dt.read_lines(os.path.join(data_dir, "target_dev.src.txt")),
+        target_dev_ref=dt.read_lines(os.path.join(data_dir, "target_dev.ref.txt")),
     )
 
 

@@ -17,17 +17,20 @@ phi, the frozen weights, stay unstacked. ``loss_fn`` is then called with a
 
 The inner loop takes K gradient steps on the sum of the per-task support
 losses. Row t of that gradient depends only on task t, so each row takes
-exactly its own task's MAML step. Two outer-gradient modes:
+exactly its own task's MAML step. Each step is the graph expression
+``phi - alpha * grad``. The outer pass, value-only, differentiates the
+summed query losses through the K steps back to the shared leaf, whose
+broadcast VJP sums the per-task meta-gradients over the task axis. The
+orders differ only in the inner ``backward``:
 
-* ``second``: inner updates are built as graph expressions, so the outer
-  gradient differentiates through them (exact MAML), and the broadcast's VJP
-  sums the per-task meta-gradients back over the task axis. The outer pass
-  itself is value-only: its result is only read as numbers.
-* ``first``: inner updates run on detached values and the query gradient is
-  taken at the stacked adapted parameters, then summed over tasks (FOMAML).
+* ``second`` records its gradient graph, which the outer pass then
+  differentiates through (exact MAML).
+* ``first`` runs inside ``autodiff.no_graph()``, so each gradient enters its
+  step as a constant and the adjoint passes the K steps unchanged: the
+  meta-gradient sums the per-task query gradients at the adapted parameters
+  (FOMAML).
 
-Either way the inner loop takes plain gradient steps of size ``alpha``; the
-outer optimizer (SGD or AdamW, rate ``beta``) updates only the meta
+The outer optimizer (SGD or AdamW, rate ``beta``) updates only the meta
 parameters.
 
 Only the requested (phi) names are ever written; everything else is frozen
@@ -44,6 +47,7 @@ sampled pair batches.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
@@ -179,26 +183,19 @@ def inner_adapt(params, phi_names: Sequence[str], supports: Sequence, hyper: Tra
 
     ``supports`` holds one support batch per task. Returns (adapted
     parameter map, support losses of shape (K, n_tasks)); each adapted phi
-    entry is stacked, row t being task t's. In second-order mode the adapted
-    entries are update expressions rooted at the originals; in first-order
-    mode they are detached leaves.
+    entry is stacked, row t being task t's: an update expression rooted at
+    the original, whose gradients are constants in first-order mode.
     """
     current = stack_phi(params, phi_names, len(supports))
     losses = []
     for _ in range(hyper.inner_steps):
         loss, per_task = _task_losses(loss_fn, current, supports)
         losses.append(per_task)
-        wrt = {n: current[n] for n in phi_names}
-        if hyper.order_mode == "first":
-            grad_values = ad.gradient_values(loss, wrt)
-            values = {n: current[n].value for n in phi_names}
-            new = sgd_step(values, grad_values, hyper.alpha)
-            for n in phi_names:
-                current[n] = ad.leaf(n, new[n])
-        else:
-            grads = ad.backward(loss, wrt)
-            for n in phi_names:
-                current[n] = ad.add(current[n], ad.scale(grads[n], -hyper.alpha))
+        # First order takes the gradient as a constant: a value-only backward.
+        with ad.no_graph() if hyper.order_mode == "first" else contextlib.nullcontext():
+            grads = ad.backward(loss, {n: current[n] for n in phi_names})
+        for n in phi_names:
+            current[n] = ad.add(current[n], ad.scale(grads[n], -hyper.alpha))
     return current, np.array(losses)
 
 
@@ -206,8 +203,9 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
                    hyper: TrainHyper, loss_fn: LossFn) -> tuple[dict[str, np.ndarray], dict]:
     """Meta-gradient of the summed post-adaptation query losses wrt phi.
 
-    Second order differentiates through the inner updates; first order sums
-    the per-task query gradients taken at the adapted parameters.
+    Both orders differentiate through the inner updates to the shared phi;
+    with constant inner gradients (first order) that sums the per-task query
+    gradients at the adapted parameters.
     """
     if not tasks:
         raise ValueError("meta batch must contain at least one task")
@@ -219,14 +217,7 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
     adapted, support_losses = inner_adapt(base, phi_names, [t.support for t in tasks],
                                           hyper, loss_fn)
     total, query_losses = _task_losses(loss_fn, adapted, [t.query for t in tasks])
-    if hyper.order_mode == "second":
-        grad_values = ad.gradient_values(total, {n: base[n] for n in phi_names})
-    else:
-        stacked = ad.gradient_values(total, {n: adapted[n] for n in phi_names})
-        grad_values = {
-            n: stacked[n].reshape(len(tasks), -1).sum(axis=0).reshape(base[n].shape)
-            for n in phi_names
-        }
+    grad_values = ad.gradient_values(total, {n: base[n] for n in phi_names})
 
     metrics = {
         "support_loss": float(np.mean(support_losses)),
@@ -260,7 +251,7 @@ def evaluate_adaptation(params, phi_names: Sequence[str], tasks: Sequence,
                         hyper: TrainHyper, loss_fn: LossFn) -> float:
     """Mean query loss after inner adaptation, without updating params.
 
-    Inner updates run detached; this is evaluation only.
+    The inner gradients are value-only (first order); evaluation only.
     """
     eval_hyper = replace(hyper, order_mode="first")
     adapted, _ = inner_adapt(params, phi_names, [t.support for t in tasks], eval_hyper, loss_fn)
@@ -348,11 +339,12 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
 
 def meta_train(params, phi_names: Sequence[str], task_sampler, hyper: TrainHyper,
                stop: StopCriteria, loss_fn: LossFn,
-               validation_sampler=None) -> list[HistoryRow]:
+               validation: Sequence = ()) -> list[HistoryRow]:
     """``train_loop`` over sampled meta-batches; returns its history rows.
 
-    ``task_sampler(n)`` returns a list of n tasks; ``validation_sampler()``
-    returns a fixed list of held-out tasks, scored by ``evaluate_adaptation``.
+    ``task_sampler(n)`` returns a list of n tasks. ``validation`` holds
+    held-out tasks, scored by ``evaluate_adaptation``; an empty sequence
+    means no validation.
     """
 
     def step_fn():
@@ -361,9 +353,9 @@ def meta_train(params, phi_names: Sequence[str], task_sampler, hyper: TrainHyper
         return grads, metrics["support_loss"], metrics["query_loss"]
 
     validate = None
-    if validation_sampler is not None:
+    if validation:
         def validate():
-            return evaluate_adaptation(params, phi_names, validation_sampler(), hyper, loss_fn)
+            return evaluate_adaptation(params, phi_names, validation, hyper, loss_fn)
 
     return train_loop(params, phi_names, step_fn, hyper, stop, validate)
 

@@ -405,9 +405,7 @@ def _train_adapters(store, config, corpus, hyper, stop, mode, rng,
     loss_fn = make_pair_loss(config)
     if mode == "maml":
         sampler = lambda n: [dt.sample_meta_task(corpus, hyper, rng) for _ in range(n)]
-        validation_sampler = (lambda: validation) if validation else None
-        return mt.meta_train(store, phi_names, sampler, hyper, stop, loss_fn,
-                             validation_sampler=validation_sampler)
+        return mt.meta_train(store, phi_names, sampler, hyper, stop, loss_fn, validation)
 
     def sample_batch():
         size = min(hyper.task_batch_size, len(train_pairs))

@@ -111,6 +111,33 @@ class TestLoadPairs:
             dt.load_pairs(path, vocab)
 
 
+@pytest.mark.parametrize("read", [
+    dt.Vocab.load,
+    lambda path: dt.load_pairs(path, dt.Vocab(["hello", "world"])),
+    lambda path: dt.load_sentences(path, dt.Vocab(["hello", "world"])),
+], ids=["vocab", "pairs", "sentences"])
+def test_non_utf8_file_names_path_and_line(tmp_path, read):
+    path = tmp_path / "corpus.txt"
+    text = "\n".join(dt.RESERVED + ("hello\tworld",)) + "\n"
+    path.write_bytes(text.encode() + b"hello \xff\tworld\n")
+    with pytest.raises(dt.CorpusFormatError, match=r"corpus\.txt:7: not UTF-8 text"):
+        read(path)
+
+
+@pytest.mark.parametrize("raw, lines", [
+    (b"", []),
+    (b"a\nb", ["a", "b"]),
+    (b"a\r\nb\rc\n\n", ["a", "b", "c", ""]),
+    (b"a\x1cb\x0cc\n", ["a\x1cb\x0cc"]),
+], ids=["empty", "no_final_newline", "newline_forms", "other_separators_kept"])
+def test_read_lines_splits_as_text_mode_open(tmp_path, raw, lines):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as fh:
+        assert [line.rstrip("\n") for line in fh] == lines
+    assert dt.read_lines(path) == lines
+
+
 def small_spec(**kw):
     base = dict(
         name="toy",
@@ -234,6 +261,11 @@ class TestSampling:
         hyper = TrainHyper(task_batch_size=10)
         with pytest.raises(dt.TaskSizeError, match="train pairs"):
             dt.sample_meta_task(corpus, hyper, np.random.default_rng(0))
+
+    def test_corpus_with_no_domain_rejected(self):
+        corpus = dt.CorpusSet(role="src", domains={})
+        with pytest.raises(dt.TaskSizeError, match="'src' corpus has no domain"):
+            dt.sample_meta_task(corpus, TrainHyper(task_batch_size=4), np.random.default_rng(0))
 
     def test_one_pair_task_cannot_split(self):
         corpus = self.make_corpus()

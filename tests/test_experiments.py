@@ -64,3 +64,21 @@ def test_load_world_rejects_bad_pair_file_names(tmp_path, old, new, message):
     (pairs / old).rename(pairs / new)
     with pytest.raises(dt.CorpusFormatError, match=message):
         ex.load_world(tmp_path)
+
+
+def test_world_without_validation_domain_fails_meta_training_by_name(tmp_path):
+    settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
+                               target_valid=6, target_test=2, source_valid=8, pre_cap=60)
+    ex.build_world_files(settings, tmp_path)
+    for path in (tmp_path / "pairs").glob("validation_*"):
+        path.unlink()
+    world = ex.load_world(tmp_path)
+    assert world.validation.domains == {}
+    config = mm.ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16,
+                            vocab_size=len(world.vocab), max_len=24, adapter_hidden=4,
+                            adapter_placement=frozenset())
+    pretrained = pl.Checkpoint(config=config, stage="pretrained", seeds={}, provenance=[],
+                               store=mm.build_model(config, seed=0), vocab=world.vocab)
+    with pytest.raises(dt.TaskSizeError, match="'src' corpus has no domain"):
+        pl.meta_train_stage(pretrained, world.source, mt.TrainHyper(task_batch_size=4),
+                            mt.StopCriteria(max_steps=1), seed=0, validation=world.validation)

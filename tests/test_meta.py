@@ -483,7 +483,7 @@ class TestMetaTrain:
         before = mt.evaluate_adaptation(store, ["phi"], val_tasks, hy, quadratic_loss)
         history = mt.meta_train(store, ["phi"], sampler, hy,
                                 mt.StopCriteria(max_steps=60, eval_every=10),
-                                quadratic_loss, validation_sampler=lambda: val_tasks)
+                                quadratic_loss, validation=val_tasks)
         after = mt.evaluate_adaptation(store, ["phi"], val_tasks, hy, quadratic_loss)
         assert after < before
         assert len(history) == 60
