@@ -49,11 +49,13 @@ gradient of step k then never re-walks steps 1..k-1.
 
 ``backward`` builds no gradient that nothing reads. An input needs a
 gradient when it lies on a path from a requested node, and each VJP of
-several inputs gets one such flag per input. ``add``, ``mul``, ``matmul``
-and ``_flat_matmul`` build nothing for an input that needs no gradient, so
-with the backbone frozen no frozen weight's gradient is built. A requested
-node whose inputs all lie below the oldest requested node runs no VJP.
-``layer_norm`` and ``concat`` still build every input's gradient.
+several inputs gets one such flag per input. ``add``, ``mul``, ``matmul``,
+``_flat_matmul`` and ``concat`` build nothing for an input that needs no
+gradient, so with the backbone frozen no frozen weight's gradient is built.
+A requested node whose inputs all lie below the oldest requested node runs
+no VJP. ``layer_norm`` still builds every input's gradient. The VJP of
+``slice`` is one private ``_pad`` node, which writes the adjoint into zeros,
+and the VJP of ``_pad`` is ``slice``.
 
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
 but the nodes they return link no inputs, so nothing is kept alive for a
@@ -73,15 +75,19 @@ A recording ``backward`` keeps a node's value only while a VJP can read it.
 Each op declares which values its VJP reads: some of its inputs (``mul``,
 ``matmul``, ``relu``, ``layer_norm``, ...) or its own output
 (``softmax_lastdim``, ``_tanh``, ``_rsqrt``); every other VJP reads only
-shapes and attributes, which ``Node.shape`` keeps. At the end of the pass
-each interior node of the walked graph and of the gradient graph the pass
-built is released (``value = None``) unless a node of those two declares
-that it reads it. The output, the requested nodes and the returned
-gradients are kept. So second-order MAML holds for its outer pass only what
-that pass reads, and an op handed a released value raises
-``ReleasedValueError``. A value-only pass releases nothing. A non-finite
-output's walk skips released nodes, so it names the first non-finite node
-that is still held.
+shapes and attributes, which ``Node.shape`` keeps. When a node is recorded,
+each value its VJP reads gets the read mark (``Node.read``), so whether a
+value is read is known as soon as its reader exists, whatever graph that
+reader lies in. The walk then releases (``value = None``) each unmarked
+interior node at the first moment nothing of the pass can use it: a walked
+node once the walk has passed it, a consumed adjoint once no adjoint entry
+holds it, and the other nodes a VJP built once the VJP has returned. The
+output, the requested nodes and the returned gradients are kept. So
+second-order MAML holds for its outer pass only what that pass reads, each
+inner backward holds little more than its frontier, and an op handed a
+released value raises ``ReleasedValueError``. A value-only pass releases
+nothing and keeps no such books. A non-finite output's walk skips released
+nodes, so it names the first non-finite node that is still held.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,12 +202,14 @@ class Node:
     primitive id, input nodes and attributes so the graph can be
     differentiated. ``serial`` numbers nodes in creation order.
 
-    ``shape`` outlives ``value``: a recording ``backward`` sets ``value`` to
-    None on each interior node that no VJP can read (see ``backward``), and
-    an op that reads such a node raises ``ReleasedValueError``.
+    ``read`` is the read mark: true once a recorded node exists whose VJP
+    reads this value (see ``_Op``). ``shape`` outlives ``value``: a recording
+    ``backward`` sets ``value`` to None on each interior node without the
+    mark (see ``backward``), and an op that reads such a node raises
+    ``ReleasedValueError``.
     """
 
-    __slots__ = ("op", "inputs", "attrs", "value", "shape", "name", "serial")
+    __slots__ = ("op", "inputs", "attrs", "value", "shape", "name", "serial", "read")
 
     def __init__(self, op, inputs, attrs, value, name=None):
         self.op = op
@@ -211,6 +219,7 @@ class Node:
         self.shape = value.shape
         self.name = name
         self.serial = next(_serials)
+        self.read = False
 
     def __repr__(self):
         tag = self.name if self.op is None else self.op
@@ -249,8 +258,9 @@ class _Op(NamedTuple):
     nothing, for an input that needs no gradient.
 
     ``reads`` names the inputs whose values the VJP reads, and
-    ``reads_output`` whether it reads the node's own value. Every other
-    value the VJP touches is only a shape or an attribute, so a recording
+    ``reads_output`` whether it reads the node's own value; ``_make`` gives
+    those values the read mark when it records the node. Every other value
+    the VJP touches is only a shape or an attribute, so a recording
     ``backward`` may release it.
     """
 
@@ -266,7 +276,8 @@ _OPS: dict[str, _Op] = {}
 # state, so not thread-safe; the package is single-threaded.
 _recording = True
 _checking = False
-# The recorded op nodes built while the innermost backward runs, else None.
+# While a recording backward runs one VJP: the nodes built so far, which
+# the walk may release when the VJP returns. Else None.
 _built: list | None = None
 
 
@@ -309,13 +320,13 @@ def checked():
 
 
 def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node:
-    fwd = _OPS[op_id].fwd
+    op = _OPS[op_id]
     try:
         if not _recording:
-            value = fwd(attrs, *[n.value for n in inputs])
+            value = op.fwd(attrs, *[n.value for n in inputs])
         else:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = fwd(attrs, *(n.value for n in inputs))
+                value = op.fwd(attrs, *(n.value for n in inputs))
     except (AttributeError, TypeError, ValueError):
         # A released (None) input fails the forward with one of these; only
         # then is it looked for, so the happy path pays nothing.
@@ -327,6 +338,10 @@ def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node
     if not _recording:
         return Node(op_id, (), attrs, value)
     node = Node(op_id, tuple(inputs), attrs, value)
+    for i in op.reads:
+        inputs[i].read = True
+    if op.reads_output:
+        node.read = True
     if _built is not None:
         _built.append(node)
     return node
@@ -523,9 +538,9 @@ def _fwd_concat(attrs, *xs):
 def _vjp_concat(node, g, needs):
     axis = node.attrs["axis"]
     grads, start = [], 0
-    for inp in node.inputs:
+    for inp, need in zip(node.inputs, needs):
         n = inp.shape[axis]
-        grads.append(slice_axis(g, axis, start, start + n))
+        grads.append(slice_axis(g, axis, start, start + n) if need else None)
         start += n
     return tuple(grads)
 
@@ -544,26 +559,35 @@ def _fwd_slice(attrs, x):
 
 
 def _vjp_slice(node, g):
-    # Gradient scatters back into a zero array; expressed as a concat of
-    # zero constants so it stays differentiable.
-    x = node.inputs[0]
-    axis, start, stop = node.attrs["axis"], node.attrs["start"], node.attrs["stop"]
-    pieces = []
-    if start > 0:
-        shape = list(x.shape)
-        shape[axis] = start
-        pieces.append(constant(np.zeros(shape)))
-    pieces.append(g)
-    if stop < x.shape[axis]:
-        shape = list(x.shape)
-        shape[axis] = x.shape[axis] - stop
-        pieces.append(constant(np.zeros(shape)))
-    if len(pieces) == 1:
+    # The gradient writes g into zeros of the input's shape.
+    extent = node.inputs[0].shape[node.attrs["axis"]]
+    if node.attrs["start"] == 0 and node.attrs["stop"] == extent:
         return (g,)
-    return (concat(pieces, axis=axis),)
+    return (_make("_pad", (g,), {**node.attrs, "extent": extent}),)
 
 
 _OPS["slice"] = _Op(_fwd_slice, _vjp_slice)
+
+
+def _fwd_pad(attrs, g):
+    # Zeros of extent ``extent`` along ``axis`` with g at [start:stop].
+    axis, start, stop = attrs["axis"], attrs["start"], attrs["stop"]
+    if g.shape[axis] != stop - start:
+        raise ShapeError(f"_pad of [{start}:{stop}] got extent {g.shape[axis]}")
+    shape = list(g.shape)
+    shape[axis] = attrs["extent"]
+    out = np.zeros(shape)
+    idx = [slice(None)] * g.ndim
+    idx[axis] = slice(start, stop)
+    out[tuple(idx)] = g
+    return out
+
+
+def _vjp_pad(node, g):
+    return (slice_axis(g, node.attrs["axis"], node.attrs["start"], node.attrs["stop"]),)
+
+
+_OPS["_pad"] = _Op(_fwd_pad, _vjp_pad)
 
 
 def _fwd_embed_lookup(attrs, table):
@@ -962,20 +986,21 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     a parameter-update step relies on.
 
     Inside ``no_graph()`` the returned gradients link no inputs (a value-only
-    pass). Either way each interior adjoint is released once its VJP has run;
+    pass). Either way each interior adjoint is dropped once its VJP has run;
     only the adjoints of requested entries are kept.
 
-    A recording pass then releases values: it sets ``value`` to None on
-    every interior node, of the walked forward graph and of the gradient
-    graph it built, whose value no VJP of either reads by its op's
-    declaration (``_Op.reads`` and ``_Op.reads_output``). It keeps the
-    output, the requested nodes, the returned gradients and every leaf. A
-    later ``backward`` through this output or through the returned gradients
-    (second order) reads only kept values, so its results do not change. A
-    caller that reads an interior node's value afterwards finds None there,
-    and an op given such a node raises ``ReleasedValueError``; so does a
-    ``backward`` through another graph whose VJPs read a node that this pass
-    released. A value-only pass releases nothing.
+    A recording pass also releases values as it goes: it sets ``value`` to
+    None on an interior node without the read mark (``Node.read``) as soon
+    as nothing of the pass can use it. A walked forward node goes once the
+    walk has passed it, a consumed adjoint once no adjoint entry holds it,
+    and the other nodes a VJP built once that VJP has returned. The output,
+    the requested nodes and the returned gradients are kept, and a leaf has
+    no inputs and is never released. A marked value has a reader that a
+    later ``backward`` may run, through this output, through the returned
+    gradients (second order) or through any other graph, so its results do
+    not change. A caller that reads an unmarked interior node's value
+    afterwards finds None there, and an op given such a node raises
+    ``ReleasedValueError``. A value-only pass releases nothing.
 
     A non-finite output or gradient raises ``NonFiniteError`` naming the op
     that made it (see the module docstring).
@@ -987,23 +1012,20 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         check_finite(_read(output, "backward"), "the output of backward")
     except NonFiniteError:
         _raise_at_first_non_finite(output)
-    leaves = dict(wrt)
-
-    outer, _built = _built, []
+    outer = _built
     try:
-        order, result = _walk(output, leaves)
-        built = _built
+        result = _walk(output, dict(wrt))
     finally:
         _built = outer
     check_boundary(((f"gradient of {name!r}", g.value) for name, g in result.items()),
                    lambda: backward(output, wrt))
-    if _recording:
-        _release_unread((order, built), (output, *leaves.values(), *result.values()))
     return result
 
 
-def _walk(output: Node, leaves: dict[str, Node]) -> tuple[list[Node], dict[str, Node]]:
-    """(the walked forward nodes, the gradients) of ``backward``."""
+def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
+    """The gradients of ``backward``, releasing as it goes in a recording pass."""
+    global _built
+    recording = _recording
     # A node created before every requested node lies on no path from one.
     floor = min((n.serial for n in leaves.values()), default=0)
     order = _topo_order((output,), floor)
@@ -1013,26 +1035,46 @@ def _walk(output: Node, leaves: dict[str, Node]) -> tuple[list[Node], dict[str, 
     for n in order:
         if id(n) in wanted or any(id(i) in relevant for i in n.inputs):
             relevant.add(id(n))
+    seed = constant(np.ones(output.shape))
+    adjoint: dict[int, Node] = {id(output): seed}
+    # Recording only: node id -> how many adjoint entries hold the node. The
+    # output and the requested nodes are held throughout.
+    held = dict.fromkeys(wanted | {id(output), id(seed)}, 1) if recording else None
     if id(output) not in relevant:
-        return order, {name: constant(np.zeros(n.shape)) for name, n in leaves.items()}
+        if recording:
+            _release_unread(order, held)
+        return {name: constant(np.zeros(n.shape)) for name, n in leaves.items()}
 
-    adjoint: dict[int, Node] = {id(output): constant(np.ones(output.shape))}
     for n in reversed(order):
         g = adjoint.get(id(n))
         if g is None or n.op is None:
+            if recording:
+                _release_unread((n,), held)
             continue
         if id(n) not in wanted:
             del adjoint[id(n)]
+            if recording:
+                _unhold(held, g)
         needs = tuple(id(i) in relevant for i in n.inputs)
         if not any(needs):
             continue  # a requested node whose inputs lie below the floor
+        if recording:
+            _built = [n, g]  # with the nodes built below: what may go after this step
         vjp = _OPS[n.op].vjp
         grads = vjp(n, g, needs) if len(needs) > 1 else vjp(n, g)
         for inp, gi, need in zip(n.inputs, grads, needs):
             if not need:
                 continue
             prev = adjoint.get(id(inp))
-            adjoint[id(inp)] = gi if prev is None else add(prev, gi)
+            total = adjoint[id(inp)] = gi if prev is None else add(prev, gi)
+            if recording:
+                held[id(total)] = held.get(id(total), 0) + 1
+                if prev is not None:
+                    _built.append(prev)
+                    _unhold(held, prev)
+        if recording:
+            built, _built = _built, None
+            _release_unread(built, held)
 
     result: dict[str, Node] = {}
     for name, n in leaves.items():
@@ -1042,30 +1084,29 @@ def _walk(output: Node, leaves: dict[str, Node]) -> tuple[list[Node], dict[str, 
         elif g.shape != n.shape:
             g = _sum_to(g, n.shape)
         result[name] = g
-    return order, result
+    if recording:
+        # An adjoint summed down to its requested node's shape is consumed.
+        _release_unread(adjoint.values(), {id(g) for g in result.values()})
+    return result
 
 
-def _release_unread(node_lists: Sequence[list[Node]], keep: Sequence[Node]) -> None:
-    """Set ``value = None`` on each interior node of the lists that no VJP reads.
+def _unhold(held: dict[int, int], node: Node) -> None:
+    """Remove one adjoint entry's hold on ``node``."""
+    k = held.pop(id(node)) - 1
+    if k:
+        held[id(node)] = k
 
-    A node's value is read when one of the lists' nodes declares that its
-    VJP reads that input, or when the node's own op declares that its VJP
-    reads its output. Leaves, and nodes built inside ``no_graph()``, link no
-    inputs and are never released.
+
+def _release_unread(nodes: Iterable[Node], held: Container[int]) -> None:
+    """Set ``value = None`` on each interior node without the read mark, unless held.
+
+    ``held`` holds the ids of the nodes to keep. Leaves, and nodes built
+    inside ``no_graph()``, link no inputs and are never released. Every
+    release of ``backward`` goes through here.
     """
-    needed = {id(n) for n in keep}
-    for nodes in node_lists:
-        for n in nodes:
-            if n.inputs:
-                op = _OPS[n.op]
-                if op.reads_output:
-                    needed.add(id(n))
-                for i in op.reads:
-                    needed.add(id(n.inputs[i]))
-    for nodes in node_lists:
-        for n in nodes:
-            if n.inputs and id(n) not in needed:
-                n.value = None
+    for n in nodes:
+        if n.inputs and not n.read and id(n) not in held:
+            n.value = None
 
 
 def _raise_at_first_non_finite(output: Node) -> None:

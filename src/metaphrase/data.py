@@ -38,19 +38,26 @@ class TaskSizeError(ValueError):
     """
 
 
-def read_lines(path) -> list[str]:
-    """A UTF-8 text file's lines without newlines, read as a text-mode ``open`` splits them.
+def read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with its newlines as they are.
 
     Bytes that are not UTF-8 raise ``CorpusFormatError`` naming ``path:line``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise CorpusFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
-    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+
+
+def read_lines(path) -> list[str]:
+    """A UTF-8 text file's lines without newlines, read as a text-mode ``open`` splits them.
+
+    Bytes that are not UTF-8 raise ``CorpusFormatError`` naming ``path:line``.
+    """
+    return [line.rstrip("\n") for line in io.StringIO(read_text(path), newline=None)]
 
 
 class Vocab:

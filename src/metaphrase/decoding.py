@@ -248,8 +248,7 @@ def generate_file(checkpoint_path, input_path, output_path, dc: DecodeConfig) ->
     ckpt = pl.load_checkpoint(checkpoint_path)
     if ckpt.vocab is None:
         raise ValueError(f"checkpoint {checkpoint_path} carries no vocabulary")
-    with open(input_path, encoding="utf-8") as fin:
-        lines = [line.strip() for line in fin]
+    lines = [line.strip() for line in dt.read_lines(input_path)]
     sources = [dt.preprocess(line, ckpt.vocab) for line in lines if line]
     outputs = decode_batch(ckpt.store, ckpt.config, sources, dc)
     with open(output_path, "w", encoding="utf-8") as fout:

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import MARKERS
+from .data import MARKERS, read_text
 
 IBLEU_ALPHA = 0.9
 
@@ -159,8 +159,8 @@ class MetricReport:
 
 
 def _read_token_lines(path) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
+    # str.splitlines, not data.read_lines: it also splits at \x0b, \x1c, \u2028, ...
+    return [line.split() for line in read_text(path).splitlines()]
 
 
 def evaluate_corpus(generated_path, reference_path, source_path,

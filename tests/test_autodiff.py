@@ -183,6 +183,10 @@ def _op_cases():
             lambda p: ad._make("_flat_matmul", (p["a"], p["b"])),
             {"a": a, "b": rng.standard_normal((2, 3, 5))},
         ),
+        "_pad": (
+            lambda p: ad._make("_pad", (p["g"],), {"axis": 1, "start": 1, "stop": 3, "extent": 5}),
+            {"g": rng.standard_normal((3, 2))},
+        ),
     }
 
 
@@ -276,6 +280,38 @@ def test_no_vjp_builds_a_transpose(tiny_transformer):
     second = ad.backward(reduce(ad.add, [ad.sum_all(g) for g in grads.values()]), leaves)
     ops = {n.op for n in ad.Graph([loss, *grads.values(), *second.values()]).nodes}
     assert "matmul" in ops and "transpose_last2" not in ops
+
+
+def _concat_of_zeros(g, axis, start, stop, extent):
+    """The slice gradient as it was built before ``_pad``: g between zero constants."""
+    pieces = []
+    for lo, hi in ((0, start), (stop, extent)):
+        if hi > lo:
+            shape = list(g.shape)
+            shape[axis] = hi - lo
+            pieces.append(ad.constant(np.zeros(shape)))
+    pieces.insert(1 if start > 0 else 0, g)
+    return ad.concat(pieces, axis=axis)
+
+
+@pytest.mark.parametrize("axis,start,stop", [(1, 1, 3), (-1, 0, 2), (0, 2, 3), (1, 1, 4)])
+def test_pad_equals_the_concat_of_zeros_it_replaced(axis, start, stop):
+    x = np.random.default_rng(17).standard_normal((3, 4))
+    extent = x.shape[axis]
+
+    def run(pad):
+        leaf = ad.leaf("x", x)
+        padded = pad(ad.slice_axis(ad.gelu(leaf), axis, start, stop))
+        value = padded.value
+        first = ad.backward(_readout(padded), {"x": leaf})["x"]
+        second = ad.backward(ad.sum_all(ad.mul(first, first)), {"x": leaf})["x"]
+        return value, first.value, second.value
+
+    new = run(lambda g: ad._make("_pad", (g,), {"axis": axis, "start": start, "stop": stop,
+                                                 "extent": extent}))
+    old = run(lambda g: _concat_of_zeros(g, axis, start, stop, extent))
+    for a, b in zip(new, old):
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSecondOrder:
@@ -477,6 +513,7 @@ MASKED_OPS = {
     "matmul_ta_tb": (lambda a, b: ad.matmul(a, b, trans_a=True, trans_b=True),
                      (2, 4, 3), (2, 5, 4)),
     "_flat_matmul": (lambda a, b: ad._make("_flat_matmul", (a, b)), (2, 3, 4), (2, 3, 5)),
+    "concat": (lambda a, b: ad.concat([a, b], axis=-1), (2, 3, 4), (2, 3, 2)),
 }
 
 
@@ -734,3 +771,50 @@ class TestRelease:
         out = ad.mul(ad.scale(loss, 1e300), ad.constant(1e300))
         with pytest.raises(ad.NonFiniteError, match="output of 'mul'$"):
             ad.backward(out, {"x": x})
+
+    def test_a_later_backward_over_another_output_keeps_what_this_graph_reads(
+            self, tiny_transformer):
+        # The second-order backward walks the forward nodes that the gradients
+        # read, but not the loss's own op nodes that read them too.
+        leaves = tiny_transformer.store.leaves()
+        _, phi = mm.partition_params(tiny_transformer.store)
+        wrt = {n: leaves[n] for n in phi}
+        loss = tiny_transformer.loss_fn(leaves, tiny_transformer.pairs)
+        first = ad.backward(loss, wrt)
+        ad.backward(reduce(ad.add, [ad.sum_all(ad.mul(first[n], first[n])) for n in phi]), wrt)
+        again = ad.backward(loss, wrt)
+        for n in phi:
+            np.testing.assert_array_equal(again[n].value, first[n].value, err_msg=n)
+
+    def test_each_walked_node_goes_once_the_walk_has_passed_it(self, tiny_transformer,
+                                                               monkeypatch):
+        leaves = tiny_transformer.store.leaves()
+        _, phi = mm.partition_params(tiny_transformer.store)
+        wrt = {n: leaves[n] for n in phi}
+        walk = {}  # id(node) -> the nodes the walk has passed when its VJP runs
+        late = []
+
+        def spied(vjp):
+            def spy(node, *args):
+                late.extend(m for m in walk[id(node)] if m.value is not None)
+                return vjp(node, *args)
+            return spy
+
+        for op, entry in list(ad._OPS.items()):
+            monkeypatch.setitem(ad._OPS, op, entry._replace(vjp=spied(entry.vjp)))
+
+        def checked_backward(output):
+            order = ad._topo_order((output,), min(x.serial for x in wrt.values()))
+            kept = {id(output)} | {id(x) for x in wrt.values()}
+            passed = []
+            for n in reversed(order):
+                walk[id(n)] = list(passed)
+                if n.inputs and not n.read and id(n) not in kept:
+                    passed.append(n)
+            grads = ad.backward(output, wrt)
+            assert all(m.value is None for m in passed)
+            return grads
+
+        first = checked_backward(tiny_transformer.loss_fn(leaves, tiny_transformer.pairs))
+        checked_backward(reduce(ad.add, [ad.sum_all(ad.mul(first[n], first[n])) for n in phi]))
+        assert len(walk) > 100 and not late

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metaphrase import data as dt
 from metaphrase import metrics as mx
 
 CAT = "the cat sat".split()
@@ -202,3 +203,19 @@ class TestCorpus:
                 assert -10.0 - 1e-9 <= value <= 100.0
             else:
                 assert 0.0 <= value <= 100.0
+
+    @pytest.mark.parametrize("bad", ["gen.txt", "ref.txt", "src.txt"])
+    def test_non_utf8_file_names_path_and_line(self, tmp_path, bad):
+        paths = {name: self.write(tmp_path, name, ["a b", "c d"])
+                 for name in ("gen.txt", "ref.txt", "src.txt")}
+        paths[bad].write_bytes(b"a b\nc \xff d\n")
+        with pytest.raises(dt.CorpusFormatError, match=rf"{bad}:2: not UTF-8 text"):
+            mx.evaluate_corpus(paths["gen.txt"], paths["ref.txt"], paths["src.txt"])
+
+    def test_lines_split_as_str_splitlines(self, tmp_path):
+        text = "a b\x0bc d\u2028e f\x1cg h\r\ni j\n"
+        paths = []
+        for name in ("gen.txt", "ref.txt", "src.txt"):
+            paths.append(tmp_path / name)
+            paths[-1].write_bytes(text.encode())
+        assert mx.evaluate_corpus(*paths).pairs == len(text.splitlines()) == 5

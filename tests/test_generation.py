@@ -381,6 +381,13 @@ class TestGenerateFile:
         text = out.read_text()
         assert "<s>" not in text and "</s>" not in text
 
+    def test_non_utf8_input_names_path_and_line(self, tmp_path):
+        ckpt_path = self.make_checkpoint(tmp_path)
+        inp = tmp_path / "in.txt"
+        inp.write_bytes(b"cat runs\ndog \xff hides\n")
+        with pytest.raises(dt.CorpusFormatError, match=r"in\.txt:2: not UTF-8 text"):
+            dec.generate_file(ckpt_path, inp, tmp_path / "out.txt", dec.DecodeConfig())
+
     def test_checkpoint_without_vocab_rejected(self, tmp_path):
         vocab = dt.Vocab(["cat"])
         cfg = toy_config(vocab_size=len(vocab))
