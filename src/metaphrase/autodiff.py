@@ -84,7 +84,7 @@ node once the walk has passed it, a consumed adjoint once no adjoint entry
 holds it, and the other nodes a VJP built once the VJP has returned. The
 output, the requested nodes and the returned gradients are kept. So
 second-order MAML holds for its outer pass only what that pass reads, each
-inner backward holds little more than its frontier, and an op handed a
+inner backward frees what it is done with as it goes, and an op handed a
 released value raises ``ReleasedValueError``. A value-only pass releases
 nothing and keeps no such books. A non-finite output's walk skips released
 nodes, so it names the first non-finite node that is still held.
@@ -1012,11 +1012,10 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         check_finite(_read(output, "backward"), "the output of backward")
     except NonFiniteError:
         _raise_at_first_non_finite(output)
-    outer = _built
     try:
         result = _walk(output, dict(wrt))
     finally:
-        _built = outer
+        _built = None
     check_boundary(((f"gradient of {name!r}", g.value) for name, g in result.items()),
                    lambda: backward(output, wrt))
     return result
