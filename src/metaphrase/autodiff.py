@@ -47,15 +47,32 @@ from one to the output: ``backward`` walks the graph no further down than
 the oldest requested node. For the inner loop of second-order MAML, the
 gradient of step k then never re-walks steps 1..k-1.
 
+Each node carries a requires-gradient bit (``Node.requires_grad``), as
+PyTorch's autograd does. A leaf is trainable (``leaf()``'s default) or
+frozen, a constant never takes gradients, and a recorded node takes them
+when any of its inputs does. ``backward`` rejects a requested node without
+the bit (``FrozenNodeError``), so every node on a path from a requested
+node has it.
+
 ``backward`` builds no gradient that nothing reads. An input needs a
 gradient when it lies on a path from a requested node, and each VJP of
 several inputs gets one such flag per input. ``add``, ``mul``, ``matmul``,
-``_flat_matmul`` and ``concat`` build nothing for an input that needs no
-gradient, so with the backbone frozen no frozen weight's gradient is built.
-A requested node whose inputs all lie below the oldest requested node runs
-no VJP. ``layer_norm`` still builds every input's gradient. The VJP of
-``slice`` is one private ``_pad`` node, which writes the adjoint into zeros,
-and the VJP of ``_pad`` is ``slice``.
+``_flat_matmul``, ``concat``, ``_layer_norm_grad`` and ``_gelu_grad``
+build nothing for an input that needs no gradient, so with the backbone
+frozen no frozen weight's gradient is built. A requested node whose inputs
+all lie below the oldest requested node runs no VJP. ``layer_norm`` still
+builds its input's gradient, one node. The VJP of ``slice`` is one private
+``_pad`` node, which writes the adjoint into zeros, and the VJP of ``_pad``
+is ``slice``.
+
+The gradients of ``layer_norm`` and ``gelu`` are one node each: the input
+gradient of a layer norm is a ``_layer_norm_grad`` node, its gain gradient
+reads the normalised input from an ``_ln_xhat`` node, and the gradient of a
+GELU is a ``_gelu_grad`` node. Their forwards repeat, op for op, the
+primitive chains they replace, so first-order gradients are bitwise those
+of the chains. Their VJPs are built from the primitives (the VJP of
+``_ln_xhat`` is a ``_layer_norm_grad`` with a unit gain), so gradients of
+gradients need no other op.
 
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
 but the nodes they return link no inputs, so nothing is kept alive for a
@@ -75,19 +92,24 @@ A recording ``backward`` keeps a node's value only while a VJP can read it.
 Each op declares which values its VJP reads: some of its inputs (``mul``,
 ``matmul``, ``relu``, ``layer_norm``, ...) or its own output
 (``softmax_lastdim``, ``_tanh``, ``_rsqrt``); every other VJP reads only
-shapes and attributes, which ``Node.shape`` keeps. When a node is recorded,
-each value its VJP reads gets the read mark (``Node.read``), so whether a
-value is read is known as soon as its reader exists, whatever graph that
-reader lies in. The walk then releases (``value = None``) each unmarked
-interior node at the first moment nothing of the pass can use it: a walked
-node once the walk has passed it, a consumed adjoint once no adjoint entry
-holds it, and the other nodes a VJP built once the VJP has returned. The
-output, the requested nodes and the returned gradients are kept. So
-second-order MAML holds for its outer pass only what that pass reads, each
-inner backward frees what it is done with as it goes, and an op handed a
-released value raises ``ReleasedValueError``. A value-only pass releases
-nothing and keeps no such books. A non-finite output's walk skips released
-nodes, so it names the first non-finite node that is still held.
+shapes and attributes, which ``Node.shape`` keeps. When a node that takes
+gradients is recorded, each value its VJP reads gets the read mark
+(``Node.read``), so whether a value is read is known as soon as its reader
+exists, whatever graph that reader lies in. A node without the bit marks
+nothing, since no ``backward`` runs its VJP. A product (``mul``, ``matmul``,
+``_flat_matmul``) reads each input only for the other input's gradient, so
+it marks input i only when the other input takes gradients: an activation
+multiplied by a frozen backbone weight is not kept for the weight's
+gradient, which is never built. The walk then releases (``value = None``)
+each unmarked interior node at the first moment nothing of the pass can use
+it: a walked node once the walk has passed it, a consumed adjoint once no
+adjoint entry holds it, and the other nodes a VJP built once the VJP has
+returned. The output, the requested nodes and the returned gradients are
+kept. So second-order MAML holds for its outer pass only what that pass
+reads, each inner backward frees what it is done with as it goes, and an op
+handed a released value raises ``ReleasedValueError``. A value-only pass
+releases nothing and keeps no such books. A non-finite output's walk skips
+released nodes, so it names the first non-finite node that is still held.
 """
 
 from __future__ import annotations
@@ -111,6 +133,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "ReleasedValueError",
+    "FrozenNodeError",
     "leaf",
     "constant",
     "backward",
@@ -150,6 +173,10 @@ class NonFiniteError(ArithmeticError):
 
 class ReleasedValueError(RuntimeError):
     """An op read the value of a node that a recording ``backward`` released."""
+
+
+class FrozenNodeError(ValueError):
+    """``backward`` was asked for the gradient of a node without the requires-gradient bit."""
 
 
 def check_finite(value, context: str) -> None:
@@ -197,19 +224,26 @@ _serials = itertools.count()
 class Node:
     """One value in the computation DAG.
 
-    Leaves have ``op is None``; named leaves are trainable/checkable
-    parameters, unnamed leaves are constants. Interior nodes record the
-    primitive id, input nodes and attributes so the graph can be
-    differentiated. ``serial`` numbers nodes in creation order.
+    Leaves have ``op is None``; named leaves are parameters, unnamed leaves
+    are constants. Interior nodes record the primitive id, input nodes and
+    attributes so the graph can be differentiated. ``serial`` numbers nodes
+    in creation order.
+
+    ``requires_grad`` is the requires-gradient bit. A trainable leaf has it
+    and a frozen leaf or a constant does not; a recorded node has it when
+    any of its inputs does, and a node built inside ``no_graph()`` never
+    does. ``backward`` differentiates only with respect to nodes that have
+    it, so no VJP of a node without it ever runs.
 
     ``read`` is the read mark: true once a recorded node exists whose VJP
-    reads this value (see ``_Op``). ``shape`` outlives ``value``: a recording
-    ``backward`` sets ``value`` to None on each interior node without the
-    mark (see ``backward``), and an op that reads such a node raises
-    ``ReleasedValueError``.
+    can read this value (see ``_Op``). ``shape`` outlives ``value``: a
+    recording ``backward`` sets ``value`` to None on each interior node
+    without the mark (see ``backward``), and an op that reads such a node
+    raises ``ReleasedValueError``.
     """
 
-    __slots__ = ("op", "inputs", "attrs", "value", "shape", "name", "serial", "read")
+    __slots__ = ("op", "inputs", "attrs", "value", "shape", "name", "serial", "read",
+                 "requires_grad")
 
     def __init__(self, op, inputs, attrs, value, name=None):
         self.op = op
@@ -220,17 +254,24 @@ class Node:
         self.name = name
         self.serial = next(_serials)
         self.read = False
+        self.requires_grad = False
 
     def __repr__(self):
         tag = self.name if self.op is None else self.op
         return f"Node({tag!r}, shape={self.shape})"
 
 
-def leaf(name: str, values) -> Node:
-    """Create a named parameter leaf. Values are kept as float64."""
+def leaf(name: str, values, requires_grad: bool = True) -> Node:
+    """Create a named parameter leaf, trainable unless ``requires_grad`` is false.
+
+    Values are kept as float64. A frozen leaf takes no gradient: ``backward``
+    rejects it as a requested node, and no value is kept for its gradient.
+    """
     arr = np.asarray(values, dtype=np.float64)
     check_finite(arr, f"leaf {name!r}")
-    return Node(None, (), None, arr, name=name)
+    node = Node(None, (), None, arr, name=name)
+    node.requires_grad = requires_grad
+    return node
 
 
 def constant(values) -> Node:
@@ -258,16 +299,22 @@ class _Op(NamedTuple):
     nothing, for an input that needs no gradient.
 
     ``reads`` names the inputs whose values the VJP reads, and
-    ``reads_output`` whether it reads the node's own value; ``_make`` gives
-    those values the read mark when it records the node. Every other value
-    the VJP touches is only a shape or an attribute, so a recording
-    ``backward`` may release it.
+    ``reads_output`` whether it reads the node's own value. When ``_make``
+    records a node that takes gradients (``Node.requires_grad``), it gives
+    those values the read mark; a node without the bit has no VJP that can
+    run, so it marks nothing. A ``pairwise`` op (``mul``, ``matmul``,
+    ``_flat_matmul``) reads each input only for the other input's gradient,
+    so it marks input i only when the other input takes gradients: an
+    activation multiplied by a frozen weight is not kept for the weight's
+    gradient, which is never built. Every other value the VJP touches is
+    only a shape or an attribute, so a recording ``backward`` may release it.
     """
 
     fwd: Callable
     vjp: Callable
     reads: tuple[int, ...] = ()
     reads_output: bool = False
+    pairwise: bool = False
 
 
 _OPS: dict[str, _Op] = {}
@@ -338,10 +385,19 @@ def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node
     if not _recording:
         return Node(op_id, (), attrs, value)
     node = Node(op_id, tuple(inputs), attrs, value)
-    for i in op.reads:
-        inputs[i].read = True
-    if op.reads_output:
-        node.read = True
+    for n in inputs:
+        if n.requires_grad:
+            node.requires_grad = True
+            break
+    if op.pairwise:
+        for i in op.reads:
+            if inputs[1 - i].requires_grad:
+                inputs[i].read = True
+    elif node.requires_grad:
+        for i in op.reads:
+            inputs[i].read = True
+        if op.reads_output:
+            node.read = True
     if _built is not None:
         _built.append(node)
     return node
@@ -425,7 +481,7 @@ def _vjp_mul(node, g, needs):
             _sum_to(mul(g, a), b.shape) if needs[1] else None)
 
 
-_OPS["mul"] = _Op(_fwd_mul, _vjp_mul, reads=(0, 1))
+_OPS["mul"] = _Op(_fwd_mul, _vjp_mul, reads=(0, 1), pairwise=True)
 
 
 def _fwd_scale(attrs, x):
@@ -484,7 +540,7 @@ def _vjp_matmul(node, g, needs):
     return (ga, gb)
 
 
-_OPS["matmul"] = _Op(_fwd_matmul, _vjp_matmul, reads=(0, 1))
+_OPS["matmul"] = _Op(_fwd_matmul, _vjp_matmul, reads=(0, 1), pairwise=True)
 
 
 def _fwd_flat_matmul(attrs, a, b):
@@ -500,7 +556,8 @@ def _vjp_flat_matmul(node, g, needs):
             matmul(a, g) if needs[1] else None)
 
 
-_OPS["_flat_matmul"] = _Op(_fwd_flat_matmul, _vjp_flat_matmul, reads=(0, 1))
+_OPS["_flat_matmul"] = _Op(_fwd_flat_matmul, _vjp_flat_matmul, reads=(0, 1),
+                            pairwise=True)
 
 
 def _fwd_transpose_last2(attrs, x):
@@ -642,8 +699,7 @@ def _fwd_mask_fill(attrs, x):
 
 
 def _vjp_mask_fill(node, g):
-    keep = constant((~np.broadcast_to(node.attrs["mask"], g.shape)).astype(np.float64))
-    return (mul(g, keep),)
+    return (mask_fill(g, node.attrs["mask"], 0.0),)
 
 
 _OPS["mask_fill"] = _Op(_fwd_mask_fill, _vjp_mask_fill)
@@ -660,8 +716,7 @@ def _fwd_relu(attrs, x):
 
 def _vjp_relu(node, g):
     # Subgradient at 0 is 0 (strict inequality).
-    mask = constant((_read(node.inputs[0], "relu") > 0.0).astype(np.float64))
-    return (mul(g, mask),)
+    return (mask_fill(g, ~(_read(node.inputs[0], "relu") > 0.0), 0.0),)
 
 
 _OPS["relu"] = _Op(_fwd_relu, _vjp_relu, reads=(0,))
@@ -676,20 +731,40 @@ def _fwd_gelu(attrs, x):
 
 
 def _vjp_gelu(node, g):
-    # d/dx [0.5 x (1 + tanh(u))], u = c(x + a x^3), rebuilt as nodes so the
-    # derivative is itself differentiable.
-    x = node.inputs[0]
-    x2 = mul(x, x)
-    u = scale(add(x, scale(mul(x2, x), _GELU_A)), _GELU_C)
-    t = _make("_tanh", (u,))
-    one = constant(np.ones(()))
-    sech2 = sub(one, mul(t, t))
-    du = scale(add(one, scale(x2, 3.0 * _GELU_A)), _GELU_C)
-    d = add(scale(add(one, t), 0.5), scale(mul(mul(x, sech2), du), 0.5))
-    return (mul(g, d),)
+    return (_make("_gelu_grad", (node.inputs[0], g)),)
 
 
 _OPS["gelu"] = _Op(_fwd_gelu, _vjp_gelu, reads=(0,))
+
+
+def _fwd_gelu_grad(attrs, x, g):
+    # g * d/dx [0.5 x (1 + tanh(u))], u = c(x + a x^3), in the order of the
+    # primitive chain it replaces, so every value is bitwise that chain's.
+    x2 = x * x
+    t = np.tanh((x + (x2 * x) * _GELU_A) * _GELU_C)
+    sech2 = 1.0 + (t * t) * -1.0
+    du = (1.0 + x2 * (3.0 * _GELU_A)) * _GELU_C
+    return g * ((1.0 + t) * 0.5 + ((x * sech2) * du) * 0.5)
+
+
+def _vjp_gelu_grad(node, v, needs):
+    # With d = gelu', the node is g * d(x): the g adjoint is v * d(x), one
+    # node of this op, and the x adjoint is v * g * d'(x), where
+    # d' = (1 - t^2) (c (1 + 6 a x^2) - x t du^2) and du = c (1 + 3 a x^2).
+    x, g = node.inputs
+    gx = None
+    if needs[0]:
+        one = constant(np.ones(()))
+        x2 = mul(x, x)
+        t = _make("_tanh", (scale(add(x, scale(mul(x2, x), _GELU_A)), _GELU_C),))
+        du = scale(add(one, scale(x2, 3.0 * _GELU_A)), _GELU_C)
+        curve = sub(scale(add(one, scale(x2, 6.0 * _GELU_A)), _GELU_C),
+                    mul(mul(x, t), mul(du, du)))
+        gx = mul(mul(v, g), mul(sub(one, mul(t, t)), curve))
+    return (gx, _make("_gelu_grad", (x, v)) if needs[1] else None)
+
+
+_OPS["_gelu_grad"] = _Op(_fwd_gelu_grad, _vjp_gelu_grad, reads=(0, 1))
 
 
 def _fwd_tanh(attrs, x):
@@ -714,29 +789,6 @@ def _vjp_rsqrt(node, g):
 
 
 _OPS["_rsqrt"] = _Op(_fwd_rsqrt, _vjp_rsqrt, reads_output=True)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-
-def _fwd_mean_last(attrs, x):
-    return x.mean(axis=-1, keepdims=True)
-
-
-def _vjp_mean_last(node, g):
-    x = node.inputs[0]
-    return (
-        _make(
-            "_broadcast_to",
-            (scale(g, 1.0 / x.shape[-1]),),
-            {"shape": x.shape},
-        ),
-    )
-
-
-_OPS["_mean_last"] = _Op(_fwd_mean_last, _vjp_mean_last)
 
 
 # ---------------------------------------------------------------------------
@@ -783,30 +835,74 @@ def _fwd_layer_norm(attrs, x, gain, bias):
 
 
 def _vjp_layer_norm(node, g, needs):
+    # x's gradient is built even when x needs none (the embedding-fed norms).
     x, gain, bias = node.inputs
-    eps = node.attrs["eps"]
-    m = _make("_mean_last", (x,))
-    xc = sub(x, m)
-    v = _make("_mean_last", (mul(xc, xc),))
-    inv = _make("_rsqrt", (add(v, constant(np.asarray(eps))),))
-    xhat = mul(xc, inv)
-    dxhat = mul(g, gain)
-    dx = mul(
-        inv,
-        sub(
-            dxhat,
-            add(
-                _make("_mean_last", (dxhat,)),
-                mul(xhat, _make("_mean_last", (mul(dxhat, xhat),))),
-            ),
-        ),
-    )
-    dgain = _sum_to(mul(g, xhat), gain.shape)
-    dbias = _sum_to(g, bias.shape)
+    dx = _make("_layer_norm_grad", (x, gain, g), node.attrs)
+    dgain = _sum_to(mul(g, _make("_ln_xhat", (x,), node.attrs)), gain.shape) if needs[1] else None
+    dbias = _sum_to(g, bias.shape) if needs[2] else None
     return (dx, dgain, dbias)
 
 
 _OPS["layer_norm"] = _Op(_fwd_layer_norm, _vjp_layer_norm, reads=(0, 1))
+
+
+def _ln_centre_and_scale(x, eps):
+    # (x - mean, 1 / sqrt(var + eps)) in the order of the primitive chain
+    # the layer-norm gradient ops replace, so their values are bitwise its.
+    xc = x + x.mean(axis=-1, keepdims=True) * -1.0
+    return xc, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+
+
+def _fwd_ln_xhat(attrs, x):
+    xc, inv = _ln_centre_and_scale(x, attrs["eps"])
+    return xc * inv
+
+
+def _vjp_ln_xhat(node, u):
+    # xhat's Jacobian is r P, P = I - 11^T/d - xhat xhat^T/d symmetric and
+    # r = 1/sqrt(var + eps): the adjoint is _layer_norm_grad with a unit gain.
+    x = node.inputs[0]
+    return (_make("_layer_norm_grad", (x, constant(np.ones(x.shape[-1:])), u), node.attrs),)
+
+
+_OPS["_ln_xhat"] = _Op(_fwd_ln_xhat, _vjp_ln_xhat, reads=(0,))
+
+
+def _fwd_layer_norm_grad(attrs, x, gain, g):
+    # layer_norm's input gradient r P(g * gain), with P as in _vjp_ln_xhat.
+    xc, inv = _ln_centre_and_scale(x, attrs["eps"])
+    xhat = xc * inv
+    dxhat = g * gain
+    mean = dxhat.mean(axis=-1, keepdims=True)
+    return inv * (dxhat + (mean + xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * -1.0)
+
+
+def _row_mean(x: Node) -> Node:
+    return scale(_sum_to(x, x.shape[:-1] + (1,)), 1.0 / x.shape[-1])
+
+
+def _vjp_layer_norm_grad(node, u, needs):
+    # y = r P(a), a = g * gain. With w = r P(u) (P symmetric), the g and gain
+    # adjoints are gain * w and w * g; the x adjoint is
+    # -r (mean(a xhat) w + mean(u xhat) y + mean(u y) xhat).
+    x, gain, g = node.inputs
+    w = _make("_layer_norm_grad", (x, constant(np.ones(x.shape[-1:])), u), node.attrs)
+    gx = None
+    if needs[0]:
+        y = _make("_layer_norm_grad", (x, gain, g), node.attrs)
+        xhat = _make("_ln_xhat", (x,), node.attrs)
+        xc = sub(x, _row_mean(x))
+        r = _make("_rsqrt", (add(_row_mean(mul(xc, xc)), constant(node.attrs["eps"])),))
+        total = add(add(mul(_row_mean(mul(mul(g, gain), xhat)), w),
+                        mul(_row_mean(mul(u, xhat)), y)),
+                    mul(_row_mean(mul(u, y)), xhat))
+        gx = scale(mul(r, total), -1.0)
+    return (gx,
+            _sum_to(mul(w, g), gain.shape) if needs[1] else None,
+            mul(w, gain) if needs[2] else None)
+
+
+_OPS["_layer_norm_grad"] = _Op(_fwd_layer_norm_grad, _vjp_layer_norm_grad, reads=(0, 1, 2))
 
 
 def _fwd_cross_entropy(attrs, logits):
@@ -983,7 +1079,9 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     Entries need not be leaves: asking for the gradient at an interior node
     (say, an updated parameter expression) returns the adjoint there, still
     expressed as differentiable nodes, which is what differentiating through
-    a parameter-update step relies on.
+    a parameter-update step relies on. Every entry must take gradients
+    (``Node.requires_grad``); a frozen leaf, a constant or a node computed
+    from them alone raises ``FrozenNodeError``.
 
     Inside ``no_graph()`` the returned gradients link no inputs (a value-only
     pass). Either way each interior adjoint is dropped once its VJP has run;
@@ -998,9 +1096,14 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     no inputs and is never released. A marked value has a reader that a
     later ``backward`` may run, through this output, through the returned
     gradients (second order) or through any other graph, so its results do
-    not change. A caller that reads an unmarked interior node's value
+    not change. An unmarked value has no such reader: no VJP reads it, or
+    only the VJP of a node without the requires-gradient bit, or only the
+    gradient of a frozen partner in a product, none of which a ``backward``
+    can request. A caller that reads an unmarked interior node's value
     afterwards finds None there, and an op given such a node raises
-    ``ReleasedValueError``. A value-only pass releases nothing.
+    ``ReleasedValueError``; this includes a returned gradient that nothing
+    reads, once a later recording ``backward`` has walked it. A value-only
+    pass releases nothing.
 
     A non-finite output or gradient raises ``NonFiniteError`` naming the op
     that made it (see the module docstring).
@@ -1008,6 +1111,9 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     global _built
     if math.prod(output.shape) != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
+    frozen = [name for name, n in wrt.items() if not n.requires_grad]
+    if frozen:
+        raise FrozenNodeError(f"backward requested nodes that take no gradient: {frozen}")
     try:
         check_finite(_read(output, "backward"), "the output of backward")
     except NonFiniteError:
@@ -1028,11 +1134,12 @@ def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
     # A node created before every requested node lies on no path from one.
     floor = min((n.serial for n in leaves.values()), default=0)
     order = _topo_order((output,), floor)
-    # Only nodes on a path from a requested leaf to the output need adjoints.
+    # Only nodes on a path from a requested node to the output need adjoints.
+    # Such a node descends from a requested node, so it takes gradients.
     wanted = {id(n) for n in leaves.values()}
     relevant: set[int] = set()
     for n in order:
-        if id(n) in wanted or any(id(i) in relevant for i in n.inputs):
+        if id(n) in wanted or n.requires_grad and any(id(i) in relevant for i in n.inputs):
             relevant.add(id(n))
     seed = constant(np.ones(output.shape))
     adjoint: dict[int, Node] = {id(output): seed}

@@ -36,7 +36,6 @@ and log-probs it gets when decoded alone; ``decode`` is the batch of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,12 +60,10 @@ class DecodeConfig:
     def __post_init__(self):
         if self.strategy not in ("greedy", "beam"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if self.max_decode_len < 2:
-            raise ValueError("max_decode_len must fit the markers")
-        if not math.isfinite(self.length_penalty):
-            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
+        mm.check_count("beam_width", self.beam_width, 1)
+        mm.check_count("max_decode_len", self.max_decode_len, 2)  # the two markers
+        if not mm.finite_number(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty!r}")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -41,7 +41,14 @@ class DataSettings:
     target_valid: int = 48
     target_test: int = 48
     source_valid: int = 64
-    pre_cap: int = 4000  # unlabeled sentences kept for stage (a)
+    pre_cap: int = 4000  # unlabeled sentences kept for stage (a); 0 keeps all
+
+    def __post_init__(self):
+        # n_domains: one source, one validation and one target domain at least.
+        for name, low in (("n_domains", 3), ("pairs_per_domain", 1), ("target_train", 0),
+                          ("target_valid", 0), ("target_test", 0), ("source_valid", 1),
+                          ("pre_cap", 0)):
+            mm.check_count(name, getattr(self, name), low)
 
 
 @dataclass
@@ -63,8 +70,6 @@ def _write_pairs_tsv(path, texts):
 
 def build_world_files(settings: DataSettings, out_dir) -> None:
     """Materialize the synthetic world under out_dir (synth-data command)."""
-    if settings.n_domains < 3:
-        raise ValueError("need at least one source, one validation and one target domain")
     os.makedirs(os.path.join(out_dir, "pairs"), exist_ok=True)
 
     specs = dt.domain_family(settings.n_domains, seed=SYNTH_SEED)
@@ -181,6 +186,17 @@ class RunSettings:
     meta_steps: int = 200
     finetune_steps: int = 200
     eval_every: int = 20
+
+    def __post_init__(self):
+        for name, low in (("pretrain_steps", 0), ("pretrain_batch", 1), ("meta_steps", 0),
+                          ("finetune_steps", 0), ("eval_every", 1)):
+            mm.check_count(name, getattr(self, name), low)
+        if not (mm.finite_number(self.pretrain_lr) and self.pretrain_lr > 0):
+            raise ValueError(f"pretrain_lr must be finite and positive, got {self.pretrain_lr!r}")
+        if not (mm.finite_number(self.pretrain_clean_frac)
+                and 0.0 <= self.pretrain_clean_frac <= 1.0):
+            raise ValueError(f"pretrain_clean_frac must be in [0, 1], "
+                             f"got {self.pretrain_clean_frac!r}")
 
 
 def log(msg: str) -> None:

@@ -57,6 +57,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .model import check_count, finite_number
 
 LossFn = Callable[[Mapping[str, Node], object], Node]
 
@@ -73,14 +74,14 @@ class TrainHyper:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(s) and s > 0 for s in (self.alpha, self.beta)):
-            raise ValueError(f"step sizes must be finite and positive, got alpha={self.alpha}, "
-                             f"beta={self.beta}")
-        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+        if not all(finite_number(s) and s > 0 for s in (self.alpha, self.beta)):
+            raise ValueError(f"step sizes must be finite and positive, got alpha={self.alpha!r}, "
+                             f"beta={self.beta!r}")
+        if not (finite_number(self.clip_norm) and self.clip_norm >= 0):
             raise ValueError(f"clip_norm must be finite and >= 0 (0 disables clipping), "
-                             f"got {self.clip_norm}")
-        if self.inner_steps < 1 or self.meta_batch_tasks < 1 or self.task_batch_size < 1:
-            raise ValueError("inner_steps, meta_batch_tasks, task_batch_size must be >= 1")
+                             f"got {self.clip_norm!r}")
+        for name in ("inner_steps", "meta_batch_tasks", "task_batch_size"):
+            check_count(name, getattr(self, name), 1)
         if self.order_mode not in ("second", "first"):
             raise ValueError(f"order_mode must be 'second' or 'first', got {self.order_mode!r}")
         if self.outer_optimizer not in ("sgd", "adamw"):
@@ -153,15 +154,16 @@ class TaskBatches(tuple):
     """
 
 
-def _as_param_nodes(params) -> dict[str, Node]:
+def _as_param_nodes(params, phi_names: Sequence[str]) -> dict[str, Node]:
+    """A store's leaves, only phi trainable; a name -> Node mapping is copied."""
     if hasattr(params, "leaves"):
-        return params.leaves()
+        return params.leaves(phi_names)
     return dict(params)
 
 
 def stack_phi(params, phi_names: Sequence[str], n_tasks: int) -> dict[str, Node]:
     """The parameter map with each phi entry broadcast to one row per task."""
-    current = _as_param_nodes(params)
+    current = _as_param_nodes(params, phi_names)
     for n in phi_names:
         shape = current[n].shape
         ones = (1,) * (TASK_RANK - len(shape))
@@ -213,7 +215,7 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
         if not _batch_size(task.query):
             raise ValueError("task has an empty query set")
 
-    base = _as_param_nodes(params)
+    base = _as_param_nodes(params, phi_names)
     adapted, support_losses = inner_adapt(base, phi_names, [t.support for t in tasks],
                                           hyper, loss_fn)
     total, query_losses = _task_losses(loss_fn, adapted, [t.query for t in tasks])
@@ -265,10 +267,8 @@ class StopCriteria:
     eval_every: int = 20
 
     def __post_init__(self):
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        check_count("max_steps", self.max_steps, 0)
+        check_count("eval_every", self.eval_every, 1)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -47,6 +47,23 @@ DEFAULT_PLACEMENT = frozenset({"enc_attn", "enc_ffn", "dec_attn", "dec_ffn"})
 NEG_FILL = -1e9
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int, not a bool, and >= ``low``.
+
+    The one check of every integer config field: a NaN, an infinity or 2.5
+    fails here instead of later, in ``range`` or an array shape.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is an int or a finite float, not a bool (a real config field's test)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d_model: int
@@ -62,26 +79,23 @@ class ModelConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
-        extents = (
-            self.d_model,
-            self.n_heads,
-            self.n_enc_layers,
-            self.n_dec_layers,
-            self.d_ff,
-            self.vocab_size,
-            self.max_len,
-        )
-        if any(e <= 0 for e in extents):
-            raise ValueError(f"all extents must be positive, got {extents}")
+        for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff",
+                     "vocab_size", "max_len"):
+            check_count(name, getattr(self, name), 1)
+        check_count("adapter_hidden", self.adapter_hidden, 0)
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.adapter_hidden < 0:
-            raise ValueError("adapter_hidden must be >= 0")
-        if not (math.isfinite(self.ln_eps) and self.ln_eps > 0):
-            raise ValueError(f"ln_eps must be finite and positive, got {self.ln_eps}")
-        unknown = set(self.adapter_placement) - set(ADAPTER_SITES)
+        if not (finite_number(self.ln_eps) and self.ln_eps > 0):
+            raise ValueError(f"ln_eps must be finite and positive, got {self.ln_eps!r}")
+        if not isinstance(self.tie_embeddings, bool):
+            raise ValueError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
+        try:
+            unknown = set(self.adapter_placement) - set(ADAPTER_SITES)
+        except TypeError:
+            raise ValueError(f"adapter_placement must be a set of adapter sites, "
+                             f"got {self.adapter_placement!r}") from None
         if unknown:
             raise ValueError(f"unknown adapter sites: {sorted(unknown)}")
         if self.adapter_placement and self.adapter_hidden == 0:
@@ -131,8 +145,14 @@ class ParamStore:
     def items(self):
         return self._arrays.items()
 
-    def leaves(self) -> dict[str, Node]:
-        return {name: ad.leaf(name, arr) for name, arr in self._arrays.items()}
+    def leaves(self, trainable: Iterable[str] | None = None) -> dict[str, Node]:
+        """One leaf per parameter: each trainable, or only the names in ``trainable``.
+
+        A frozen leaf takes no gradient, so no value is kept for one.
+        """
+        keep = None if trainable is None else set(trainable)
+        return {name: ad.leaf(name, arr, keep is None or name in keep)
+                for name, arr in self._arrays.items()}
 
     def copy(self) -> "ParamStore":
         out = ParamStore()

@@ -76,8 +76,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         for p in (self.mask_prob, self.delete_prob):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"corruption probabilities must be in [0, 1], got {p}")
+            if not (mm.finite_number(p) and 0.0 <= p <= 1.0):
+                raise ValueError(f"corruption probabilities must be in [0, 1], got {p!r}")
 
 
 def corrupt(tokens, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
@@ -374,7 +374,7 @@ def _train_on_pairs(store, names, loss_fn, sample_batch, hyper, stop,
     """
 
     def step_fn():
-        leaves = store.leaves()
+        leaves = store.leaves(names)
         loss = loss_fn(leaves, sample_batch())
         grads = ad.gradient_values(loss, {n: leaves[n] for n in names})
         value = float(loss.value)

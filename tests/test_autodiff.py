@@ -164,7 +164,13 @@ def _op_cases():
         "gelu": (lambda p: ad.gelu(p["x"]), {"x": x}),
         "_tanh": (lambda p: ad._make("_tanh", (p["x"],)), {"x": x}),
         "_rsqrt": (lambda p: ad._make("_rsqrt", (p["x"],)), {"x": 0.5 + rng.random((3, 4))}),
-        "_mean_last": (lambda p: ad._make("_mean_last", (p["a"],)), {"a": a}),
+        "_ln_xhat": (lambda p: ad._make("_ln_xhat", (p["a"],), {"eps": 1e-5}), {"a": a}),
+        "_layer_norm_grad": (
+            lambda p: ad._make("_layer_norm_grad", (p["a"], p["gain"], p["g"]), {"eps": 1e-5}),
+            {"a": a, "gain": rng.standard_normal((2, 1, 4)), "g": rng.standard_normal((2, 3, 4))},
+        ),
+        "_gelu_grad": (lambda p: ad._make("_gelu_grad", (p["x"], p["g"])),
+                       {"x": x, "g": rng.standard_normal((3, 4))}),
         "_sum_to": (lambda p: ad._sum_to(p["a"], (3, 1)), {"a": a}),
         "_broadcast_to": (
             lambda p: ad._make("_broadcast_to", (p["x"],), {"shape": (2, 3, 4)}),
@@ -708,11 +714,12 @@ def _released_run(build, values):
     ad.backward(out, {"z": z})
     kept = (tuple(i for i, x in enumerate(y.inputs) if x.value is not None), y.value is not None)
     grads = ad.backward(out, leaves)
+    # Read now: no VJP reads the gradients, so the next backward releases them.
+    first = {n: g.value for n, g in grads.items()}
     w = {n: rng.standard_normal(np.shape(v)) for n, v in values.items()}
     hvp = reduce(ad.add, [ad.sum_all(ad.mul(grads[n], ad.constant(w[n]))) for n in leaves])
     second = ad.backward(hvp, leaves)
-    return (kept, {n: g.value for n, g in grads.items()},
-            {n: g.value for n, g in second.items()})
+    return kept, first, {n: g.value for n, g in second.items()}
 
 
 class TestRelease:
@@ -818,3 +825,111 @@ class TestRelease:
         first = checked_backward(tiny_transformer.loss_fn(leaves, tiny_transformer.pairs))
         checked_backward(reduce(ad.add, [ad.sum_all(ad.mul(first[n], first[n])) for n in phi]))
         assert len(walk) > 100 and not late
+
+
+class TestRequiresGrad:
+    """A node takes gradients when an input does; frozen leaves and constants do not."""
+
+    def test_the_bit_spreads_from_trainable_leaves_while_recording(self):
+        x = ad.leaf("x", [1.0, 2.0])
+        w = ad.leaf("w", [3.0, 4.0], requires_grad=False)
+        assert ad.mul(x, w).requires_grad and ad.scale(ad.mul(x, w), 2.0).requires_grad
+        assert not ad.scale(w, 2.0).requires_grad and not ad.constant(1.0).requires_grad
+        with ad.no_graph():
+            assert not ad.mul(x, w).requires_grad
+
+    def test_requesting_a_node_that_takes_no_gradient_raises(self):
+        x = ad.leaf("x", [1.0, 2.0])
+        w = ad.leaf("w", [3.0, 4.0], requires_grad=False)
+        c = ad.constant([0.5, 0.5])
+        out = ad.sum_all(ad.mul(ad.mul(x, w), c))
+        for wrt in ({"w": w}, {"c": c}, {"x": x, "w2": ad.scale(w, 2.0)}):
+            with pytest.raises(ad.FrozenNodeError, match="take no gradient"):
+                ad.backward(out, wrt)
+            with pytest.raises(ad.FrozenNodeError, match="take no gradient"):
+                ad.gradient_values(out, wrt)
+
+    def test_an_activation_feeding_only_a_frozen_weight_product_is_released(self):
+        rng = np.random.default_rng(31)
+        x = ad.leaf("x", rng.standard_normal((3, 4)))
+        w = ad.leaf("w", rng.standard_normal((4, 5)), requires_grad=False)
+        h = ad.scale(x, 2.0)
+        y = ad.matmul(h, w)
+        grads = ad.backward(ad.sum_all(ad.mul(y, y)), {"x": x})
+        assert h.value is None  # only w's gradient, never built, would read it
+        assert not h.read and w.read  # x's gradient reads w
+        np.testing.assert_allclose(grads["x"].value, 4.0 * (2.0 * x.value @ w.value) @ w.value.T,
+                                   rtol=1e-13)
+
+    def test_a_frozen_backbone_holds_less_for_the_same_phi_gradients(self, tiny_transformer):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+
+        def run(trainable):
+            leaves = t.store.leaves(trainable)
+            loss = t.loss_fn(leaves, t.pairs)
+            grads = ad.backward(loss, {n: leaves[n] for n in phi})
+            held = sum(n.value.nbytes for n in ad.Graph(loss).nodes
+                       if n.inputs and n.value is not None)
+            return {n: g.value for n, g in grads.items()}, held
+
+        frozen, frozen_held = run(phi)
+        every, every_held = run(None)
+        for n in phi:
+            np.testing.assert_array_equal(frozen[n], every[n], err_msg=n)
+        assert frozen_held < every_held
+
+
+def _row_mean(x):
+    return ad.scale(ad.sum_to(x, x.shape[:-1] + (1,)), 1.0 / x.shape[-1])
+
+
+def _chain_layer_norm_vjp(node, g, needs):
+    """``layer_norm``'s VJP as the primitive chain that ``_layer_norm_grad`` replaced."""
+    x, gain, bias = node.inputs
+    xc = ad.sub(x, _row_mean(x))
+    inv = ad._make("_rsqrt", (ad.add(_row_mean(ad.mul(xc, xc)), node.attrs["eps"]),))
+    xhat = ad.mul(xc, inv)
+    dxhat = ad.mul(g, gain)
+    dx = ad.mul(inv, ad.sub(dxhat, ad.add(_row_mean(dxhat),
+                                          ad.mul(xhat, _row_mean(ad.mul(dxhat, xhat))))))
+    return dx, ad.sum_to(ad.mul(g, xhat), gain.shape), ad.sum_to(g, bias.shape)
+
+
+def _chain_gelu_vjp(node, g):
+    """``gelu``'s VJP as the primitive chain that ``_gelu_grad`` replaced."""
+    x = node.inputs[0]
+    x2 = ad.mul(x, x)
+    t = ad._make("_tanh", (ad.scale(ad.add(x, ad.scale(ad.mul(x2, x), ad._GELU_A)), ad._GELU_C),))
+    du = ad.scale(ad.add(1.0, ad.scale(x2, 3.0 * ad._GELU_A)), ad._GELU_C)
+    d = ad.add(ad.scale(ad.add(1.0, t), 0.5),
+               ad.scale(ad.mul(ad.mul(x, ad.sub(1.0, ad.mul(t, t))), du), 0.5))
+    return (ad.mul(g, d),)
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_fused_norm_and_gelu_gradients_match_their_primitive_chains(tiny_transformer, order,
+                                                                    monkeypatch):
+    t = tiny_transformer
+    _, phi = mm.partition_params(t.store)
+
+    def phi_gradients():
+        leaves = t.store.leaves(phi)
+        wrt = {n: leaves[n] for n in phi}
+        loss = t.loss_fn(leaves, t.pairs)
+        assert {"layer_norm", "gelu"} <= {n.op for n in ad.Graph(loss).nodes}
+        if order == "first":
+            return ad.gradient_values(loss, wrt)
+        first = ad.backward(loss, wrt)
+        return ad.gradient_values(
+            reduce(ad.add, [ad.sum_all(ad.mul(first[n], first[n])) for n in phi]), wrt)
+
+    fused = phi_gradients()
+    monkeypatch.setitem(ad._OPS, "layer_norm",
+                        ad._OPS["layer_norm"]._replace(vjp=_chain_layer_norm_vjp))
+    monkeypatch.setitem(ad._OPS, "gelu", ad._OPS["gelu"]._replace(vjp=_chain_gelu_vjp))
+    chain = phi_gradients()
+    for n in phi:
+        scale = np.abs(chain[n]).max()
+        assert scale > 0.0, n
+        assert np.abs(fused[n] - chain[n]).max() <= 1e-12 * scale, n

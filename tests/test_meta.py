@@ -363,8 +363,11 @@ class TestTransformerOuterGradient:
 
 
 def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transformer):
-    # A recording backward releases each interior value that no VJP reads;
-    # at this config 43% of the interior bytes stay held.
+    # A recording backward releases each interior value that no VJP can read.
+    # The backbone is frozen, so an activation that feeds only a backbone
+    # weight's product is not held for that weight's gradient: at this config
+    # 31% of the interior bytes stay held (448,512 of 1,457,728), where
+    # marking both inputs of every product held 43%.
     t = tiny_transformer
     _, phi = mm.partition_params(t.store)
     adapted, _ = mt.inner_adapt(t.store, phi, [t.pairs[:4], t.pairs[4:]],
@@ -372,7 +375,7 @@ def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transf
     interior = [n for n in ad.Graph(list(adapted.values())).nodes if n.inputs]
     total = 8 * sum(math.prod(n.shape) for n in interior)
     held = sum(n.value.nbytes for n in interior if n.value is not None)
-    assert held <= 0.45 * total
+    assert held <= 0.35 * total
 
 
 class TestMetaStep:
