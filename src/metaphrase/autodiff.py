@@ -104,21 +104,26 @@ gradient, which is never built. The walk then releases (``value = None``)
 each unmarked interior node at the first moment nothing of the pass can use
 it: a walked node once the walk has passed it, a consumed adjoint once no
 adjoint entry holds it, and the other nodes a VJP built once the VJP has
-returned. The output, the requested nodes and the returned gradients are
-kept. So second-order MAML holds for its outer pass only what that pass
-reads, each inner backward frees what it is done with as it goes, and an op
-handed a released value raises ``ReleasedValueError``. A value-only pass
-releases nothing and keeps no such books. A non-finite output's walk skips
-released nodes, so it names the first non-finite node that is still held.
+returned. The walk finds those by serial: it takes a serial just before the
+call, so every node the VJP built is younger, and each one still alive is
+reachable from the returned gradients through younger nodes. ``_make``
+keeps no record for ``backward``. The output, the requested nodes and the
+returned gradients are kept. So second-order MAML holds for its outer pass
+only what that pass reads, each inner backward frees what it is done with
+as it goes, and an op handed a released value raises
+``ReleasedValueError``. A value-only pass releases nothing and keeps no
+such books. A non-finite output's walk skips released nodes, so it names
+the first non-finite node that is still held.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -323,9 +328,6 @@ _OPS: dict[str, _Op] = {}
 # state, so not thread-safe; the package is single-threaded.
 _recording = True
 _checking = False
-# While a recording backward runs one VJP: the nodes built so far, which
-# the walk may release when the VJP returns. Else None.
-_built: list | None = None
 
 
 @contextmanager
@@ -398,8 +400,6 @@ def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node
             inputs[i].read = True
         if op.reads_output:
             node.read = True
-    if _built is not None:
-        _built.append(node)
     return node
 
 
@@ -1091,9 +1091,11 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     None on an interior node without the read mark (``Node.read``) as soon
     as nothing of the pass can use it. A walked forward node goes once the
     walk has passed it, a consumed adjoint once no adjoint entry holds it,
-    and the other nodes a VJP built once that VJP has returned. The output,
-    the requested nodes and the returned gradients are kept, and a leaf has
-    no inputs and is never released. A marked value has a reader that a
+    and the other nodes a VJP built once that VJP has returned: the nodes
+    younger than a serial taken before the call that the returned gradients
+    reach, which are all of them that are still alive. The output, the
+    requested nodes and the returned gradients are kept, and a leaf has no
+    inputs and is never released. A marked value has a reader that a
     later ``backward`` may run, through this output, through the returned
     gradients (second order) or through any other graph, so its results do
     not change. An unmarked value has no such reader: no VJP reads it, or
@@ -1108,7 +1110,6 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     A non-finite output or gradient raises ``NonFiniteError`` naming the op
     that made it (see the module docstring).
     """
-    global _built
     if math.prod(output.shape) != 1:
         raise ValueError(f"backward needs a scalar output, got shape {output.shape}")
     frozen = [name for name, n in wrt.items() if not n.requires_grad]
@@ -1118,10 +1119,7 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         check_finite(_read(output, "backward"), "the output of backward")
     except NonFiniteError:
         _raise_at_first_non_finite(output)
-    try:
-        result = _walk(output, dict(wrt))
-    finally:
-        _built = None
+    result = _walk(output, dict(wrt))
     check_boundary(((f"gradient of {name!r}", g.value) for name, g in result.items()),
                    lambda: backward(output, wrt))
     return result
@@ -1129,7 +1127,6 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
 
 def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
     """The gradients of ``backward``, releasing as it goes in a recording pass."""
-    global _built
     recording = _recording
     # A node created before every requested node lies on no path from one.
     floor = min((n.serial for n in leaves.values()), default=0)
@@ -1145,11 +1142,7 @@ def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
     adjoint: dict[int, Node] = {id(output): seed}
     # Recording only: node id -> how many adjoint entries hold the node. The
     # output and the requested nodes are held throughout.
-    held = dict.fromkeys(wanted | {id(output), id(seed)}, 1) if recording else None
-    if id(output) not in relevant:
-        if recording:
-            _release_unread(order, held)
-        return {name: constant(np.zeros(n.shape)) for name, n in leaves.items()}
+    held = Counter(wanted | {id(output), id(seed)}) if recording else None
 
     for n in reversed(order):
         g = adjoint.get(id(n))
@@ -1160,58 +1153,46 @@ def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
         if id(n) not in wanted:
             del adjoint[id(n)]
             if recording:
-                _unhold(held, g)
+                held[id(g)] -= 1
         needs = tuple(id(i) in relevant for i in n.inputs)
         if not any(needs):
             continue  # a requested node whose inputs lie below the floor
-        if recording:
-            _built = [n, g]  # with the nodes built below: what may go after this step
+        # Every node the VJP builds is younger than ``start``.
+        start = next(_serials)
         vjp = _OPS[n.op].vjp
         grads = vjp(n, g, needs) if len(needs) > 1 else vjp(n, g)
+        spent = [n, g]  # what may go after this step, with the nodes the VJP built
         for inp, gi, need in zip(n.inputs, grads, needs):
             if not need:
                 continue
             prev = adjoint.get(id(inp))
             total = adjoint[id(inp)] = gi if prev is None else add(prev, gi)
             if recording:
-                held[id(total)] = held.get(id(total), 0) + 1
+                held[id(total)] += 1
                 if prev is not None:
-                    _built.append(prev)
-                    _unhold(held, prev)
+                    held[id(prev)] -= 1
+                    spent.append(prev)
         if recording:
-            built, _built = _built, None
-            _release_unread(built, held)
+            # Those still alive are reachable from the gradients through
+            # younger nodes; a node reached twice is listed twice.
+            built = [gi for gi in grads if gi is not None and gi.serial >= start]
+            for m in built:
+                built += [i for i in m.inputs if i.serial >= start]
+            _release_unread(spent + built, held)
 
-    result: dict[str, Node] = {}
-    for name, n in leaves.items():
-        g = adjoint.get(id(n))
-        if g is None:
-            g = constant(np.zeros(n.shape))
-        elif g.shape != n.shape:
-            g = _sum_to(g, n.shape)
-        result[name] = g
-    if recording:
-        # An adjoint summed down to its requested node's shape is consumed.
-        _release_unread(adjoint.values(), {id(g) for g in result.values()})
-    return result
+    return {name: adjoint.get(id(n)) or constant(np.zeros(n.shape))
+            for name, n in leaves.items()}
 
 
-def _unhold(held: dict[int, int], node: Node) -> None:
-    """Remove one adjoint entry's hold on ``node``."""
-    k = held.pop(id(node)) - 1
-    if k:
-        held[id(node)] = k
-
-
-def _release_unread(nodes: Iterable[Node], held: Container[int]) -> None:
+def _release_unread(nodes: Iterable[Node], held: Counter) -> None:
     """Set ``value = None`` on each interior node without the read mark, unless held.
 
-    ``held`` holds the ids of the nodes to keep. Leaves, and nodes built
-    inside ``no_graph()``, link no inputs and are never released. Every
-    release of ``backward`` goes through here.
+    ``held`` counts the holds on each node id; a node with none may go.
+    Leaves, and nodes built inside ``no_graph()``, link no inputs and are
+    never released. Every release of ``backward`` goes through here.
     """
     for n in nodes:
-        if n.inputs and not n.read and id(n) not in held:
+        if n.inputs and not n.read and not held.get(id(n)):
             n.value = None
 
 

@@ -86,9 +86,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def tokens(self) -> list[str]:
         return list(self._tokens)
 
@@ -377,17 +374,6 @@ class CorpusSet:
     def __post_init__(self):
         if self.role not in ("src", "tgt"):
             raise ValueError(f"unknown corpus role {self.role!r}")
-
-
-def split_pairs(pairs: Sequence[ParaphrasePair], n_valid: int, n_test: int) -> SplitPairs:
-    """Deterministic tail split: test, then valid, then train."""
-    if n_valid + n_test > len(pairs):
-        raise ValueError("not enough pairs for the requested splits")
-    pairs = list(pairs)
-    test = pairs[len(pairs) - n_test :] if n_test else []
-    valid = pairs[len(pairs) - n_test - n_valid : len(pairs) - n_test] if n_valid else []
-    train = pairs[: len(pairs) - n_test - n_valid]
-    return SplitPairs(train=train, valid=valid, test=test)
 
 
 @dataclass

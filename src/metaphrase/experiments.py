@@ -45,10 +45,20 @@ class DataSettings:
 
     def __post_init__(self):
         # n_domains: one source, one validation and one target domain at least.
+        # target_valid: run_ladder scores the target dev split.
         for name, low in (("n_domains", 3), ("pairs_per_domain", 1), ("target_train", 0),
-                          ("target_valid", 0), ("target_test", 0), ("source_valid", 1),
+                          ("target_valid", 1), ("target_test", 0), ("source_valid", 1),
                           ("pre_cap", 0)):
             mm.check_count(name, getattr(self, name), low)
+        if self.source_valid >= self.pairs_per_domain:
+            raise ValueError(
+                f"source_valid ({self.source_valid}) must be below pairs_per_domain "
+                f"({self.pairs_per_domain}), or every source train split is empty")
+        labeled = self.target_train + self.target_valid + self.target_test
+        if labeled > self.pairs_per_domain:
+            raise ValueError(
+                f"target_train + target_valid + target_test ({labeled}) exceeds "
+                f"pairs_per_domain ({self.pairs_per_domain})")
 
 
 @dataclass
@@ -82,13 +92,11 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
             n_train, n_valid, n_test = settings.target_train, settings.target_valid, settings.target_test
             labeled = texts[: n_train + n_valid + n_test]
             leftover = texts[n_train + n_valid + n_test :]
-            _write_pairs_tsv(os.path.join(out_dir, "pairs", "target.train.tsv"), labeled[:n_train])
             dev = labeled[n_train : n_train + n_valid]
-            _write_pairs_tsv(os.path.join(out_dir, "pairs", "target.valid.tsv"), dev)
-            _write_pairs_tsv(
-                os.path.join(out_dir, "pairs", "target.test.tsv"),
-                labeled[n_train + n_valid :],
-            )
+            splits = {"train": labeled[:n_train], "valid": dev, "test": labeled[n_train + n_valid :]}
+            for split, pairs in splits.items():
+                if pairs:  # load_world reads a missing split as empty
+                    _write_pairs_tsv(os.path.join(out_dir, "pairs", f"target.{split}.tsv"), pairs)
             for a, b in leftover:
                 unlabeled += [a, b]
         else:

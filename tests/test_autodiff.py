@@ -228,6 +228,26 @@ def _stored(shape, trans, rng):
 MATMUL_BATCHES = {"batched_a": ((2,), ()), "both_batched": ((2,), (2,)), "batched_b": ((), (2,))}
 
 
+# A full-range slice takes the pass-through branch of the slice VJP, which
+# the op's own case does not.
+_FULL_RANGE_SLICE = (lambda p: ad.slice_axis(p["x"], 1, 0, 4), {"x": np.ones((3, 4))})
+
+
+@pytest.mark.parametrize(
+    "build,values",
+    [pytest.param(*_op_cases()[op], id=op) for op in sorted(ad._OPS)]
+    + [pytest.param(*_FULL_RANGE_SLICE, id="slice_full_range")],
+)
+def test_every_vjp_returns_gradients_of_its_inputs_shapes(build, values):
+    # backward takes each gradient as its input's adjoint with no reshaping.
+    node = build({n: ad.leaf(n, v) for n, v in values.items()})
+    g = ad.constant(np.random.default_rng(7).standard_normal(node.shape))
+    vjp = ad._OPS[node.op].vjp
+    needs = (True,) * len(node.inputs)
+    grads = vjp(node, g, needs) if len(needs) > 1 else vjp(node, g)
+    assert [gi.shape for gi in grads] == [inp.shape for inp in node.inputs]
+
+
 @pytest.mark.parametrize("batches", MATMUL_BATCHES.values(), ids=MATMUL_BATCHES.keys())
 @pytest.mark.parametrize("trans_a,trans_b", [(False, True), (True, False), (True, True)])
 def test_matmul_transpose_flags(trans_a, trans_b, batches):
@@ -755,6 +775,22 @@ class TestRelease:
         with scope(), pytest.raises(ad.ReleasedValueError,
                                     match=f"^'{op}' read the value of a 'scale' node"):
             build(copies)
+
+    def test_an_output_on_no_path_from_a_requested_node_gets_zeros_and_releases(
+            self, monkeypatch):
+        z = ad.leaf("z", np.ones((3, 2)))  # older than the graph, so the walk covers it
+        x = ad.leaf("x", np.array([0.5, -1.5]))
+        h1 = ad.scale(x, 3.0)
+        h2 = ad.add(h1, 1.0)
+        sq = ad.mul(h2, h2)
+        out = ad.sum_all(ad.scale(sq, 2.0))
+        scaled = out.inputs[0]
+        made = _count_made(monkeypatch)
+        grads = ad.backward(out, {"z": z})
+        assert not made  # no VJP ran
+        assert grads["z"].shape == (3, 2) and np.all(grads["z"].value == 0.0)
+        assert h1.value is None and sq.value is None and scaled.value is None
+        assert h2.value is not None and out.value is not None  # read by mul; the output
 
     def test_kept_and_released_nodes(self):
         x = ad.leaf("x", np.array([0.5, -1.5]))

@@ -274,19 +274,6 @@ class TestSampling:
 
 
 class TestSplitsAndPadding:
-    def test_split_pairs_disjoint_and_exhaustive(self, vocab):
-        texts = [(f"w{i}", f"w{i} hello") for i in range(10)]
-        pairs = pairs_from_texts(texts, vocab)
-        splits = dt.split_pairs(pairs, n_valid=2, n_test=3)
-        assert len(splits.train) == 5 and len(splits.valid) == 2 and len(splits.test) == 3
-        ids = [id(p) for p in splits.train + splits.valid + splits.test]
-        assert len(set(ids)) == 10
-
-    def test_split_too_small(self, vocab):
-        pairs = pairs_from_texts([("hello", "world")], vocab)
-        with pytest.raises(ValueError):
-            dt.split_pairs(pairs, n_valid=1, n_test=1)
-
     def test_pad_batch(self):
         ids, mask = dt.pad_batch([np.array([0, 7, 1]), np.array([0, 1])])
         assert ids.shape == (2, 3)

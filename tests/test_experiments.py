@@ -12,14 +12,18 @@ from metaphrase import model as mm
 from metaphrase import pipeline as pl
 
 
+# The tests' tiny world: three domains of 40 pairs each.
+TINY_WORLD = dict(n_domains=3, pairs_per_domain=40, target_train=3, target_valid=6,
+                  target_test=2, source_valid=8, pre_cap=60)
+
+
 def history_steps(path):
     with open(path, newline="") as fh:
         return [int(row["step"]) for row in csv.DictReader(fh)]
 
 
 def test_run_ladder_all_variants(tmp_path):
-    settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
-                               target_valid=6, target_test=2, source_valid=8, pre_cap=60)
+    settings = ex.DataSettings(**TINY_WORLD)
     ex.build_world_files(settings, tmp_path / "world")
     world = ex.load_world(tmp_path / "world")
     config = mm.ModelConfig(d_model=16, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=32,
@@ -51,14 +55,38 @@ def test_run_ladder_all_variants(tmp_path):
             stage_b.content_hash())
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(target_valid=0), "target_valid must be an int >= 1"),
+    (dict(source_valid=40), r"source_valid \(40\) must be below pairs_per_domain \(40\)"),
+    (dict(target_train=30, target_valid=6, target_test=5),
+     r"target_train \+ target_valid \+ target_test \(41\) exceeds pairs_per_domain \(40\)"),
+], ids=["no_target_dev", "empty_source_train", "target_splits_overflow"])
+def test_data_settings_reject_a_world_that_cannot_load(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ex.DataSettings(**{**TINY_WORLD, **fields})
+
+
+def test_world_without_target_train_pairs_loads_unsupervised(tmp_path):
+    ex.build_world_files(ex.DataSettings(**{**TINY_WORLD, "target_train": 0}), tmp_path)
+    assert not (tmp_path / "pairs" / "target.train.tsv").exists()
+    target = ex.load_world(tmp_path).target.domains["target"]
+    assert (len(target.train), len(target.valid), len(target.test)) == (0, 6, 2)
+
+
+def test_target_splits_may_take_every_pair(tmp_path):
+    fields = dict(target_train=20, target_valid=10, target_test=10)
+    ex.build_world_files(ex.DataSettings(**{**TINY_WORLD, **fields}), tmp_path)
+    target = ex.load_world(tmp_path).target.domains["target"]
+    assert (len(target.train), len(target.valid), len(target.test)) == (20, 10, 10)
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("source_domain0.train.tsv", "src_domain0.train.tsv", "src_domain0.train.tsv"),
     ("source_domain0.train.tsv", "sourcedomain0.train.tsv", "sourcedomain0.train.tsv"),
     ("source_domain0.train.tsv", "target_domain0.train.ignored", "no source_"),
 ], ids=["unknown_prefix", "no_underscore", "no_source_domain"])
 def test_load_world_rejects_bad_pair_file_names(tmp_path, old, new, message):
-    settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
-                               target_valid=6, target_test=2, source_valid=8, pre_cap=60)
+    settings = ex.DataSettings(**TINY_WORLD)
     ex.build_world_files(settings, tmp_path)
     pairs = tmp_path / "pairs"
     (pairs / old).rename(pairs / new)
@@ -67,8 +95,7 @@ def test_load_world_rejects_bad_pair_file_names(tmp_path, old, new, message):
 
 
 def test_world_without_validation_domain_fails_meta_training_by_name(tmp_path):
-    settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
-                               target_valid=6, target_test=2, source_valid=8, pre_cap=60)
+    settings = ex.DataSettings(**TINY_WORLD)
     ex.build_world_files(settings, tmp_path)
     for path in (tmp_path / "pairs").glob("validation_*"):
         path.unlink()

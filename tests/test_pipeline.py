@@ -378,9 +378,11 @@ def pretrained(world):
 
 
 def corpus_from(corpora, names, role, n_valid=0):
-    domains = {
-        n: dt.split_pairs(corpora[n], n_valid=n_valid, n_test=0) for n in names
-    }
+    """Each named domain's last ``n_valid`` pairs validate; the rest train."""
+    domains = {}
+    for n in names:
+        cut = len(corpora[n]) - n_valid
+        domains[n] = dt.SplitPairs(train=corpora[n][:cut], valid=corpora[n][cut:])
     return dt.CorpusSet(role=role, domains=domains)
 
 
@@ -533,9 +535,7 @@ class TestFinetuneStage:
         vocab, corpora, _ = world
         meta_result = self.make_meta(world, pretrained, steps=3)
         tgt_name = sorted(corpora)[1]
-        target = dt.CorpusSet(
-            role="tgt", domains={tgt_name: dt.split_pairs(corpora[tgt_name], 4, 0)}
-        )
+        target = corpus_from(corpora, [tgt_name], "tgt", n_valid=4)
         hyper = mt.TrainHyper(alpha=0.02, beta=1e-3, inner_steps=1,
                               meta_batch_tasks=1, task_batch_size=6)
         result = pl.finetune_stage(meta_result.checkpoint, target, hyper,
@@ -561,9 +561,7 @@ class TestFinetuneStage:
                                   meta_batch_tasks=1, task_batch_size=6)
             metar = pl.meta_train_stage(pre.checkpoint, source, hyper,
                                         mt.StopCriteria(max_steps=2), seed=22)
-            target = dt.CorpusSet(
-                role="tgt", domains={names[1]: dt.split_pairs(corpora[names[1]], 0, 0)}
-            )
+            target = corpus_from(corpora, names[1:2], "tgt")
             fin = pl.finetune_stage(metar.checkpoint, target, hyper,
                                     mt.StopCriteria(max_steps=2), seed=23)
             return pl.checkpoint_bytes(fin.checkpoint)
@@ -655,9 +653,7 @@ class TestInjectedNaN:
     def test_plain_finetuning(self, world, pretrained, monkeypatch):
         vocab, corpora, _ = world
         tgt_name = sorted(corpora)[1]
-        target = dt.CorpusSet(
-            role="tgt", domains={tgt_name: dt.split_pairs(corpora[tgt_name], 4, 0)}
-        )
+        target = corpus_from(corpora, [tgt_name], "tgt", n_valid=4)
         inject_nan(monkeypatch, "matmul", 2)
         with pytest.raises(ad.NonFiniteError,
                            match="output of 'matmul' at step 2 in finetune_stage$"):
@@ -682,9 +678,7 @@ class TestEvalCadence:
     def test_plain_finetune_validates_every_step(self, world, pretrained):
         vocab, corpora, _ = world
         tgt_name = sorted(corpora)[1]
-        target = dt.CorpusSet(
-            role="tgt", domains={tgt_name: dt.split_pairs(corpora[tgt_name], 4, 0)}
-        )
+        target = corpus_from(corpora, [tgt_name], "tgt", n_valid=4)
         hyper = mt.TrainHyper(task_batch_size=4)
         result = pl.finetune_stage(pretrained.checkpoint, target, hyper, self.STOP,
                                    seed=3, mode="plain", allow_pretrained=True)
