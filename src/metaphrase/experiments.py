@@ -95,8 +95,11 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
             dev = labeled[n_train : n_train + n_valid]
             splits = {"train": labeled[:n_train], "valid": dev, "test": labeled[n_train + n_valid :]}
             for split, pairs in splits.items():
-                if pairs:  # load_world reads a missing split as empty
-                    _write_pairs_tsv(os.path.join(out_dir, "pairs", f"target.{split}.tsv"), pairs)
+                path = os.path.join(out_dir, "pairs", f"target.{split}.tsv")
+                if pairs:
+                    _write_pairs_tsv(path, pairs)
+                elif os.path.exists(path):  # load_world reads a missing split as empty
+                    os.remove(path)
             for a, b in leftover:
                 unlabeled += [a, b]
         else:

@@ -67,6 +67,7 @@ def test_data_settings_reject_a_world_that_cannot_load(fields, message):
 
 
 def test_world_without_target_train_pairs_loads_unsupervised(tmp_path):
+    ex.build_world_files(ex.DataSettings(**TINY_WORLD), tmp_path)  # rebuilt in place below
     ex.build_world_files(ex.DataSettings(**{**TINY_WORLD, "target_train": 0}), tmp_path)
     assert not (tmp_path / "pairs" / "target.train.tsv").exists()
     target = ex.load_world(tmp_path).target.domains["target"]
