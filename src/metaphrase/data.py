@@ -70,12 +70,14 @@ class Vocab:
             self.add(tok)
 
     def add(self, token: str) -> int:
-        if not token or any(c.isspace() for c in token):
-            raise ValueError(f"invalid vocabulary token {token!r}")
-        if token not in self._index:
-            self._index[token] = len(self._tokens)
+        """The token's id, added at the end if it is new; only a new token is checked."""
+        known = self._index.get(token)
+        if known is None:
+            if not token or any(c.isspace() for c in token):
+                raise ValueError(f"invalid vocabulary token {token!r}")
+            known = self._index[token] = len(self._tokens)
             self._tokens.append(token)
-        return self._index[token]
+        return known
 
     def encode(self, token: str) -> int:
         return self._index.get(token, UNK)

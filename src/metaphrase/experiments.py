@@ -84,7 +84,6 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
 
     specs = dt.domain_family(settings.n_domains, seed=SYNTH_SEED)
     unlabeled: list[str] = []
-    source_train_texts: list[str] = []
 
     for role_idx, spec in enumerate(specs):
         texts, _ = dt.synth_domain(spec, settings.pairs_per_domain)
@@ -114,12 +113,10 @@ def build_world_files(settings: DataSettings, out_dir) -> None:
             )
             for a, b in train:
                 unlabeled += [a, b]
-            if prefix == "source":
-                source_train_texts += [a for a, _ in train] + [b for _, b in train]
 
     # Cap the unlabeled pool with an even stride so every domain stays
     # represented; vocabulary is built before capping so coverage is full.
-    vocab = dt.Vocab.build([unlabeled, source_train_texts])
+    vocab = dt.Vocab.build([unlabeled])
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     if settings.pre_cap and len(unlabeled) > settings.pre_cap:
         stride = len(unlabeled) / settings.pre_cap

@@ -34,7 +34,8 @@ The outer optimizer (SGD or AdamW, rate ``beta``) updates only the meta
 parameters.
 
 Only the requested (phi) names are ever written; everything else is frozen
-by construction.
+by construction: a ParamStore enters through ``model.as_nodes`` with only
+phi trainable.
 
 ``train_loop`` is the one optimiser loop of all three pipeline stages. A
 caller supplies ``step_fn()``, which returns one step's gradients and
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .model import check_count, finite_number
+from .model import as_nodes, check_count, finite_number
 
 LossFn = Callable[[Mapping[str, Node], object], Node]
 
@@ -154,16 +155,9 @@ class TaskBatches(tuple):
     """
 
 
-def _as_param_nodes(params, phi_names: Sequence[str]) -> dict[str, Node]:
-    """A store's leaves, only phi trainable; a name -> Node mapping is copied."""
-    if hasattr(params, "leaves"):
-        return params.leaves(phi_names)
-    return dict(params)
-
-
 def stack_phi(params, phi_names: Sequence[str], n_tasks: int) -> dict[str, Node]:
     """The parameter map with each phi entry broadcast to one row per task."""
-    current = _as_param_nodes(params, phi_names)
+    current = as_nodes(params, phi_names)
     for n in phi_names:
         shape = current[n].shape
         ones = (1,) * (TASK_RANK - len(shape))
@@ -215,7 +209,7 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
         if not _batch_size(task.query):
             raise ValueError("task has an empty query set")
 
-    base = _as_param_nodes(params, phi_names)
+    base = as_nodes(params, phi_names)
     adapted, support_losses = inner_adapt(base, phi_names, [t.support for t in tasks],
                                           hyper, loss_fn)
     total, query_losses = _task_losses(loss_fn, adapted, [t.query for t in tasks])

@@ -13,15 +13,23 @@ iBLEU = alpha * BLEU(candidate, reference) - (1 - alpha) * BLEU(candidate,
 source): high overlap with the reference is rewarded, copying the source is
 penalized. Corpus reports use alpha = ``IBLEU_ALPHA`` = 0.9 with BLEU-4
 inside.
+
+``evaluate_corpus`` splits its generated, reference and source files into
+lines as decoding splits its input: through ``data.read_lines``, the reader
+``decoding.generate_file`` uses. Only ``\n``, ``\r\n`` and ``\r`` end a
+line; a ``\x1c`` or ``\u2028`` inside a line separates tokens, not lines,
+so each decoded source line scores as one pair.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .data import MARKERS, read_text
+from .data import MARKERS, read_lines
+from .model import finite_number
 
 IBLEU_ALPHA = 0.9
 
@@ -34,70 +42,6 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-@dataclass
-class BleuStats:
-    """Clipped/total n-gram counts plus lengths; addable across a corpus."""
-
-    clipped: list[int]
-    total: list[int]
-    cand_len: int
-    ref_len: int
-
-    def __add__(self, other: "BleuStats") -> "BleuStats":
-        return BleuStats(
-            [a + b for a, b in zip(self.clipped, other.clipped)],
-            [a + b for a, b in zip(self.total, other.total)],
-            self.cand_len + other.cand_len,
-            self.ref_len + other.ref_len,
-        )
-
-
-def bleu_stats(candidate: Sequence[str], references: Sequence[Sequence[str]], n: int) -> BleuStats:
-    candidate = strip_markers(candidate)
-    references = [strip_markers(r) for r in references]
-    if not candidate:
-        raise ValueError("empty candidate")
-    if not references or any(not r for r in references):
-        raise ValueError("empty reference set")
-
-    clipped, total = [], []
-    for k in range(1, n + 1):
-        cand_counts = _ngrams(candidate, k)
-        best = Counter()
-        for ref in references:
-            for gram, count in _ngrams(ref, k).items():
-                if count > best[gram]:
-                    best[gram] = count
-        clipped.append(sum(min(c, best[g]) for g, c in cand_counts.items()))
-        total.append(sum(cand_counts.values()))
-
-    # Closest reference length; ties break toward the shorter reference.
-    c = len(candidate)
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
-    return BleuStats(clipped, total, c, r)
-
-
-def _bleu_from_stats(stats: BleuStats, smooth_eps: float = 0.0) -> float:
-    import math
-
-    log_sum, orders = 0.0, 0
-    for clipped, total in zip(stats.clipped, stats.total):
-        if total == 0:
-            continue  # candidate has no n-grams of this order
-        orders += 1
-        if clipped == 0:
-            if smooth_eps > 0.0:
-                clipped = smooth_eps
-            else:
-                return 0.0
-        log_sum += math.log(clipped / total)
-    if orders == 0:
-        return 0.0
-    precision = math.exp(log_sum / orders)
-    bp = 1.0 if stats.cand_len > stats.ref_len else math.exp(1.0 - stats.ref_len / stats.cand_len)
-    return precision * bp
-
-
 def corpus_bleu(candidates: Sequence[Sequence[str]],
                 references: Sequence[Sequence[Sequence[str]]], n: int,
                 smooth_eps: float = 0.0) -> float:
@@ -106,11 +50,43 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
         raise ValueError("candidate/reference counts differ")
     if not candidates:
         raise ValueError("empty corpus")
-    agg = None
-    for cand, refs in zip(candidates, references):
-        stats = bleu_stats(cand, refs, n)
-        agg = stats if agg is None else agg + stats
-    return _bleu_from_stats(agg, smooth_eps)
+    clipped, total = [0] * n, [0] * n
+    cand_len = ref_len = 0
+    for candidate, refs in zip(candidates, references):
+        candidate = strip_markers(candidate)
+        refs = [strip_markers(r) for r in refs]
+        if not candidate:
+            raise ValueError("empty candidate")
+        if not refs or any(not r for r in refs):
+            raise ValueError("empty reference set")
+        for k in range(1, n + 1):
+            cand_counts = _ngrams(candidate, k)
+            best = Counter()
+            for ref in refs:
+                for gram, count in _ngrams(ref, k).items():
+                    if count > best[gram]:
+                        best[gram] = count
+            clipped[k - 1] += sum(min(c, best[g]) for g, c in cand_counts.items())
+            total[k - 1] += sum(cand_counts.values())
+        # Closest reference length; ties break toward the shorter reference.
+        cand_len += len(candidate)
+        ref_len += min((abs(len(ref) - len(candidate)), len(ref)) for ref in refs)[1]
+
+    # Every candidate has unigrams, so at least one order counts.
+    log_sum, orders = 0.0, 0
+    for hits, count in zip(clipped, total):
+        if count == 0:
+            continue  # no candidate has n-grams of this order
+        orders += 1
+        if hits == 0:
+            if smooth_eps > 0.0:
+                hits = smooth_eps
+            else:
+                return 0.0
+        log_sum += math.log(hits / count)
+    precision = math.exp(log_sum / orders)
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return precision * bp
 
 
 def ibleu(bleu_ref: float, bleu_src: float, alpha: float = IBLEU_ALPHA) -> float:
@@ -144,6 +120,11 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> float
 class EvalConfig:
     smooth_eps: float = 0.0  # corpus scores are unsmoothed by default
 
+    def __post_init__(self):
+        if not (finite_number(self.smooth_eps) and self.smooth_eps >= 0):
+            raise ValueError(f"smooth_eps must be finite and >= 0 (0 disables smoothing), "
+                             f"got {self.smooth_eps!r}")
+
 
 @dataclass
 class MetricReport:
@@ -159,8 +140,7 @@ class MetricReport:
 
 
 def _read_token_lines(path) -> list[list[str]]:
-    # str.splitlines, not data.read_lines: it also splits at \x0b, \x1c, \u2028, ...
-    return [line.split() for line in read_text(path).splitlines()]
+    return [line.split() for line in read_lines(path)]
 
 
 def evaluate_corpus(generated_path, reference_path, source_path,

@@ -6,30 +6,38 @@ trainable set during meta-training and fine-tuning). Adapters are bottleneck
 feed-forward layers with a residual connection, initialized so that they are
 an exact identity map; enabling them changes nothing until they are trained.
 
-Training runs ``forward_batch``, which builds an autodiff graph for the
-teacher-forced NLL. It is rank-generic: token arrays are (batch, len), or
+There is one encoder (``_encode``, which ends in each decoder layer's
+cross-attention keys and values) and one decoder stack (``_decode``:
+embedding, decoder layers, output head). Training runs ``forward_batch``,
+one ``_decode`` of the whole teacher-forced prefix, which builds an autodiff
+graph for the NLL. It is rank-generic: token arrays are (batch, len), or
 (n_tasks, batch, len) for a MAML meta-batch whose tasks are stacked on a
 leading axis. A stacked forward takes parameters that carry the same task
 axis, such as an adapter down-projection of shape (n_tasks, 1, d, h) against
 activations (n_tasks, batch, len, d); frozen weights stay unstacked and
 broadcast. Masks and ``batch_nll`` follow the leading axes, so each task's
-rows see only their own values. Decoding runs the same encoder and
-decoder-layer code one position at a time (``encode_source`` then
-``decoder_step``), normally inside ``autodiff.no_graph()``: the encoder
-memory's per-head keys and values are projected once per source, and each
-layer's self-attention keys and values grow by one position per step
+rows see only their own values. Decoding runs the same two functions
+(``encode_source`` is ``_encode``, ``decoder_step`` a one-position
+``_decode``), normally inside ``autodiff.no_graph()``: the encoder memory's
+per-head keys and values are projected once per source, and each layer's
+self-attention keys and values grow by one position per step
 (``KVCache``). A cache holds one row per hypothesis, so hypotheses of
 several equal-length sources decode in one step; each row carries its own
-source's memory. Parameters may be passed either as a ParamStore or as a
-name -> Node mapping, which is how adapted (inner-loop updated) parameters
-flow through without touching the store.
+source's memory.
+
+Parameters may be passed either as a ParamStore or as a name -> Node
+mapping, which is how adapted (inner-loop updated) parameters flow through
+without touching the store. ``as_nodes`` is the one leaf rule: a store
+enters the model frozen, every leaf without the requires-gradient bit
+unless named trainable, so a forward on a store marks no value for a
+backward.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -319,11 +327,17 @@ def adapter_apply(p, prefix: str, z: Node) -> Node:
     return ad.add(ad.add(ad.matmul(hidden, p[f"{prefix}.wu"]), p[f"{prefix}.bu"]), z)
 
 
-def as_nodes(params) -> Mapping[str, Node]:
-    """Parameter leaves of a ParamStore; a name -> Node mapping passes through."""
+def as_nodes(params, trainable: Iterable[str] = ()) -> dict[str, Node]:
+    """The one leaf rule: a ParamStore's leaves, or a copy of a name -> Node mapping.
+
+    Of a store's leaves only the names in ``trainable`` take gradients, none
+    by default, so a forward on a store (validation, scoring, decoding)
+    marks no value for a ``backward`` that cannot reach it. A mapping's
+    nodes keep their own requires-gradient bits.
+    """
     if isinstance(params, ParamStore):
-        return params.leaves()
-    return params
+        return params.leaves(trainable)
+    return dict(params)
 
 
 def _linear(p, prefix, x):
@@ -381,11 +395,13 @@ def _embed(p, table_name, ids, pos_name, config, start=0):
     return ad.add(tok, pos)
 
 
-def _encode(p, config, src, src_mask):
+def _encode(p, config, src, key_mask):
+    """Each decoder layer's cross-attention per-head (K, V) of the encoded ``src``.
+
+    ``key_mask`` hides pad keys, (..., B, 1, S), or is None when no source
+    position is padding.
+    """
     x = _embed(p, "tok_embed", src, "pos_enc", config)
-    key_mask = None
-    if src_mask is not None and not src_mask.all():
-        key_mask = ~src_mask[..., None, :]  # (..., B, 1, S): hide pad keys
     for i in range(config.n_enc_layers):
         prefix = f"enc.{i}"
         h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
@@ -395,7 +411,9 @@ def _encode(p, config, src, src_mask):
         h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
         ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
-    return _norm(p, "enc.final_ln", x, config.ln_eps)
+    memory = _norm(p, "enc.final_ln", x, config.ln_eps)
+    return [_split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
+            for i in range(config.n_dec_layers)]
 
 
 def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
@@ -403,7 +421,7 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
 
     ``past_kv`` is the full-width self-attention (K, V) of earlier positions
     that ``x`` does not contain (incremental decoding), or None when ``x``
-    spans the whole prefix. ``memory_kv`` is the cross-attention's per-head
+    starts at position 0. ``memory_kv`` is the cross-attention's per-head
     (K, V) of the encoder memory.
     """
     prefix = f"dec.{i}"
@@ -423,19 +441,34 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
     return x, (k, v)
 
 
-def _output_logits(p, config, x):
+def _decode(p, config, memory, past, start, tokens, self_mask, cross_mask):
+    """(logits, each layer's self-attention (K, V)) for ``tokens`` at positions start, ...
+
+    The one decoder stack: embedding, the decoder layers and the output
+    head. ``memory`` and ``past`` hold one entry per decoder layer, the
+    cross-attention per-head (K, V) from ``_encode`` and the self-attention
+    (K, V) of the positions before ``start`` (None when ``start`` is 0).
+    """
+    x = _embed(p, "tok_embed", tokens, "pos_dec", config, start)
+    kv = []
+    for i in range(config.n_dec_layers):
+        x, layer_kv = _decoder_layer(p, config, i, x, past[i], memory[i], self_mask, cross_mask)
+        kv.append(layer_kv)
     x = _norm(p, "dec.final_ln", x, config.ln_eps)
     if config.tie_embeddings:
-        return ad.matmul(x, p["tok_embed"], trans_b=True)
-    return ad.matmul(x, p["out_proj"])
+        return ad.matmul(x, p["tok_embed"], trans_b=True), kv
+    return ad.matmul(x, p["out_proj"]), kv
 
 
 def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask=None) -> Node:
     """Teacher-forced decoder logits, shape (..., batch, prefix_len, vocab).
 
     ``src``/``tgt`` are int arrays (batch, len), or (n_tasks, batch, len) for
-    stacked tasks; the boolean masks flag real (non-pad) positions. Causal
-    masking applies in decoder self-attention.
+    stacked tasks; the boolean masks flag real (non-pad) positions. One
+    ``_decode`` of the whole prefix from an empty cache, with causal masking
+    in decoder self-attention; pad source keys are hidden from both the
+    encoder and the cross-attention by one key mask. A ParamStore enters
+    frozen (see ``as_nodes``).
     """
     p = as_nodes(params)
     src = np.asarray(src, dtype=np.int64)
@@ -445,23 +478,17 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
             "forward_batch expects (..., batch, len) token arrays with equal leading axes, "
             f"got {src.shape} and {tgt.shape}"
         )
-
-    memory = _encode(p, config, src, src_mask)
-    x = _embed(p, "tok_embed", tgt, "pos_dec", config)
-
-    t = tgt.shape[-1]
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-    self_mask = causal
-    if tgt_mask is not None and not tgt_mask.all():
-        self_mask = causal | ~tgt_mask[..., None, :]
-    cross_mask = None
+    key_mask = None
     if src_mask is not None and not src_mask.all():
-        cross_mask = ~src_mask[..., None, :]
-
-    for i in range(config.n_dec_layers):
-        memory_kv = _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
-        x, _ = _decoder_layer(p, config, i, x, None, memory_kv, self_mask, cross_mask)
-    return _output_logits(p, config, x)
+        key_mask = ~src_mask[..., None, :]  # (..., B, 1, S): hide pad keys
+    t = tgt.shape[-1]
+    self_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+    if tgt_mask is not None and not tgt_mask.all():
+        self_mask = self_mask | ~tgt_mask[..., None, :]
+    memory = _encode(p, config, src, key_mask)
+    logits, _ = _decode(p, config, memory, [None] * config.n_dec_layers, 0, tgt, self_mask,
+                        key_mask)
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -504,37 +531,29 @@ def _take_rows(pairs, rows):
 
 
 def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
-    """Encode (B, S) equal-length sources into a cache of B rows.
+    """Encode (B, S) equal-length sources into a cache of B rows: ``_encode``, unmasked.
 
     Each row gets its source's cross-attention keys and values; the sources
     carry no padding, so no mask is needed.
     """
     p = as_nodes(params)
-    src = np.asarray(src_tokens, dtype=np.int64)
-    memory = _encode(p, config, src, None)
-    kv = [
-        _split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
-        for i in range(config.n_dec_layers)
-    ]
-    return KVCache(kv, [None] * config.n_dec_layers, 0)
+    memory = _encode(p, config, np.asarray(src_tokens, dtype=np.int64), None)
+    return KVCache(memory, [None] * config.n_dec_layers, 0)
 
 
 def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[Node, KVCache]:
     """Logits (B, 1, vocab) for the position after ``tokens``, and the grown cache.
 
     ``tokens`` (B,) are the rows' last tokens, at position ``cache.length``;
-    the cache holds the positions before it. Runs the same layer code as
-    ``forward_batch``: no mask is needed, since a cache holds only earlier
-    positions and the sources have no padding.
+    the cache holds the positions before it. A one-position ``_decode``, the
+    decoder stack of ``forward_batch``: no mask is needed, since a cache
+    holds only earlier positions and the sources have no padding.
     """
     p = as_nodes(params)
-    x = _embed(p, "tok_embed", np.asarray(tokens, dtype=np.int64)[:, None], "pos_dec",
-               config, start=cache.length)
-    prefix = []
-    for i in range(config.n_dec_layers):
-        x, kv = _decoder_layer(p, config, i, x, cache.prefix[i], cache.memory[i], None, None)
-        prefix.append(kv)
-    return _output_logits(p, config, x), KVCache(cache.memory, prefix, cache.length + 1)
+    tokens = np.asarray(tokens, dtype=np.int64)[:, None]
+    logits, prefix = _decode(p, config, cache.memory, cache.prefix, cache.length, tokens,
+                             None, None)
+    return logits, KVCache(cache.memory, prefix, cache.length + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,7 @@ def _train_on_pairs(store, names, loss_fn, sample_batch, hyper, stop,
     """
 
     def step_fn():
-        leaves = store.leaves(names)
+        leaves = mm.as_nodes(store, names)
         loss = loss_fn(leaves, sample_batch())
         grads = ad.gradient_values(loss, {n: leaves[n] for n in names})
         value = float(loss.value)
@@ -383,7 +383,7 @@ def _train_on_pairs(store, names, loss_fn, sample_batch, hyper, stop,
     validate = None
     if validation:
         def validate():
-            return float(loss_fn(store.leaves(), validation).value)
+            return float(loss_fn(store, validation).value)
 
     return mt.train_loop(store, names, step_fn, hyper, stop, validate)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from metaphrase import decoding as dec
 from metaphrase import experiments as ex
 from metaphrase import meta as mt
+from metaphrase import metrics as mx
 from metaphrase import model as mm
 from metaphrase import pipeline as pl
 
@@ -25,6 +26,7 @@ BASE = {
     dec.DecodeConfig: {},
     ex.DataSettings: {},
     ex.RunSettings: {},
+    mx.EvalConfig: {},
 }
 
 # (class, integer field, smallest value it takes)

@@ -132,6 +132,18 @@ class TestRouge:
             mx.rouge_n(CAT, CAT_REF, 3)
 
 
+class TestEvalConfig:
+    @pytest.mark.parametrize("eps", [0, 0.0, 0.1, 1])
+    def test_finite_non_negative_accepted(self, eps):
+        assert mx.EvalConfig(smooth_eps=eps).smooth_eps == eps
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf, -math.inf, True, "0.1", None],
+                             ids=repr)
+    def test_bad_smoothing_rejected(self, eps):
+        with pytest.raises(ValueError, match="smooth_eps"):
+            mx.EvalConfig(smooth_eps=eps)
+
+
 class TestCorpus:
     def write(self, tmp_path, name, lines):
         path = tmp_path / name
@@ -212,10 +224,10 @@ class TestCorpus:
         with pytest.raises(dt.CorpusFormatError, match=rf"{bad}:2: not UTF-8 text"):
             mx.evaluate_corpus(paths["gen.txt"], paths["ref.txt"], paths["src.txt"])
 
-    def test_lines_split_as_str_splitlines(self, tmp_path):
+    def test_lines_split_as_read_lines(self, tmp_path):
         text = "a b\x0bc d\u2028e f\x1cg h\r\ni j\n"
         paths = []
         for name in ("gen.txt", "ref.txt", "src.txt"):
             paths.append(tmp_path / name)
             paths[-1].write_bytes(text.encode())
-        assert mx.evaluate_corpus(*paths).pairs == len(text.splitlines()) == 5
+        assert mx.evaluate_corpus(*paths).pairs == len(dt.read_lines(paths[0])) == 2

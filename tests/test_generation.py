@@ -6,6 +6,7 @@ import pytest
 from metaphrase import autodiff as ad
 from metaphrase import data as dt
 from metaphrase import decoding as dec
+from metaphrase import metrics as mx
 from metaphrase import model as mm
 from metaphrase import pipeline as pl
 
@@ -342,10 +343,10 @@ class TestIncrementalDecoding:
 
 
 class TestGenerateFile:
-    def make_checkpoint(self, tmp_path, vocab_words=("cat", "dog", "runs", "hides")):
+    def make_checkpoint(self, tmp_path, vocab_words=("cat", "dog", "runs", "hides"), seed=2):
         vocab = dt.Vocab(vocab_words)
         cfg = toy_config(vocab_size=len(vocab))
-        store = mm.build_model(cfg, seed=2)
+        store = mm.build_model(cfg, seed=seed)
         ckpt = pl.Checkpoint(config=cfg, stage="pretrained", seeds={"bundle": 2},
                              provenance=[], store=store, vocab=vocab)
         path = tmp_path / "model.ckpt"
@@ -387,6 +388,17 @@ class TestGenerateFile:
         inp.write_bytes(b"cat runs\ndog \xff hides\n")
         with pytest.raises(dt.CorpusFormatError, match=r"in\.txt:2: not UTF-8 text"):
             dec.generate_file(ckpt_path, inp, tmp_path / "out.txt", dec.DecodeConfig())
+
+    def test_scoring_reads_the_lines_decoding_read(self, tmp_path):
+        # \x1c and \u2028 separate tokens inside a line, not lines. At seed 0
+        # both lines decode to words; an empty output line fails scoring.
+        ckpt_path = self.make_checkpoint(tmp_path, seed=0)
+        inp, ref, out = tmp_path / "in.txt", tmp_path / "ref.txt", tmp_path / "out.txt"
+        inp.write_text("cat\x1cruns\ndog\u2028hides\n", encoding="utf-8")
+        ref.write_text("cat runs\x1cfast\ndog\u2028hides\n", encoding="utf-8")
+        count = dec.generate_file(ckpt_path, inp, out, dec.DecodeConfig(max_decode_len=8))
+        assert count == 2
+        assert mx.evaluate_corpus(out, ref, inp).pairs == count
 
     def test_checkpoint_without_vocab_rejected(self, tmp_path):
         vocab = dt.Vocab(["cat"])

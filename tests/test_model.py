@@ -419,6 +419,29 @@ class TestParamCounts:
         assert mm.param_layout(cfg) == built
 
 
+class TestLeafRule:
+    def test_forward_on_a_store_takes_no_gradient(self, tiny_transformer):
+        t = tiny_transformer
+        loss = t.loss_fn(t.store, t.pairs)
+        nodes = ad.Graph(loss).nodes
+        assert not any(n.requires_grad or n.read for n in nodes)
+        wd = next(n for n in nodes if n.name == "enc.0.adapter_attn.wd")
+        with pytest.raises(ad.FrozenNodeError, match="enc.0.adapter_attn.wd"):
+            ad.backward(loss, {wd.name: wd})
+
+    def test_only_the_named_leaves_are_trainable(self, tiny_transformer):
+        store = tiny_transformer.store
+        _, phi = mm.partition_params(store)
+        leaves = mm.as_nodes(store, phi)
+        assert leaves.keys() == set(store.names())
+        assert [n for n, node in leaves.items() if node.requires_grad] == phi
+
+    def test_a_mapping_is_copied(self, tiny_transformer):
+        leaves = tiny_transformer.store.leaves()
+        copied = mm.as_nodes(leaves)
+        assert copied == leaves and copied is not leaves
+
+
 class TestInsertAdapters:
     def test_preserves_existing_arrays(self):
         cfg_off = toy_config(adapter_placement=frozenset(), adapter_hidden=0)
