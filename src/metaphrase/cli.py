@@ -37,13 +37,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     if args.command == "synth-data":
         ex.build_world_files(ex.DataSettings(), args.out_dir)
         print(f"wrote world to {args.out_dir}")
     else:
-        dc = dec.DecodeConfig(strategy=args.strategy, beam_width=args.beam_width,
-                              max_decode_len=args.max_len, length_penalty=args.length_penalty)
+        try:
+            dc = dec.DecodeConfig(strategy=args.strategy, beam_width=args.beam_width,
+                                  max_decode_len=args.max_len, length_penalty=args.length_penalty)
+        except ValueError as err:
+            parser.error(str(err))  # exits with status 2
         count = dec.generate_file(args.checkpoint, args.input, args.output, dc)
         print(f"decoded {count} lines to {args.output}")
     return 0

@@ -1,23 +1,23 @@
 """Autoregressive decoding (greedy and beam) from a trained checkpoint.
 
 Decoding starts from the start marker and stops at the end marker or the
-length cap. Argmax ties break toward the lowest token id, which makes every
-strategy a pure function of (parameters, source). Beam search scores
-hypotheses by length-penalized summed log-probabilities and always includes
-the greedy hypothesis among its candidates, so its returned score never
-falls below greedy's.
+length cap. Greedy search is a width-1 beam, and ties break toward the
+lowest token id, which makes every strategy a pure function of (parameters,
+source). Beam search scores hypotheses by length-penalized summed
+log-probabilities and always includes the greedy hypothesis among its
+candidates, so its returned score never falls below greedy's.
 
 Decoding is incremental and records no autodiff graph: sources are
 encoded once, inside ``autodiff.no_graph()``, into a ``model.KVCache``. The
 cache keeps, one row per hypothesis, the source's per-head cross-attention
 keys and values plus each decoder layer's self-attention keys and values,
-which grow by one position per step. Greedy and beam search run as one
-lockstep search: each decoder step carries every source's greedy row,
-until it ends, together with its live beam hypotheses, and the rows that
-go on (beam rows by parent hypothesis) are picked with one
-``KVCache.select``. A step therefore runs the decoder on one new position
-per hypothesis, with the same layer code as ``model.forward_batch``, and a
-beam decode takes no more decoder steps than its longer search.
+which grow by one position per step. Each source runs a width-1 beam, and
+beam search a beam of its width next to it; all beams advance in lockstep,
+each decoder step carrying every live hypothesis, and the rows that go on
+(by parent hypothesis) are picked with one ``KVCache.select``. A step
+therefore runs the decoder on one new position per hypothesis, with the
+same layer code as ``model.forward_batch``, and a beam decode takes no more
+decoder steps than its longer beam.
 
 Decoding checks finiteness at its boundaries, not after every op: the
 encoded cache, each decoder step's log-probs and ``hypothesis_score``'s
@@ -46,7 +46,7 @@ from . import model as mm
 from . import pipeline as pl
 
 # Sources per lockstep batch: bounds the cache at this many times (beam width
-# + 1) rows.
+# + 1) rows, a source's width-1 beam and its wide beam.
 _MAX_BATCH = 64
 
 
@@ -93,85 +93,75 @@ def _hyp_score(logprob_sum: float, n_emitted: int, length_penalty: float) -> flo
     return logprob_sum / (n_emitted**length_penalty)
 
 
-def _prune(rows, first: int, live, done, width: int) -> list[int]:
-    """Expand, rank and prune every source's live beam hypotheses in place.
+def _prune(rows, live, done, widths) -> list[int]:
+    """Expand, rank and prune every beam's live hypotheses in place.
 
-    ``rows[first:]`` are the log-probs of the hypotheses in ``live``, source
-    by source. Each hypothesis proposes its ``width`` best next tokens; a
-    candidate ending in the end marker joins the source's ``done`` and the
-    best ``width`` others stay live. Returns the rows of the kept
-    hypotheses' parents, in the new ``live`` order.
+    ``rows`` are the log-probs of the hypotheses in ``live``, beam by beam.
+    A hypothesis of beam b proposes its ``widths[b]`` best next tokens, ties
+    to the lowest id (a width-1 beam is greedy search); those ending in the
+    end marker join the beam's ``done``, the best ``widths[b]`` others stay
+    live. Returns the kept hypotheses' parent rows, in the new ``live`` order.
     """
-    tops = np.argsort(-rows[first:], axis=-1, kind="stable")[:, :width]
+    most = max(widths)  # argmax is a stable argsort's first column, at a hundredth of the cost
+    tops = (rows.argmax(axis=-1)[:, None] if most == 1
+            else np.argsort(-rows, axis=-1, kind="stable")[:, :most])
     parents = []
-    offset = first
-    for s, hyps in enumerate(live):
+    r = 0
+    for b, width in enumerate(widths):
         candidates = []
-        for r, (ids, logprob) in enumerate(hyps, start=offset):
-            for tok in tops[r - first]:
+        for ids, logprob in live[b]:
+            for tok in tops[r, :width]:
                 candidates.append((ids + [int(tok)], logprob + float(rows[r, tok]), r))
-        offset += len(hyps)
+            r += 1
         candidates.sort(key=lambda c: (-c[1], c[0]))
         kept = []
-        for ids, logprob, r in candidates:
+        for ids, logprob, parent in candidates:
             if ids[-1] == dt.EOS:
-                done[s].append((ids, logprob))
+                done[b].append((ids, logprob))
             elif len(kept) < width:
                 kept.append((ids, logprob))
-                parents.append(r)
-            if len(kept) >= width and len(done[s]) >= width:
+                parents.append(parent)
+            if len(kept) >= width and len(done[b]) >= width:
                 break
-        live[s] = kept
+        live[b] = kept
     return parents
 
 
 def _search(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[tuple, list]]:
     """Greedy (ids, summed log-prob) and beam pool of each of the cache's ``n`` rows.
 
-    Both searches advance in lockstep, one decoder step per position. A
-    step's rows are the greedy rows still running, one per source until it
-    emits the end marker, then the live beam hypotheses, source by source;
-    the rows that go on are picked with one ``cache.select``. A source's
-    pool holds its finished and live hypotheses. Greedy decoding (width 1)
-    has no beam rows and an empty pool, and selects only when a row leaves.
+    Every source runs a width-1 beam, its greedy search, and beam search a
+    wider beam next to it. All beams advance in lockstep, their live
+    hypotheses source by source as a step's rows; one ``cache.select`` picks
+    the rows that go on, unless they are all rows in order. A source's pool
+    holds its wide beam's finished and live hypotheses, or nothing.
     """
-    width = 1 if dc.strategy == "greedy" else dc.beam_width
-    ids = [[dt.BOS] for _ in range(n)]
-    logprobs = [0.0] * n
-    active = list(range(n))
-    live = [[([dt.BOS], 0.0)] if width > 1 else [] for _ in range(n)]
-    done = [[] for _ in range(n)]
-    if width > 1:
-        cache = cache.select(active + active)
-    length = 1
-    while length < dc.max_decode_len and (active or any(live)):
-        prefixes = [ids[s] for s in active] + [hyp for hyps in live for hyp, _ in hyps]
-        rows, cache = _next_logprobs(params, config, cache, prefixes)
-        best = np.argmax(rows[: len(active)], axis=-1)  # first occurrence: ties go to the lowest id
-        keep = []
-        for r, s in enumerate(active):
-            tok = int(best[r])
-            logprobs[s] += float(rows[r, tok])
-            ids[s].append(tok)
-            if tok != dt.EOS:
-                keep.append(r)
-        parents = _prune(rows, len(active), live, done, width) if width > 1 else []
-        length += 1
-        following = keep + parents
-        if parents or len(following) < len(rows):
-            if following:
-                cache = cache.select(following)
-            active = [active[r] for r in keep]
-    return [((ids[s], logprobs[s]), done[s] + live[s]) for s in range(n)]
+    width = dc.beam_width if dc.strategy == "beam" else 1
+    per_source = [1] if width == 1 else [1, width]
+    widths = per_source * n
+    live = [[([dt.BOS], 0.0)] for _ in widths]
+    done = [[] for _ in widths]
+    parents = [b // len(per_source) for b in range(len(widths))]  # each beam's source row
+    held = n
+    while parents and cache.length + 1 < dc.max_decode_len:  # the prefixes' length
+        if parents != list(range(held)):
+            cache = cache.select(parents)
+        rows, cache = _next_logprobs(params, config, cache,
+                                     [ids for hyps in live for ids, _ in hyps])
+        held = len(rows)
+        parents = _prune(rows, live, done, widths)
+    pools = [done[b] + live[b] for b in range(len(widths))]
+    return [(pools[b][0], pools[b + 1] if width > 1 else [])
+            for b in range(0, len(widths), len(per_source))]
 
 
 def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[list[int]]:
     """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep.
 
-    The encoded cache serves both searches: ``_search`` gives each source a
-    greedy row and, for beam search, beam rows of its own. The greedy
-    hypothesis competes with the beam's pool, so beam search never scores
-    below greedy.
+    The encoded cache serves every beam: ``_search`` gives each source a
+    width-1 beam and, for beam search, a beam of its width. The width-1
+    beam's hypothesis competes with the wide beam's pool, so beam search
+    never scores below greedy.
     """
     with ad.no_graph():
         cache = mm.encode_source(params, config, src)
@@ -180,13 +170,11 @@ def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[lis
                                for layer in cache.memory for pair in layer for a in pair],
                               lambda: mm.encode_source(params, config, src))
         searched = _search(params, config, cache, src.shape[0], dc)
-    out = []
-    for greedy_hyp, pool in searched:
-        scored = [(_hyp_score(lp, len(ids) - 1, dc.length_penalty), ids)
-                  for ids, lp in pool + [greedy_hyp]]
-        scored.sort(key=lambda s: (-s[0], s[1]))
-        out.append(scored[0][1])
-    return out
+
+    def rank(hyp):  # the best score first, ties to the lower ids
+        ids, logprob = hyp
+        return -_hyp_score(logprob, len(ids) - 1, dc.length_penalty), ids
+    return [min(pool + [greedy], key=rank)[0] for greedy, pool in searched]
 
 
 def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> list[np.ndarray]:
@@ -241,12 +229,15 @@ def hypothesis_score(params, config, src_tokens, ids, dc: DecodeConfig) -> float
 
 
 def generate_file(checkpoint_path, input_path, output_path, dc: DecodeConfig) -> int:
-    """Decode every non-blank input line to the output file, in order; returns the count."""
+    """Decode every non-blank input line to the output file, in order; returns the count.
+
+    ``data.load_sentences`` reads the input; ``metrics.evaluate_corpus`` drops
+    the same blank and whitespace-only source lines, with their references.
+    """
     ckpt = pl.load_checkpoint(checkpoint_path)
     if ckpt.vocab is None:
         raise ValueError(f"checkpoint {checkpoint_path} carries no vocabulary")
-    lines = [line.strip() for line in dt.read_lines(input_path)]
-    sources = [dt.preprocess(line, ckpt.vocab) for line in lines if line]
+    sources = dt.load_sentences(input_path, ckpt.vocab)
     outputs = decode_batch(ckpt.store, ckpt.config, sources, dc)
     with open(output_path, "w", encoding="utf-8") as fout:
         for out in outputs:

@@ -18,7 +18,8 @@ inside.
 lines as decoding splits its input: through ``data.read_lines``, the reader
 ``decoding.generate_file`` uses. Only ``\n``, ``\r\n`` and ``\r`` end a
 line; a ``\x1c`` or ``\u2028`` inside a line separates tokens, not lines,
-so each decoded source line scores as one pair.
+so each decoded source line scores as one pair. A blank or whitespace-only
+source line, which ``generate_file`` skips, is dropped with its reference.
 """
 
 from __future__ import annotations
@@ -150,6 +151,9 @@ def evaluate_corpus(generated_path, reference_path, source_path,
     generated = _read_token_lines(generated_path)
     references = _read_token_lines(reference_path)
     sources = _read_token_lines(source_path)
+    if len(references) == len(sources):  # generate_file decodes no blank source line
+        kept = [i for i, src in enumerate(sources) if src]
+        references, sources = [references[i] for i in kept], [sources[i] for i in kept]
     if not (len(generated) == len(references) == len(sources)):
         raise ValueError(
             f"line counts differ: generated={len(generated)} "

@@ -37,3 +37,15 @@ def test_synth_data_then_decode(tmp_path, capsys):
 def test_unknown_strategy_rejected():
     with pytest.raises(SystemExit):
         cli.main(["decode", "a", "b", "c", "--strategy", "sampling"])
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--beam-width", "0", "beam_width"),
+    ("--max-len", "1", "max_decode_len"),
+    ("--length-penalty", "nan", "length_penalty"),
+])
+def test_bad_decode_settings_are_usage_errors(option, value, field, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", "a", "b", "c", option, value])
+    assert exc.value.code == 2
+    assert field in capsys.readouterr().err

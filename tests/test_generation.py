@@ -294,6 +294,29 @@ class TestIncrementalDecoding:
         assert [pool for _, pool in greedy] == [[]] * 3
         assert all(len(pool) >= 3 for _, pool in beam)
 
+    def test_width_one_beam_search_runs_one_row_per_live_source(self, monkeypatch):
+        cfg, store = random_model(13, n_dec_layers=2)
+        sources = [np.array([dt.BOS, 5, 9, 4, dt.EOS]),
+                   np.array([dt.BOS, 7, 7, 6, dt.EOS]),
+                   np.array([dt.BOS, 11, 4, 8, dt.EOS])]
+        row_counts = []
+        real_step = mm.decoder_step
+
+        def counted_step(params, config, cache, tokens):
+            row_counts.append(len(tokens))
+            return real_step(params, config, cache, tokens)
+
+        monkeypatch.setattr(mm, "decoder_step", counted_step)
+        out = dec.decode_batch(store, cfg, sources,
+                               dec.DecodeConfig(strategy="beam", beam_width=1, max_decode_len=10))
+        # Step t emits position t of every source whose output is longer than t.
+        live = [sum(len(ids) > t for ids in out) for t in range(1, max(map(len, out)))]
+        assert live[0] == 3 and live[-1] < 3  # sources leave mid-search
+        assert row_counts == live
+        greedy = dec.decode_batch(store, cfg, sources,
+                                  dec.DecodeConfig(strategy="greedy", max_decode_len=10))
+        assert [list(ids) for ids in out] == [list(ids) for ids in greedy]
+
     @pytest.mark.parametrize("op, after, where", [
         ("gelu", 3, "at decoder step 3"),
         ("softmax_lastdim", 0, "in encode_source"),
@@ -399,6 +422,16 @@ class TestGenerateFile:
         count = dec.generate_file(ckpt_path, inp, out, dec.DecodeConfig(max_decode_len=8))
         assert count == 2
         assert mx.evaluate_corpus(out, ref, inp).pairs == count
+
+    def test_blank_source_lines_are_skipped_by_decoding_and_scoring(self, tmp_path):
+        # At seed 0 both non-blank lines decode to words, as above.
+        ckpt_path = self.make_checkpoint(tmp_path, seed=0)
+        inp, ref, out = tmp_path / "in.txt", tmp_path / "ref.txt", tmp_path / "out.txt"
+        inp.write_text("cat runs\n\ndog hides\n   \n")
+        ref.write_text("cat runs fast\n\ndog hides\n\n")
+        count = dec.generate_file(ckpt_path, inp, out, dec.DecodeConfig(max_decode_len=8))
+        assert count == 2
+        assert mx.evaluate_corpus(out, ref, inp).pairs == 2
 
     def test_checkpoint_without_vocab_rejected(self, tmp_path):
         vocab = dt.Vocab(["cat"])
