@@ -17,6 +17,18 @@ from . import decoding as dec
 from . import experiments as ex
 
 
+def _decode_option(field: str, parse):
+    """An argparse type: ``parse`` the text and apply ``DecodeConfig``'s rule for ``field``."""
+
+    def convert(text):
+        try:
+            return getattr(dec.DecodeConfig(**{field: parse(text)}), field)
+        except ValueError as err:  # a usage error that names the option typed
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metaphrase")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -30,24 +42,23 @@ def _parser() -> argparse.ArgumentParser:
     decode.add_argument("input")
     decode.add_argument("output")
     decode.add_argument("--strategy", choices=("greedy", "beam"), default=decode_defaults.strategy)
-    decode.add_argument("--beam-width", type=int, default=decode_defaults.beam_width)
-    decode.add_argument("--max-len", type=int, default=decode_defaults.max_decode_len)
-    decode.add_argument("--length-penalty", type=float, default=decode_defaults.length_penalty)
+    decode.add_argument("--beam-width", type=_decode_option("beam_width", int),
+                        default=decode_defaults.beam_width)
+    decode.add_argument("--max-len", type=_decode_option("max_decode_len", int),
+                        default=decode_defaults.max_decode_len)
+    decode.add_argument("--length-penalty", type=_decode_option("length_penalty", float),
+                        default=decode_defaults.length_penalty)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "synth-data":
         ex.build_world_files(ex.DataSettings(), args.out_dir)
         print(f"wrote world to {args.out_dir}")
     else:
-        try:
-            dc = dec.DecodeConfig(strategy=args.strategy, beam_width=args.beam_width,
-                                  max_decode_len=args.max_len, length_penalty=args.length_penalty)
-        except ValueError as err:
-            parser.error(str(err))  # exits with status 2
+        dc = dec.DecodeConfig(strategy=args.strategy, beam_width=args.beam_width,
+                              max_decode_len=args.max_len, length_penalty=args.length_penalty)
         count = dec.generate_file(args.checkpoint, args.input, args.output, dc)
         print(f"decoded {count} lines to {args.output}")
     return 0

@@ -5,6 +5,8 @@ tag: ``backbone`` (frozen after pretraining), ``adapter`` or ``norm`` (the
 trainable set during meta-training and fine-tuning). Adapters are bottleneck
 feed-forward layers with a residual connection, initialized so that they are
 an exact identity map; enabling them changes nothing until they are trained.
+The backbone is fixed apart from its sizes: the output head is tied to the
+token embedding table, and every layer norm has eps ``_LN_EPS`` (1e-5).
 
 There is one encoder (``_encode``, which ends in each decoder layer's
 cross-attention keys and values) and one decoder stack (``_decode``:
@@ -53,6 +55,7 @@ ADAPTER_SITES = ("enc_attn", "enc_ffn", "dec_attn", "dec_cross", "dec_ffn")
 DEFAULT_PLACEMENT = frozenset({"enc_attn", "enc_ffn", "dec_attn", "dec_ffn"})
 
 NEG_FILL = -1e9
+_LN_EPS = 1e-5  # every layer norm's variance floor
 
 
 def check_count(name: str, value, low: int) -> None:
@@ -74,6 +77,8 @@ def finite_number(value) -> bool:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Backbone sizes and adapter sites; the head is tied and the layer-norm eps fixed."""
+
     d_model: int
     n_heads: int
     n_enc_layers: int
@@ -83,8 +88,6 @@ class ModelConfig:
     max_len: int
     adapter_hidden: int = 128
     adapter_placement: frozenset = DEFAULT_PLACEMENT
-    tie_embeddings: bool = True
-    ln_eps: float = 1e-5
 
     def __post_init__(self):
         for name in ("d_model", "n_heads", "n_enc_layers", "n_dec_layers", "d_ff",
@@ -95,10 +98,6 @@ class ModelConfig:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not (finite_number(self.ln_eps) and self.ln_eps > 0):
-            raise ValueError(f"ln_eps must be finite and positive, got {self.ln_eps!r}")
-        if not isinstance(self.tie_embeddings, bool):
-            raise ValueError(f"tie_embeddings must be a bool, got {self.tie_embeddings!r}")
         try:
             unknown = set(self.adapter_placement) - set(ADAPTER_SITES)
         except TypeError:
@@ -254,9 +253,6 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
         linear(f"{p}.ffn.w2", dff, d)
     norm("dec.final_ln")
 
-    if not config.tie_embeddings:
-        out.append(("out_proj", (d, config.vocab_size), "backbone"))
-
     for prefix in _adapter_prefixes(config):
         h = config.adapter_hidden
         out.append((f"{prefix}.wd", (d, h), "adapter"))
@@ -344,8 +340,8 @@ def _linear(p, prefix, x):
     return ad.add(ad.matmul(x, p[f"{prefix}.w"]), p[f"{prefix}.b"])
 
 
-def _norm(p, prefix, x, eps):
-    return ad.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"], eps=eps)
+def _norm(p, prefix, x):
+    return ad.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"], eps=_LN_EPS)
 
 
 def _maybe_adapter(p, prefix, x):
@@ -404,14 +400,14 @@ def _encode(p, config, src, key_mask):
     x = _embed(p, "tok_embed", src, "pos_enc", config)
     for i in range(config.n_enc_layers):
         prefix = f"enc.{i}"
-        h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
+        h = _norm(p, f"{prefix}.ln1", x)
         kv = _split_heads(config, *_project_kv(p, f"{prefix}.attn", h))
         attn = _attend(p, f"{prefix}.attn", config, h, kv, key_mask)
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
-        h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
+        h = _norm(p, f"{prefix}.ln2", x)
         ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
-    memory = _norm(p, "enc.final_ln", x, config.ln_eps)
+    memory = _norm(p, "enc.final_ln", x)
     return [_split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
             for i in range(config.n_dec_layers)]
 
@@ -425,17 +421,17 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
     (K, V) of the encoder memory.
     """
     prefix = f"dec.{i}"
-    h = _norm(p, f"{prefix}.ln1", x, config.ln_eps)
+    h = _norm(p, f"{prefix}.ln1", x)
     k, v = _project_kv(p, f"{prefix}.self", h)
     if past_kv is not None:
         k = ad.concat([past_kv[0], k], axis=-2)
         v = ad.concat([past_kv[1], v], axis=-2)
     attn = _attend(p, f"{prefix}.self", config, h, _split_heads(config, k, v), self_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
-    h = _norm(p, f"{prefix}.ln2", x, config.ln_eps)
+    h = _norm(p, f"{prefix}.ln2", x)
     cross = _attend(p, f"{prefix}.cross", config, h, memory_kv, cross_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_cross", cross))
-    h = _norm(p, f"{prefix}.ln3", x, config.ln_eps)
+    h = _norm(p, f"{prefix}.ln3", x)
     ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
     return x, (k, v)
@@ -454,10 +450,8 @@ def _decode(p, config, memory, past, start, tokens, self_mask, cross_mask):
     for i in range(config.n_dec_layers):
         x, layer_kv = _decoder_layer(p, config, i, x, past[i], memory[i], self_mask, cross_mask)
         kv.append(layer_kv)
-    x = _norm(p, "dec.final_ln", x, config.ln_eps)
-    if config.tie_embeddings:
-        return ad.matmul(x, p["tok_embed"], trans_b=True), kv
-    return ad.matmul(x, p["out_proj"]), kv
+    x = _norm(p, "dec.final_ln", x)
+    return ad.matmul(x, p["tok_embed"], trans_b=True), kv
 
 
 def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask=None) -> Node:

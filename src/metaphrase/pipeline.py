@@ -128,20 +128,14 @@ class Checkpoint:
 def _encode_field(value) -> str:
     if isinstance(value, frozenset):
         return " ".join(sorted(value))
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
 def _decode_field(text: str, kind: str):
-    """Inverse of ``_encode_field`` for a ModelConfig field annotated ``kind``."""
+    """Inverse of ``_encode_field``: a ModelConfig field is a frozenset of sites or an int."""
     if kind == "frozenset":
         return frozenset(text.split())
-    if kind == "bool":
-        return bool(int(text))
-    return {"int": int, "float": float}[kind](text)
+    return int(text)
 
 
 def _config_text(ckpt: Checkpoint) -> str:

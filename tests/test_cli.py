@@ -45,7 +45,10 @@ def test_unknown_strategy_rejected():
     ("--length-penalty", "nan", "length_penalty"),
 ])
 def test_bad_decode_settings_are_usage_errors(option, value, field, capsys):
+    # DecodeConfig's rule, reported by the decode subparser under the option typed.
     with pytest.raises(SystemExit) as exc:
         cli.main(["decode", "a", "b", "c", option, value])
     assert exc.value.code == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: metaphrase decode")
+    assert f"error: argument {option}: {field} " in err

@@ -62,12 +62,6 @@ def test_integer_fields_take_only_ints_in_range(cls, field, low, value):
         cls(**kwargs)
 
 
-@pytest.mark.parametrize("value", [1, "yes", None])
-def test_tie_embeddings_must_be_a_bool(value):
-    with pytest.raises(ValueError, match="tie_embeddings"):
-        mm.ModelConfig(**MODEL, tie_embeddings=value)
-
-
 @pytest.mark.parametrize("value", [3, None, [["enc_attn"]]], ids=repr)
 def test_adapter_placement_must_be_a_set_of_sites(value):
     with pytest.raises(ValueError, match="adapter_placement"):

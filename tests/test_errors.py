@@ -1,5 +1,6 @@
 """Every named error the package raises on bad input: its type and a fragment of its message."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,6 +98,9 @@ CASES = [
     ("bleu_counts_differ", lambda c: mx.corpus_bleu([["a"]], [], 2),
      ValueError, "candidate/reference counts differ"),
     ("bleu_empty_corpus", lambda c: mx.corpus_bleu([], [], 2), ValueError, "empty corpus"),
+    ("adapters_without_hidden_units",
+     lambda c: replace(CONFIG, adapter_placement=mm.DEFAULT_PLACEMENT, adapter_hidden=0),
+     ValueError, "adapter_hidden must be positive when adapters are placed"),
     ("param_store_duplicate",
      lambda c: _store_with_w().add("w", np.zeros(2), "adapter"),
      ValueError, "duplicate parameter 'w'"),

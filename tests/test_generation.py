@@ -145,10 +145,10 @@ def full_prefix_logprobs(store, cfg, src, prefixes):
 
 
 EQUIVALENCE_CONFIGS = [
-    dict(),  # tied embeddings, default adapter placement, two heads
-    dict(tie_embeddings=False, adapter_placement=frozenset(mm.ADAPTER_SITES)),
+    dict(),  # default adapter placement, two heads
+    dict(adapter_placement=frozenset(mm.ADAPTER_SITES)),
     dict(n_heads=1, adapter_placement=frozenset(), adapter_hidden=0),
-    dict(n_heads=1, tie_embeddings=False, adapter_placement=frozenset({"dec_cross"})),
+    dict(n_heads=1, adapter_placement=frozenset({"dec_cross"})),
     dict(n_dec_layers=2, adapter_placement=frozenset({"dec_attn", "dec_cross"})),
 ]
 

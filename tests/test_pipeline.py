@@ -2,7 +2,9 @@
 
 ``tests/data/chain_hashes.json`` pins the checkpoint hashes of a tiny chain
 (``golden_chain``). ``PYTHONPATH=src python tests/test_pipeline.py`` prints
-each entry's pinned hash, this tree's hash and whether it changed.
+each entry's pinned hash, this tree's hash, whether it changed, and the
+sha256 of its parameter records: the bytes after the config text, which a
+change to the config text alone leaves as they were.
 """
 
 import json
@@ -185,20 +187,18 @@ class TestCheckpointFormat:
 
     def test_missing_config_field_rejected(self):
         blob = pl.checkpoint_bytes(self.make_ckpt())
-        patched = blob.replace(b"model.ln_eps = ", b"model.ln_epz = ")
-        with pytest.raises(pl.CheckpointError, match="missing field 'model.ln_eps'"):
+        patched = blob.replace(b"model.max_len = ", b"model.max_lem = ")
+        with pytest.raises(pl.CheckpointError, match="missing field 'model.max_len'"):
             pl.checkpoint_from_bytes(patched)
 
     def test_non_finite_config_value_rejected(self):
         blob = pl.checkpoint_bytes(self.make_ckpt())
-        patched = blob.replace(b"model.ln_eps = 1e-05\n", b"model.ln_eps = nan  \n")
-        assert len(patched) == len(blob) and patched != blob
-        with pytest.raises(pl.CheckpointError, match="ln_eps must be finite"):
+        patched = with_config_text(blob, b"model.max_len = 12\n", b"model.max_len = nan\n")
+        with pytest.raises(pl.CheckpointError, match="invalid literal for int.*'nan'"):
             pl.checkpoint_from_bytes(patched)
 
     def test_config_text_encoding(self):
-        config = tiny_config(adapter_placement=frozenset({"enc_ffn", "dec_attn"}),
-                             tie_embeddings=False, ln_eps=1e-6)
+        config = tiny_config(adapter_placement=frozenset({"enc_ffn", "dec_attn"}))
         ckpt = pl.Checkpoint(config=config, stage="pretrained", seeds={"b": 2, "a": 1},
                              provenance=[], store=mm.build_model(config, seed=3))
         blob = pl.checkpoint_bytes(ckpt)
@@ -208,8 +208,7 @@ class TestCheckpointFormat:
             "model.d_model = 8\nmodel.n_heads = 2\nmodel.n_enc_layers = 1\n"
             "model.n_dec_layers = 1\nmodel.d_ff = 16\nmodel.vocab_size = 40\n"
             "model.max_len = 12\nmodel.adapter_hidden = 4\n"
-            "model.adapter_placement = dec_attn enc_ffn\nmodel.tie_embeddings = 0\n"
-            "model.ln_eps = 1e-06\n"
+            "model.adapter_placement = dec_attn enc_ffn\n"
         )
         assert pl.checkpoint_from_bytes(blob).config == config
 
@@ -330,8 +329,12 @@ def records_reversed(blob):
     (lambda b: with_config_text(b, b"seed.bundle = 3\n", b"seed.bundle = 3\n\n"), "malformed"),
     (lambda b: with_config_text(b, b"provenance = \n", b""), "missing field 'provenance'"),
     (records_reversed, "out of name order"),
+    # The deleted tie_embeddings and ln_eps lines, which older files carry.
+    (lambda b: with_config_text(b, b"model.adapter_placement = \n",
+                                b"model.adapter_placement = \nmodel.tie_embeddings = 1\n"
+                                b"model.ln_eps = 1e-05\n"), "canonical"),
 ], ids=["unknown_key", "repeated_key", "no_spaces", "blank_line", "no_provenance",
-        "records_reversed"])
+        "records_reversed", "deleted_fields"])
 def test_non_canonical_checkpoint_bytes_rejected(patch, message):
     # Each form would load as a checkpoint whose content_hash() is not the
     # sha256 of the bytes it came from.
@@ -345,7 +348,7 @@ def test_non_canonical_checkpoint_bytes_rejected(patch, message):
 def canonical_checkpoints():
     vocab = dt.Vocab([f"w{i}" for i in range(35)])
     plain = tiny_config(adapter_placement=frozenset())
-    adapted = tiny_config(tie_embeddings=False, ln_eps=1e-6)
+    adapted = tiny_config()
     parent = "ab" * 32
     return [
         pl.Checkpoint(config=plain, stage="pretrained", seeds={"pretrain": 7}, provenance=[],
@@ -746,11 +749,21 @@ class TestChainGolden:
 
 
 if __name__ == "__main__":
+    import hashlib
     import tempfile
 
     pinned = json.loads(CHAIN_HASHES.read_text())
+    params = {}  # content hash -> sha256 of the parameter records
+
+    def record_params(ckpt):
+        blob = pl.checkpoint_bytes(ckpt)
+        digest = hashlib.sha256(b"".join(split_records(blob)[1])).hexdigest()
+        params[hashlib.sha256(blob).hexdigest()] = digest
+        return ckpt
+
     with tempfile.TemporaryDirectory() as tmp:
-        current = golden_chain(Path(tmp) / "world")
+        current = golden_chain(Path(tmp) / "world", record_params)
     for name, old in pinned.items():
         new = current[name]
-        print(f"{name:9} {old} -> {new} {'unchanged' if new == old else 'CHANGED'}")
+        print(f"{name:9} {old} -> {new} {'unchanged' if new == old else 'CHANGED'}"
+              f" params {params[new]}")
