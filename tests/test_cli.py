@@ -52,3 +52,23 @@ def test_bad_decode_settings_are_usage_errors(option, value, field, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: metaphrase decode")
     assert f"error: argument {option}: {field} " in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--beam-width", "two"),
+    ("--max-len", "1.5"),
+    ("--length-penalty", "x"),
+])
+def test_decode_settings_that_are_not_numbers_are_usage_errors(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", "a", "b", "c", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: metaphrase decode")
+    assert f"error: argument {option}: " in err
+
+
+def test_good_decode_settings_parse_to_their_values():
+    args = cli._parser().parse_args(["decode", "a", "b", "c", "--beam-width", "3",
+                                     "--max-len", "9", "--length-penalty", "0.5"])
+    assert (args.beam_width, args.max_len, args.length_penalty) == (3, 9, 0.5)

@@ -68,6 +68,14 @@ def test_adapter_placement_must_be_a_set_of_sites(value):
         mm.ModelConfig(**MODEL, adapter_placement=value)
 
 
+@pytest.mark.parametrize("knob, value", [("tie_embeddings", False), ("ln_eps", 1e-6)])
+def test_deleted_model_knobs_are_not_keywords(knob, value):
+    # The output head is always tied to the token embeddings and the layer-norm
+    # eps is a module constant; neither is a setting any more.
+    with pytest.raises(TypeError, match=knob):
+        mm.ModelConfig(**MODEL, **{knob: value})
+
+
 # Anything a caller might pass: right and wrong types, NaN, infinities, huge
 # ints, text, sets of sites and an unhashable list.
 ANY_VALUE = st.one_of(
