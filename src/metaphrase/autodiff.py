@@ -261,10 +261,6 @@ class Node:
         self.read = False
         self.requires_grad = False
 
-    def __repr__(self):
-        tag = self.name if self.op is None else self.op
-        return f"Node({tag!r}, shape={self.shape})"
-
 
 def leaf(name: str, values, requires_grad: bool = True) -> Node:
     """Create a named parameter leaf, trainable unless ``requires_grad`` is false.

@@ -5,7 +5,10 @@ Subcommands:
 * ``synth-data OUT_DIR``: write the synthetic multi-domain world
   (``experiments.build_world_files``).
 * ``decode CHECKPOINT INPUT OUTPUT``: decode every non-blank line of INPUT
-  to OUTPUT, in order (``decoding.generate_file``).
+  to OUTPUT, in order (``decoding.generate_file``). A file that cannot be
+  read or written, a corrupt checkpoint or input, or a setting the
+  checkpoint's model cannot decode is a usage error (exit status 2) whose
+  one line names the file or setting.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ def _parser() -> argparse.ArgumentParser:
                         default=decode_defaults.max_decode_len)
     decode.add_argument("--length-penalty", type=_decode_option("length_penalty", float),
                         default=decode_defaults.length_penalty)
+    decode.set_defaults(usage_error=decode.error)
     return parser
 
 
@@ -59,7 +63,10 @@ def main(argv=None) -> int:
     else:
         dc = dec.DecodeConfig(strategy=args.strategy, beam_width=args.beam_width,
                               max_decode_len=args.max_len, length_penalty=args.length_penalty)
-        count = dec.generate_file(args.checkpoint, args.input, args.output, dc)
+        try:
+            count = dec.generate_file(args.checkpoint, args.input, args.output, dc)
+        except (OSError, ValueError) as err:  # CheckpointError and CorpusFormatError included
+            args.usage_error(str(err))
         print(f"decoded {count} lines to {args.output}")
     return 0
 

@@ -27,15 +27,19 @@ check re-runs that one ``encode_source``, ``decoder_step`` or forward inside
 error also names the decoder step. The re-run sees the inputs of the first
 run, since a ``KVCache`` is never mutated.
 
-``decode_batch`` decodes sources of exactly equal token length together:
-their hypotheses are stacked into one decoder step, with no padding. Every
-op of a step is row-wise or a stacked matmul that computes each row with the
-same kernel call as a batch of one, so each source gets bit for bit the ids
-and log-probs it gets when decoded alone; ``decode`` is the batch of one.
+``decode_batch`` decodes sources of every length in one lockstep search:
+their hypotheses are stacked into one decoder step, with no padding. The
+sources are sorted by length, each length is encoded once, and the rows of
+one length attend over their own cross-attention memory segment. Every
+other op of a step is row-wise or a stacked matmul that computes each row
+with the same kernel call as a batch of one, so each source gets bit for
+bit the ids and log-probs it gets when decoded alone; ``decode`` is the
+batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +49,8 @@ from . import data as dt
 from . import model as mm
 from . import pipeline as pl
 
-# Sources per lockstep batch: bounds the cache at this many times (beam width
-# + 1) rows, a source's width-1 beam and its wide beam.
+# Sources per lockstep search, whatever their lengths: bounds the cache at this
+# many times (beam width + 1) rows, a source's width-1 beam and its wide beam.
 _MAX_BATCH = 64
 
 
@@ -93,6 +97,23 @@ def _hyp_score(logprob_sum: float, n_emitted: int, length_penalty: float) -> flo
     return logprob_sum / (n_emitted**length_penalty)
 
 
+def _top_ids(rows, k: int) -> np.ndarray:
+    """Each row's ``k`` best column ids, best first, ties to the lowest id.
+
+    Equals ``np.argsort(-rows, axis=-1, kind="stable")[:, :k]`` without
+    sorting whole rows: only the entries at or above a row's k-th best
+    value are sorted. Argmax is the first column, at a hundredth of the cost.
+    """
+    if k == 1:
+        return rows.argmax(axis=-1)[:, None]
+    k = min(k, rows.shape[-1])
+    kth = np.partition(rows, -k, axis=-1)[:, -k, None]
+    r, c = np.nonzero(rows >= kth)  # at least k per row, ids ascending
+    c = c[np.lexsort((c, -rows[r, c], r))]  # by row, then best first, then lowest id
+    starts = np.searchsorted(r, np.arange(len(rows)))
+    return c[starts[:, None] + np.arange(k)]
+
+
 def _prune(rows, live, done, widths) -> list[int]:
     """Expand, rank and prune every beam's live hypotheses in place.
 
@@ -102,9 +123,7 @@ def _prune(rows, live, done, widths) -> list[int]:
     end marker join the beam's ``done``, the best ``widths[b]`` others stay
     live. Returns the kept hypotheses' parent rows, in the new ``live`` order.
     """
-    most = max(widths)  # argmax is a stable argsort's first column, at a hundredth of the cost
-    tops = (rows.argmax(axis=-1)[:, None] if most == 1
-            else np.argsort(-rows, axis=-1, kind="stable")[:, :most])
+    tops = _top_ids(rows, max(widths))
     parents = []
     r = 0
     for b, width in enumerate(widths):
@@ -155,21 +174,29 @@ def _search(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[tuple
             for b in range(0, len(widths), len(per_source))]
 
 
-def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[list[int]]:
-    """Ids for each row of ``src``, (B, S) sources of one length, decoded in lockstep.
+def _encoded(params, config, src: np.ndarray) -> mm.KVCache:
+    """``encode_source`` of (B, S) equal-length sources, checked finite."""
+    cache = mm.encode_source(params, config, src)
+    with ad.non_finite_context("in encode_source"):
+        ad.check_boundary([("the encoded source", a.value) for layer in cache.memory
+                           for kv in layer for pair in kv for a in pair],
+                          lambda: mm.encode_source(params, config, src))
+    return cache
 
-    The encoded cache serves every beam: ``_search`` gives each source a
-    width-1 beam and, for beam search, a beam of its width. The width-1
-    beam's hypothesis competes with the wide beam's pool, so beam search
-    never scores below greedy.
+
+def _decode_sorted(params, config, sources, dc: DecodeConfig) -> list[list[int]]:
+    """Ids for each of ``sources``, sorted by length, decoded in one lockstep search.
+
+    Each length is encoded once into its own memory segment of one cache,
+    which serves every beam: ``_search`` gives each source a width-1 beam
+    and, for beam search, a beam of its width. The width-1 beam's hypothesis
+    competes with the wide beam's pool, so beam search never scores below
+    greedy.
     """
     with ad.no_graph():
-        cache = mm.encode_source(params, config, src)
-        with ad.non_finite_context("in encode_source"):
-            ad.check_boundary([("the encoded source", a.value)
-                               for layer in cache.memory for pair in layer for a in pair],
-                              lambda: mm.encode_source(params, config, src))
-        searched = _search(params, config, cache, src.shape[0], dc)
+        cache = mm.KVCache.join([_encoded(params, config, np.stack(list(same)))
+                                 for _, same in itertools.groupby(sources, key=len)])
+        searched = _search(params, config, cache, len(sources), dc)
 
     def rank(hyp):  # the best score first, ties to the lower ids
         ids, logprob = hyp
@@ -180,25 +207,23 @@ def _decode_group(params, config, src: np.ndarray, dc: DecodeConfig) -> list[lis
 def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> list[np.ndarray]:
     """Token ids for each source, in order, marker-wrapped.
 
-    Each output equals ``decode`` of that source alone. Sources of equal
-    token length decode together, at most ``_MAX_BATCH`` at a time.
-    ``params`` is a ParamStore or a name -> Node mapping. A sequence cut
-    off at the length cap carries no closing marker.
+    Each output equals ``decode`` of that source alone. Sources of every
+    length decode in one lockstep search, at most ``_MAX_BATCH`` at a time,
+    in order of length. ``params`` is a ParamStore or a name -> Node
+    mapping. A sequence cut off at the length cap carries no closing marker.
     """
     if dc.max_decode_len > config.max_len:
-        raise ValueError("max_decode_len exceeds the model's max_len")
+        raise ValueError(f"max_decode_len exceeds the model's max_len "
+                         f"({dc.max_decode_len} > {config.max_len})")
     sources = [np.asarray(src, dtype=np.int64) for src in sources]
     params = mm.as_nodes(params)
-    by_length: dict[int, list[int]] = {}
-    for i, src in enumerate(sources):
-        by_length.setdefault(len(src), []).append(i)
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     out: list[np.ndarray] = [None] * len(sources)
-    for indices in by_length.values():
-        for start in range(0, len(indices), _MAX_BATCH):
-            group = indices[start : start + _MAX_BATCH]
-            decoded = _decode_group(params, config, np.stack([sources[i] for i in group]), dc)
-            for i, ids in zip(group, decoded):
-                out[i] = np.asarray(ids, dtype=np.int64)
+    for start in range(0, len(order), _MAX_BATCH):
+        batch = order[start : start + _MAX_BATCH]
+        decoded = _decode_sorted(params, config, [sources[i] for i in batch], dc)
+        for i, ids in zip(batch, decoded):
+            out[i] = np.asarray(ids, dtype=np.int64)
     return out
 
 

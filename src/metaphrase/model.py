@@ -24,8 +24,9 @@ rows see only their own values. Decoding runs the same two functions
 per-head keys and values are projected once per source, and each layer's
 self-attention keys and values grow by one position per step
 (``KVCache``). A cache holds one row per hypothesis, so hypotheses of
-several equal-length sources decode in one step; each row carries its own
-source's memory.
+several sources decode in one step; each row carries its own source's
+memory, and rows whose sources differ in length attend over separate
+memory segments.
 
 Parameters may be passed either as a ParamStore or as a name -> Node
 mapping, which is how adapted (inner-loop updated) parameters flow through
@@ -392,7 +393,9 @@ def _embed(p, table_name, ids, pos_name, config, start=0):
 
 
 def _encode(p, config, src, key_mask):
-    """Each decoder layer's cross-attention per-head (K, V) of the encoded ``src``.
+    """Each decoder layer's cross-attention memory of the encoded ``src``: one segment.
+
+    A segment is the per-head (K, V) of a block of rows.
 
     ``key_mask`` hides pad keys, (..., B, 1, S), or is None when no source
     position is padding.
@@ -408,17 +411,42 @@ def _encode(p, config, src, key_mask):
         ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_ffn", ff))
     memory = _norm(p, "enc.final_ln", x)
-    return [_split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))
+    return [[_split_heads(config, *_project_kv(p, f"dec.{i}.cross", memory))]
             for i in range(config.n_dec_layers)]
 
 
-def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
+def _segment_rows(segments) -> list[int]:
+    """The row count of each memory segment: its keys' extent on the row axis."""
+    return [kv[0][0].shape[0] for kv in segments]
+
+
+def _cross_attend(p, prefix, config, queries, segments, mask):
+    """Cross-attention of the queries' row blocks, each over its own memory segment.
+
+    One segment is one ``_attend`` of every row under ``mask``. Several
+    come only from a ``KVCache``, whose sources have no padding: each
+    segment's block of consecutive rows is sliced out on the row axis,
+    attends alone, and the blocks are joined back in order. Every other op
+    of a decoder step is row-wise or a stacked matmul with one kernel call
+    per row, so each row gets bit for bit what its segment alone gives it.
+    """
+    if len(segments) == 1:
+        return _attend(p, prefix, config, queries, segments[0], mask)
+    blocks, start = [], 0
+    for kv, n in zip(segments, _segment_rows(segments)):
+        rows = ad.slice_axis(queries, 0, start, start + n)
+        blocks.append(_attend(p, prefix, config, rows, kv, None))
+        start += n
+    return ad.concat(blocks, axis=0)
+
+
+def _decoder_layer(p, config, i, x, past_kv, memory, self_mask, cross_mask):
     """One pre-norm decoder layer; returns (output, self-attention (K, V)).
 
     ``past_kv`` is the full-width self-attention (K, V) of earlier positions
     that ``x`` does not contain (incremental decoding), or None when ``x``
-    starts at position 0. ``memory_kv`` is the cross-attention's per-head
-    (K, V) of the encoder memory.
+    starts at position 0. ``memory`` is the cross-attention's memory: per-head
+    (K, V) segments, one per block of consecutive rows (``_cross_attend``).
     """
     prefix = f"dec.{i}"
     h = _norm(p, f"{prefix}.ln1", x)
@@ -429,7 +457,7 @@ def _decoder_layer(p, config, i, x, past_kv, memory_kv, self_mask, cross_mask):
     attn = _attend(p, f"{prefix}.self", config, h, _split_heads(config, k, v), self_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
     h = _norm(p, f"{prefix}.ln2", x)
-    cross = _attend(p, f"{prefix}.cross", config, h, memory_kv, cross_mask)
+    cross = _cross_attend(p, f"{prefix}.cross", config, h, memory, cross_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_cross", cross))
     h = _norm(p, f"{prefix}.ln3", x)
     ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
@@ -442,8 +470,9 @@ def _decode(p, config, memory, past, start, tokens, self_mask, cross_mask):
 
     The one decoder stack: embedding, the decoder layers and the output
     head. ``memory`` and ``past`` hold one entry per decoder layer, the
-    cross-attention per-head (K, V) from ``_encode`` and the self-attention
-    (K, V) of the positions before ``start`` (None when ``start`` is 0).
+    cross-attention memory segments (from ``_encode`` or a ``KVCache``) and
+    the self-attention (K, V) of the positions before ``start`` (None when
+    ``start`` is 0).
     """
     x = _embed(p, "tok_embed", tokens, "pos_dec", config, start)
     kv = []
@@ -494,28 +523,45 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
 class KVCache:
     """Attention keys and values for decoding, one row per hypothesis.
 
-    ``memory[i]`` is decoder layer i's cross-attention per-head (K, V),
-    projected from the encoder memory of each row's source. ``prefix[i]`` is
-    its full-width self-attention (K, V) over the ``length`` positions
-    decoded so far (None before the first step). Every row sits at the same
+    ``memory[i]`` is decoder layer i's cross-attention memory: per-head
+    (K, V) segments, one per block of consecutive rows whose sources share
+    a length, projected from each row's source. ``prefix[i]`` is its
+    full-width self-attention (K, V) over the ``length`` positions decoded
+    so far (None before the first step). Every row sits at the same
     position, and no row is broadcast over others. A row is one hypothesis
-    of any search: greedy rows and beam hypotheses of many sources share
-    one cache.
+    of any search: greedy rows and beam hypotheses of many sources, of
+    every length, share one cache.
     """
 
     memory: list
     prefix: list
     length: int
 
+    @classmethod
+    def join(cls, caches) -> "KVCache":
+        """Fresh caches (no position decoded) as one: their rows and segments in order."""
+        memory = [sum(layers, []) for layers in zip(*(cache.memory for cache in caches))]
+        return cls(memory, caches[0].prefix, 0)
+
     def select(self, rows) -> "KVCache":
         """The cache with its rows reordered (or repeated) by ``rows``.
 
         Memory rows move together with prefix rows, so each hypothesis keeps
-        its own source. A fresh cache (no position decoded) keeps its empty
-        prefix, so one source can start several hypotheses.
+        its own source. ``rows`` keep each segment's rows consecutive and
+        the segments in order, and a segment left without rows is dropped;
+        rows that interleave segments raise ``ValueError``. A fresh cache (no
+        position decoded) keeps its empty prefix, so one source can start
+        several hypotheses.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        memory = [_take_rows(heads, rows) for heads in self.memory]
+        counts = _segment_rows(self.memory[0])
+        starts = np.cumsum(counts) - counts
+        segment = np.searchsorted(starts, rows, side="right") - 1
+        if np.any(np.diff(segment) < 0):
+            raise ValueError(f"KVCache.select: rows {rows.tolist()} interleave the memory "
+                             f"segments of {counts} rows")
+        picks = [(g, rows[segment == g] - starts[g]) for g in np.unique(segment)]
+        memory = [[_take_rows(layer[g], local) for g, local in picks] for layer in self.memory]
         prefix = self.prefix if self.length == 0 else _take_rows(self.prefix, rows)
         return KVCache(memory, prefix, self.length)
 
@@ -527,8 +573,9 @@ def _take_rows(pairs, rows):
 def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
     """Encode (B, S) equal-length sources into a cache of B rows: ``_encode``, unmasked.
 
-    Each row gets its source's cross-attention keys and values; the sources
-    carry no padding, so no mask is needed.
+    Each row gets its source's cross-attention keys and values, in one
+    memory segment; the sources carry no padding, so no mask is needed.
+    ``KVCache.join`` puts caches of several lengths side by side.
     """
     p = as_nodes(params)
     memory = _encode(p, config, np.asarray(src_tokens, dtype=np.int64), None)
@@ -541,7 +588,9 @@ def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[N
     ``tokens`` (B,) are the rows' last tokens, at position ``cache.length``;
     the cache holds the positions before it. A one-position ``_decode``, the
     decoder stack of ``forward_batch``: no mask is needed, since a cache
-    holds only earlier positions and the sources have no padding.
+    holds only earlier positions and the sources have no padding. Each row
+    attends over its own memory segment, so a step of several segments
+    gives each row the logits of its segment stepped alone.
     """
     p = as_nodes(params)
     tokens = np.asarray(tokens, dtype=np.int64)[:, None]

@@ -316,8 +316,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint in the file at ``path``; a ``CheckpointError`` names the file."""
     with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+        blob = fh.read()
+    try:
+        return checkpoint_from_bytes(blob)
+    except CheckpointError as err:
+        raise CheckpointError(f"{path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from metaphrase import cli
+from metaphrase import data as dt
 from metaphrase import decoding as dec
 from metaphrase import experiments as ex
 from metaphrase import model as mm
@@ -72,3 +73,46 @@ def test_good_decode_settings_parse_to_their_values():
     args = cli._parser().parse_args(["decode", "a", "b", "c", "--beam-width", "3",
                                      "--max-len", "9", "--length-penalty", "0.5"])
     assert (args.beam_width, args.max_len, args.length_penalty) == (3, 9, 0.5)
+
+
+def small_checkpoint(path, max_len=24):
+    vocab = dt.Vocab(["cat", "dog", "runs"])
+    config = mm.ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16,
+                            vocab_size=len(vocab), max_len=max_len, adapter_hidden=4)
+    pl.save_checkpoint(pl.Checkpoint(config=config, stage="pretrained", seeds={"bundle": 0},
+                                     provenance=[], store=mm.build_model(config, seed=0),
+                                     vocab=vocab), path)
+    return path
+
+
+@pytest.mark.parametrize("case, named", [
+    ("missing_checkpoint", "none.ckpt"),
+    ("corrupt_checkpoint", "junk.ckpt: corrupt checkpoint: bad magic bytes"),
+    ("missing_input", "none.txt"),
+    ("non_utf8_input", "bad.txt:2: not UTF-8 text"),
+    ("decode_len_above_max_len", "max_decode_len exceeds the model's max_len (20 > 12)"),
+])
+def test_decode_input_errors_are_one_usage_error_line(case, named, tmp_path, capsys):
+    ckpt, inp = small_checkpoint(tmp_path / "model.ckpt", max_len=12), tmp_path / "in.txt"
+    inp.write_text("cat runs\n")
+    args = [str(ckpt), str(inp), str(tmp_path / "out.txt"), "--max-len", "9"]
+    if case == "missing_checkpoint":
+        args[0] = str(tmp_path / "none.ckpt")
+    elif case == "corrupt_checkpoint":
+        args[0] = str(tmp_path / "junk.ckpt")
+        (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint at all")
+    elif case == "missing_input":
+        args[1] = str(tmp_path / "none.txt")
+    elif case == "non_utf8_input":
+        args[1] = str(tmp_path / "bad.txt")
+        (tmp_path / "bad.txt").write_bytes(b"cat runs\ndog \xff runs\n")
+    else:
+        args[-1] = "20"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: metaphrase decode") and "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert line.startswith("metaphrase decode: error: ") and named in line
+    assert not (tmp_path / "out.txt").exists()

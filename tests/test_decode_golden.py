@@ -128,6 +128,22 @@ def test_batched_hypotheses_and_logprobs_equal_single_source(golden):
             assert search(np.stack(group)) == [search(src[None, :])[0] for src in group]
 
 
+def test_one_search_over_every_length_equals_single_source(golden):
+    config, store, _ = golden
+    params = mm.as_nodes(store)
+    sources = sorted(golden_sources()[:40], key=len)
+    dc = CASES["beam4"]
+    with ad.no_graph():
+        caches = [mm.encode_source(params, config, np.stack([src for src in sources
+                                                             if len(src) == n]))
+                  for n in sorted({len(src) for src in sources})]
+        assert len(caches) > 2
+        mixed = dec._search(params, config, mm.KVCache.join(caches), len(sources), dc)
+        alone = [dec._search(params, config, mm.encode_source(params, config, src[None, :]), 1,
+                             dc)[0] for src in sources]
+    assert mixed == alone
+
+
 def test_generate_file_keeps_input_order_across_lengths(golden, tmp_path):
     config, store, _ = golden
     vocab, _, sentences = golden_domain()

@@ -226,8 +226,8 @@ class TestIncrementalDecoding:
             same = np.array([8, 8, 8])
             logits, _ = mm.decoder_step(params, cfg, cache, same)
             permuted, _ = mm.decoder_step(params, cfg, selected, same[rows])
-        for layer, moved in zip(cache.memory, selected.memory):
-            for (kt, v), (kt_moved, v_moved) in zip(layer, moved):
+        for (segment,), (moved,) in zip(cache.memory, selected.memory):  # one length
+            for (kt, v), (kt_moved, v_moved) in zip(segment, moved):
                 np.testing.assert_array_equal(kt_moved.value, kt.value[rows])
                 np.testing.assert_array_equal(v_moved.value, v.value[rows])
         assert len({row.tobytes() for row in logits.value}) == 3
@@ -248,8 +248,8 @@ class TestIncrementalDecoding:
                 alone, _ = mm.decoder_step(params, cfg, cache.select([row]), tokens[b:b + 1])
                 np.testing.assert_array_equal(logits.value[b], alone.value[0])
         assert selected.length == 0 and selected.prefix == [None] * cfg.n_dec_layers
-        for layer, moved in zip(cache.memory, selected.memory):
-            for (kt, v), (kt_moved, v_moved) in zip(layer, moved):
+        for (segment,), (moved,) in zip(cache.memory, selected.memory):  # one length
+            for (kt, v), (kt_moved, v_moved) in zip(segment, moved):
                 np.testing.assert_array_equal(kt_moved.value, kt.value[rows])
                 np.testing.assert_array_equal(v_moved.value, v.value[rows])
 
@@ -363,6 +363,120 @@ class TestIncrementalDecoding:
         store.set("dec.0.ffn.w2.w", np.full(store["dec.0.ffn.w2.w"].shape, 1e200))
         with pytest.raises(ad.NonFiniteError, match="'matmul'"):
             dec.decode(store, cfg, np.array([dt.BOS, 5, dt.EOS]), dec.DecodeConfig())
+
+
+MIXED_SOURCES = [np.array([dt.BOS, 5, 9, dt.EOS]),  # three lengths, sorted
+                 np.array([dt.BOS, 7, 6, dt.EOS]),
+                 np.array([dt.BOS, 11, 4, 8, dt.EOS]),
+                 np.array([dt.BOS, 6, 10, 5, 9, 7, dt.EOS]),
+                 np.array([dt.BOS, 8, 8, 4, 11, 5, dt.EOS])]
+
+
+def mixed_cache(params, cfg):
+    """One fresh cache of ``MIXED_SOURCES``: one memory segment per length."""
+    groups = {}
+    for src in MIXED_SOURCES:
+        groups.setdefault(len(src), []).append(src)
+    return mm.KVCache.join([mm.encode_source(params, cfg, np.stack(group))
+                            for group in groups.values()])
+
+
+class TestMixedLengths:
+    @pytest.mark.parametrize("dc", [
+        dec.DecodeConfig(strategy="greedy", max_decode_len=10),
+        dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10),
+    ], ids=["greedy", "beam"])
+    def test_sources_of_three_lengths_take_one_lockstep(self, dc, monkeypatch):
+        cfg, store = random_model(13, n_dec_layers=2)
+        steps = []
+        real_step = mm.decoder_step
+
+        def counted_step(params, config, cache, tokens):
+            steps.append(len(cache.memory[0]))
+            return real_step(params, config, cache, tokens)
+
+        monkeypatch.setattr(mm, "decoder_step", counted_step)
+        alone = []
+        for src in MIXED_SOURCES:
+            steps.clear()
+            alone.append((list(dec.decode(store, cfg, src, dc)), len(steps)))
+        steps.clear()
+        order = [3, 0, 4, 2, 1]  # decode_batch sorts by length and restores the order
+        batched = dec.decode_batch(store, cfg, [MIXED_SOURCES[i] for i in order], dc)
+        assert [list(ids) for ids in batched] == [alone[i][0] for i in order]
+        assert len(steps) == max(n for _, n in alone)
+        assert steps[0] == 3  # every length in the first step's cache
+
+    def test_search_equals_each_source_searched_alone(self):
+        cfg, store = random_model(7, n_dec_layers=2,
+                                  adapter_placement=frozenset(mm.ADAPTER_SITES))
+        params = mm.as_nodes(store)
+        for dc in (dec.DecodeConfig(strategy="greedy", max_decode_len=10),
+                   dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10)):
+            with ad.no_graph():
+                mixed = dec._search(params, cfg, mixed_cache(params, cfg), len(MIXED_SOURCES), dc)
+                alone = [dec._search(params, cfg, mm.encode_source(params, cfg, src[None, :]), 1,
+                                     dc)[0] for src in MIXED_SOURCES]
+            assert mixed == alone  # ids, summed log-probs and pools, bit for bit
+
+    def test_step_of_several_segments_equals_each_segment_alone(self):
+        cfg, store = random_model(11, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        groups = [MIXED_SOURCES[:2], MIXED_SOURCES[2:3], MIXED_SOURCES[3:]]
+        steps = ([dt.BOS] * 5, [5, 6, 7, 8, 9], [4, 4, 10, 11, 5])
+        with ad.no_graph():
+            cache = mixed_cache(params, cfg)
+            alone = [mm.encode_source(params, cfg, np.stack(group)) for group in groups]
+            for tokens in steps:
+                logits, cache = mm.decoder_step(params, cfg, cache, tokens)
+                start = 0
+                for g, group in enumerate(groups):
+                    rows = slice(start, start + len(group))
+                    part, alone[g] = mm.decoder_step(params, cfg, alone[g], tokens[rows])
+                    np.testing.assert_array_equal(logits.value[rows], part.value)
+                    start += len(group)
+        assert [len(layer) for layer in cache.memory] == [3, 3]
+
+    def test_select_keeps_segments_in_order_and_drops_empty_ones(self):
+        cfg, store = random_model(11, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        rows = [1, 1, 0, 4, 3]  # the one source of length 5 (row 2) is left out
+        tokens = np.array([5, 6, 7, 8, 9])
+        with ad.no_graph():
+            cache = mixed_cache(params, cfg)
+            _, cache = mm.decoder_step(params, cfg, cache, [dt.BOS] * 5)
+            logits, _ = mm.decoder_step(params, cfg, cache, tokens)
+            selected = cache.select(rows)
+            moved, _ = mm.decoder_step(params, cfg, selected, tokens[rows])
+        assert [mm._segment_rows(layer) for layer in selected.memory] == [[3, 2]] * 2
+        np.testing.assert_array_equal(moved.value, logits.value[rows])
+
+    @pytest.mark.parametrize("rows", [[0, 2, 1], [3, 0], [0, 3, 4, 2]])
+    def test_select_rejects_rows_that_interleave_segments(self, rows):
+        cfg, store = random_model(11)
+        params = mm.as_nodes(store)
+        with ad.no_graph():
+            cache = mixed_cache(params, cfg)
+        with pytest.raises(ValueError, match=r"interleave the memory segments of \[2, 1, 2\]"):
+            cache.select(rows)
+
+
+class TestTopIds:
+    def test_ties_across_the_kth_value_go_to_the_lowest_ids(self):
+        rows = np.array([[0.0, -1.0, 0.0, -1.0, -1.0, -2.0, 0.0],  # three tied at the top
+                         [-1.0, -3.0, -1.0, -2.0, -1.0, -1.0, -3.0],  # four tied at k-th
+                         [-5.0, -4.0, -3.0, -2.0, -1.0, -0.5, -6.0],  # no ties
+                         [-2.0] * 7])  # all tied
+        for k in range(1, 9):
+            expected = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(dec._top_ids(rows, k), expected)
+
+    def test_random_rows_with_ties_match_a_stable_argsort(self):
+        rng = np.random.default_rng(0)
+        rows = rng.integers(-4, 1, size=(50, 30)).astype(np.float64)
+        for k in (2, 3, 5):
+            expected = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(dec._top_ids(rows, k), expected)
 
 
 class TestGenerateFile:
