@@ -807,6 +807,9 @@ def _vjp_softmax_lastdim(node, g):
 _OPS["softmax_lastdim"] = _Op(_fwd_softmax_lastdim, _vjp_softmax_lastdim, reads_output=True)
 
 
+_LN_EPS = 1e-5  # every layer norm's variance floor
+
+
 def _fwd_layer_norm(attrs, x, gain, bias):
     # gain and bias may carry leading axes (say, one row per task) that
     # broadcast against x; their last axis is x's.
@@ -815,12 +818,11 @@ def _fwd_layer_norm(attrs, x, gain, bias):
         raise ShapeError(
             f"layer_norm gain/bias must end in ({d},), got {gain.shape}/{bias.shape}"
         )
-    eps = attrs["eps"]
     m = x.mean(axis=-1, keepdims=True)
     xc = x - m
     v = (xc * xc).mean(axis=-1, keepdims=True)
     try:
-        out = xc / np.sqrt(v + eps) * gain + bias
+        out = xc / np.sqrt(v + _LN_EPS) * gain + bias
     except ValueError as exc:
         raise ShapeError(
             f"layer_norm gain/bias {gain.shape}/{bias.shape} not broadcastable to {x.shape}"
@@ -833,8 +835,8 @@ def _fwd_layer_norm(attrs, x, gain, bias):
 def _vjp_layer_norm(node, g, needs):
     # x's gradient is built even when x needs none (the embedding-fed norms).
     x, gain, bias = node.inputs
-    dx = _make("_layer_norm_grad", (x, gain, g), node.attrs)
-    dgain = _sum_to(mul(g, _make("_ln_xhat", (x,), node.attrs)), gain.shape) if needs[1] else None
+    dx = _make("_layer_norm_grad", (x, gain, g))
+    dgain = _sum_to(mul(g, _make("_ln_xhat", (x,))), gain.shape) if needs[1] else None
     dbias = _sum_to(g, bias.shape) if needs[2] else None
     return (dx, dgain, dbias)
 
@@ -842,15 +844,15 @@ def _vjp_layer_norm(node, g, needs):
 _OPS["layer_norm"] = _Op(_fwd_layer_norm, _vjp_layer_norm, reads=(0, 1))
 
 
-def _ln_centre_and_scale(x, eps):
+def _ln_centre_and_scale(x):
     # (x - mean, 1 / sqrt(var + eps)) in the order of the primitive chain
     # the layer-norm gradient ops replace, so their values are bitwise its.
     xc = x + x.mean(axis=-1, keepdims=True) * -1.0
-    return xc, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
 
 
 def _fwd_ln_xhat(attrs, x):
-    xc, inv = _ln_centre_and_scale(x, attrs["eps"])
+    xc, inv = _ln_centre_and_scale(x)
     return xc * inv
 
 
@@ -858,7 +860,7 @@ def _vjp_ln_xhat(node, u):
     # xhat's Jacobian is r P, P = I - 11^T/d - xhat xhat^T/d symmetric and
     # r = 1/sqrt(var + eps): the adjoint is _layer_norm_grad with a unit gain.
     x = node.inputs[0]
-    return (_make("_layer_norm_grad", (x, constant(np.ones(x.shape[-1:])), u), node.attrs),)
+    return (_make("_layer_norm_grad", (x, constant(np.ones(x.shape[-1:])), u)),)
 
 
 _OPS["_ln_xhat"] = _Op(_fwd_ln_xhat, _vjp_ln_xhat, reads=(0,))
@@ -866,7 +868,7 @@ _OPS["_ln_xhat"] = _Op(_fwd_ln_xhat, _vjp_ln_xhat, reads=(0,))
 
 def _fwd_layer_norm_grad(attrs, x, gain, g):
     # layer_norm's input gradient r P(g * gain), with P as in _vjp_ln_xhat.
-    xc, inv = _ln_centre_and_scale(x, attrs["eps"])
+    xc, inv = _ln_centre_and_scale(x)
     xhat = xc * inv
     dxhat = g * gain
     mean = dxhat.mean(axis=-1, keepdims=True)
@@ -882,13 +884,13 @@ def _vjp_layer_norm_grad(node, u, needs):
     # adjoints are gain * w and w * g; the x adjoint is
     # -r (mean(a xhat) w + mean(u xhat) y + mean(u y) xhat).
     x, gain, g = node.inputs
-    w = _make("_layer_norm_grad", (x, constant(np.ones(x.shape[-1:])), u), node.attrs)
+    w = _make("_layer_norm_grad", (x, constant(np.ones(x.shape[-1:])), u))
     gx = None
     if needs[0]:
-        y = _make("_layer_norm_grad", (x, gain, g), node.attrs)
-        xhat = _make("_ln_xhat", (x,), node.attrs)
+        y = _make("_layer_norm_grad", (x, gain, g))
+        xhat = _make("_ln_xhat", (x,))
         xc = sub(x, _row_mean(x))
-        r = _make("_rsqrt", (add(_row_mean(mul(xc, xc)), constant(node.attrs["eps"])),))
+        r = _make("_rsqrt", (add(_row_mean(mul(xc, xc)), constant(_LN_EPS)),))
         total = add(add(mul(_row_mean(mul(mul(g, gain), xhat)), w),
                         mul(_row_mean(mul(u, xhat)), y)),
                     mul(_row_mean(mul(u, y)), xhat))
@@ -967,10 +969,8 @@ def softmax_lastdim(x) -> Node:
     return _make("softmax_lastdim", (_as_node(x),))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
-    return _make(
-        "layer_norm", (_as_node(x), _as_node(gain), _as_node(bias)), {"eps": float(eps)}
-    )
+def layer_norm(x, gain, bias) -> Node:
+    return _make("layer_norm", (_as_node(x), _as_node(gain), _as_node(bias)))
 
 
 def embed_lookup(table, ids) -> Node:

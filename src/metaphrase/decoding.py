@@ -204,6 +204,12 @@ def _decode_sorted(params, config, sources, dc: DecodeConfig) -> list[list[int]]
     return [min(pool + [greedy], key=rank)[0] for greedy, pool in searched]
 
 
+def _check_decode_len(config: mm.ModelConfig, dc: DecodeConfig) -> None:
+    if dc.max_decode_len > config.max_len:
+        raise ValueError(f"max_decode_len exceeds the model's max_len "
+                         f"({dc.max_decode_len} > {config.max_len})")
+
+
 def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> list[np.ndarray]:
     """Token ids for each source, in order, marker-wrapped.
 
@@ -212,9 +218,7 @@ def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> l
     in order of length. ``params`` is a ParamStore or a name -> Node
     mapping. A sequence cut off at the length cap carries no closing marker.
     """
-    if dc.max_decode_len > config.max_len:
-        raise ValueError(f"max_decode_len exceeds the model's max_len "
-                         f"({dc.max_decode_len} > {config.max_len})")
+    _check_decode_len(config, dc)
     sources = [np.asarray(src, dtype=np.int64) for src in sources]
     params = mm.as_nodes(params)
     order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
@@ -258,13 +262,13 @@ def generate_file(checkpoint_path, input_path, output_path, dc: DecodeConfig) ->
 
     ``data.load_sentences`` reads the input; ``metrics.evaluate_corpus`` drops
     the same blank and whitespace-only source lines, with their references.
+    The output is opened before anything is decoded: an unwritable one fails
+    fast, and a failed decode leaves it empty, never stale.
     """
     ckpt = pl.load_checkpoint(checkpoint_path)
-    if ckpt.vocab is None:
-        raise ValueError(f"checkpoint {checkpoint_path} carries no vocabulary")
     sources = dt.load_sentences(input_path, ckpt.vocab)
-    outputs = decode_batch(ckpt.store, ckpt.config, sources, dc)
+    _check_decode_len(ckpt.config, dc)
     with open(output_path, "w", encoding="utf-8") as fout:
-        for out in outputs:
-            fout.write(dt.detokenize(out, ckpt.vocab) + "\n")
+        outputs = decode_batch(ckpt.store, ckpt.config, sources, dc)
+        fout.writelines(dt.detokenize(out, ckpt.vocab) + "\n" for out in outputs)
     return len(outputs)

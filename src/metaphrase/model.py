@@ -1,12 +1,13 @@
 """Miniature pre-norm encoder-decoder transformer with bottleneck adapters.
 
-Parameters live in a ``ParamStore`` where every array carries a partition
-tag: ``backbone`` (frozen after pretraining), ``adapter`` or ``norm`` (the
-trainable set during meta-training and fine-tuning). Adapters are bottleneck
-feed-forward layers with a residual connection, initialized so that they are
-an exact identity map; enabling them changes nothing until they are trained.
-The backbone is fixed apart from its sizes: the output head is tied to the
-token embedding table, and every layer norm has eps ``_LN_EPS`` (1e-5).
+Parameters live in a ``ParamStore``; a name gives its partition
+(``partition_of``): ``backbone`` (frozen after pretraining), ``adapter`` or
+``norm`` (the trainable set during meta-training and fine-tuning). Adapters
+are bottleneck feed-forward layers with a residual connection, initialized
+so that they are an exact identity map; enabling them changes nothing until
+they are trained. The backbone is fixed apart from its sizes: the output
+head is tied to the token embedding table, and every layer norm has eps
+``autodiff._LN_EPS`` (1e-5).
 
 There is one encoder (``_encode``, which ends in each decoder layer's
 cross-attention keys and values) and one decoder stack (``_decode``:
@@ -40,14 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-
-PARTITIONS = ("backbone", "adapter", "norm")
 
 ADAPTER_SITES = ("enc_attn", "enc_ffn", "dec_attn", "dec_cross", "dec_ffn")
 
@@ -56,7 +56,6 @@ ADAPTER_SITES = ("enc_attn", "enc_ffn", "dec_attn", "dec_cross", "dec_ffn")
 DEFAULT_PLACEMENT = frozenset({"enc_attn", "enc_ffn", "dec_attn", "dec_ffn"})
 
 NEG_FILL = -1e9
-_LN_EPS = 1e-5  # every layer norm's variance floor
 
 
 def check_count(name: str, value, low: int) -> None:
@@ -115,19 +114,15 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Named float64 parameter arrays, each tagged with a partition."""
+    """Named float64 parameter arrays; a name's partition is ``partition_of(name)``."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
-        self._partitions: dict[str, str] = {}
 
-    def add(self, name: str, values: np.ndarray, partition: str) -> None:
+    def add(self, name: str, values: np.ndarray) -> None:
         if name in self._arrays:
             raise ValueError(f"duplicate parameter {name!r}")
-        if partition not in PARTITIONS:
-            raise ValueError(f"unknown partition {partition!r} for {name!r}")
         self._arrays[name] = np.asarray(values, dtype=np.float64)
-        self._partitions[name] = partition
 
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
@@ -148,7 +143,7 @@ class ParamStore:
         return list(self._arrays)
 
     def partition(self, name: str) -> str:
-        return self._partitions[name]
+        return partition_of(name)
 
     def items(self):
         return self._arrays.items()
@@ -165,20 +160,14 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         out = ParamStore()
         for name, arr in self._arrays.items():
-            out.add(name, arr.copy(), self._partitions[name])
+            out.add(name, arr.copy())
         return out
 
 
 def partition_params(store: ParamStore) -> tuple[list[str], list[str]]:
     """Split names into (theta, phi): backbone vs adapters + normalization."""
-    theta, phi = [], []
-    for name in store.names():
-        part = store.partition(name)
-        if part == "backbone":
-            theta.append(name)
-        else:
-            phi.append(name)
-    return theta, phi
+    theta = [name for name in store.names() if partition_of(name) == "backbone"]
+    return theta, [name for name in store.names() if partition_of(name) != "backbone"]
 
 
 # ---------------------------------------------------------------------------
@@ -205,32 +194,32 @@ def _adapter_prefixes(config: ModelConfig) -> list[str]:
     return out
 
 
-def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
-    """(name, shape, partition) for every parameter, without allocating.
+def param_layout(config: ModelConfig) -> list[tuple[str, tuple]]:
+    """(name, shape) for every parameter, without allocating.
 
     Single source of truth for initialization, checkpoint validation and
     accounting: ``build_model`` and ``insert_adapters`` create exactly these
     names and shapes, in this order.
     """
     d, dff = config.d_model, config.d_ff
-    out: list[tuple[str, tuple, str]] = [
-        ("tok_embed", (config.vocab_size, d), "backbone"),
-        ("pos_enc", (config.max_len, d), "backbone"),
-        ("pos_dec", (config.max_len, d), "backbone"),
+    out: list[tuple[str, tuple]] = [
+        ("tok_embed", (config.vocab_size, d)),
+        ("pos_enc", (config.max_len, d)),
+        ("pos_dec", (config.max_len, d)),
     ]
 
     def linear(prefix, n_in, n_out):
-        out.append((f"{prefix}.w", (n_in, n_out), "backbone"))
-        out.append((f"{prefix}.b", (n_out,), "backbone"))
+        out.append((f"{prefix}.w", (n_in, n_out)))
+        out.append((f"{prefix}.b", (n_out,)))
 
     def norm(prefix):
-        out.append((f"{prefix}.gain", (d,), "norm"))
-        out.append((f"{prefix}.bias", (d,), "norm"))
+        out.append((f"{prefix}.gain", (d,)))
+        out.append((f"{prefix}.bias", (d,)))
 
     def attention(prefix):
         linear(f"{prefix}.wq", d, d)
         # No key bias: it shifts all of a query's scores alike, which softmax ignores.
-        out.append((f"{prefix}.wk.w", (d, d), "backbone"))
+        out.append((f"{prefix}.wk.w", (d, d)))
         linear(f"{prefix}.wv", d, d)
         linear(f"{prefix}.wo", d, d)
 
@@ -256,11 +245,18 @@ def param_layout(config: ModelConfig) -> list[tuple[str, tuple, str]]:
 
     for prefix in _adapter_prefixes(config):
         h = config.adapter_hidden
-        out.append((f"{prefix}.wd", (d, h), "adapter"))
-        out.append((f"{prefix}.bd", (h,), "adapter"))
-        out.append((f"{prefix}.wu", (h, d), "adapter"))
-        out.append((f"{prefix}.bu", (d,), "adapter"))
+        out.append((f"{prefix}.wd", (d, h)))
+        out.append((f"{prefix}.bd", (h,)))
+        out.append((f"{prefix}.wu", (h, d)))
+        out.append((f"{prefix}.bu", (d,)))
     return out
+
+
+def partition_of(name: str) -> str:
+    """``adapter`` for ``*.adapter_*.*``, ``norm`` for ``*.gain``/``*.bias``, else ``backbone``."""
+    if fnmatchcase(name, "*.adapter_*.*"):
+        return "adapter"
+    return "norm" if name.endswith((".gain", ".bias")) else "backbone"
 
 
 def _init_value(name: str, shape: tuple, rng: np.random.Generator,
@@ -281,17 +277,17 @@ def _init_value(name: str, shape: tuple, rng: np.random.Generator,
     return rng.normal(0.0, _INIT_STD, shape)
 
 
-def _init_into(store: ParamStore, config: ModelConfig, seed: int, partitions) -> ParamStore:
-    """Add every missing ``param_layout`` entry of the given partitions, in layout order.
+def _init_into(store: ParamStore, config: ModelConfig, seed: int) -> ParamStore:
+    """Add every missing ``param_layout`` entry, in layout order.
 
     Backbone weights draw from the stream ``[seed, 0]`` and adapter
     down-projections from ``[seed, 1]``.
     """
     rng = np.random.default_rng([int(seed), 0])
     rng_adapter = np.random.default_rng([int(seed), 1])
-    for name, shape, partition in param_layout(config):
-        if partition in partitions and name not in store:
-            store.add(name, _init_value(name, shape, rng, rng_adapter), partition)
+    for name, shape in param_layout(config):
+        if name not in store:
+            store.add(name, _init_value(name, shape, rng, rng_adapter))
     return store
 
 
@@ -301,16 +297,16 @@ def build_model(config: ModelConfig, seed: int) -> ParamStore:
     Backbone and adapter parameters draw from independent seeded streams, so
     the backbone is bit-identical whether or not adapters are placed.
     """
-    return _init_into(ParamStore(), config, seed, PARTITIONS)
+    return _init_into(ParamStore(), config, seed)
 
 
 def insert_adapters(store: ParamStore, config: ModelConfig, seed: int) -> ParamStore:
-    """Return a copy of the store with identity-initialized adapters added.
+    """Return a copy of the store with its missing ``param_layout`` entries added.
 
-    Used when a checkpoint was trained without adapters (stage a) and the
-    next stage needs them. Existing arrays are copied bit-exactly.
+    Used when a checkpoint was trained without adapters (stage a) and the next
+    stage needs them at identity. Existing arrays are copied bit-exactly.
     """
-    return _init_into(store.copy(), config, seed, ("adapter",))
+    return _init_into(store.copy(), config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,7 @@ def _linear(p, prefix, x):
 
 
 def _norm(p, prefix, x):
-    return ad.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"], eps=_LN_EPS)
+    return ad.layer_norm(x, p[f"{prefix}.gain"], p[f"{prefix}.bias"])
 
 
 def _maybe_adapter(p, prefix, x):
@@ -626,7 +622,7 @@ def batch_nll(logits: Node, targets, target_mask) -> Node:
 
 def param_counts(config: ModelConfig) -> tuple[int, int, float]:
     """(total, trainable, ratio) for a config, summed over ``param_layout``."""
-    sizes = [(math.prod(shape), part) for _, shape, part in param_layout(config)]
+    sizes = [(math.prod(shape), partition_of(name)) for name, shape in param_layout(config)]
     total = sum(n for n, _ in sizes)
     trainable = sum(n for n, part in sizes if part != "backbone")
     return total, trainable, trainable / total

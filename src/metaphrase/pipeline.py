@@ -7,9 +7,10 @@ frozen. Stage (c) fine-tunes the adapters on the target domain, either by
 re-running the meta algorithm over target-sampled tasks or by plain NLL
 minimization.
 
-Checkpoints are a small binary format (magic ``LAPA``): bit-exact roundtrip,
-float32 payloads, a provenance chain of parent-file hashes that enforces the
-stage ordering, and an embedded vocabulary so decoding needs nothing else.
+Checkpoints are a small binary format (magic ``LAPA``, version 2): bit-exact
+roundtrip, named float32 records (a name gives the partition), a provenance
+chain of parent-file hashes that enforces the stage ordering, and the
+vocabulary, which every checkpoint embeds, so decoding needs nothing else.
 Each stage returns its store rounded to the float32 grid, exactly the values
 that a reload of its checkpoint gives, so a chain run in memory and the same
 chain resumed from disk are bit-identical.
@@ -42,12 +43,9 @@ from . import meta as mt
 from . import model as mm
 
 MAGIC = b"LAPA"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 STAGES = ("pretrained", "meta_trained", "finetuned")
-
-_PARTITION_CODE = {"backbone": 0, "adapter": 1, "norm": 2}
-_PARTITION_NAME = {v: k for k, v in _PARTITION_CODE.items()}
 
 
 class CheckpointError(ValueError):
@@ -105,7 +103,7 @@ class Checkpoint:
     seeds: dict[str, int]
     provenance: list[str]
     store: mm.ParamStore
-    vocab: dt.Vocab | None = None
+    vocab: dt.Vocab
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -115,7 +113,7 @@ class Checkpoint:
             raise ValueError(
                 f"stage {self.stage!r} cannot have {len(self.provenance)} parents"
             )
-        if self.vocab is not None and len(self.vocab) != self.config.vocab_size:
+        if len(self.vocab) != self.config.vocab_size:
             raise ValueError(
                 f"embedded vocab has {len(self.vocab)} tokens, "
                 f"model vocab_size is {self.config.vocab_size}"
@@ -147,12 +145,11 @@ def _config_text(ckpt: Checkpoint) -> str:
         lines.append(f"seed.{name} = {ckpt.seeds[name]}")
     for f in fields(mm.ModelConfig):
         lines.append(f"model.{f.name} = {_encode_field(getattr(ckpt.config, f.name))}")
-    if ckpt.vocab is not None:
-        lines.append(f"vocab = {' '.join(ckpt.vocab.tokens())}")
+    lines.append(f"vocab = {' '.join(ckpt.vocab.tokens())}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.Vocab | None]:
+def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.Vocab]:
     entries: dict[str, str] = {}
     for line in text.splitlines():
         if "=" not in line:
@@ -167,6 +164,8 @@ def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.V
         })
         stage = entries["stage"]
         provenance = entries["provenance"].split()
+        # One without the reserved tokens fails the canonical check.
+        vocab = dt.Vocab(entries["vocab"].split()[len(dt.RESERVED):])
     except KeyError as exc:
         raise CheckpointError(f"config text missing field {exc}") from exc
 
@@ -175,9 +174,6 @@ def _parse_config_text(text: str) -> tuple[mm.ModelConfig, str, dict, list, dt.V
         for key, value in entries.items()
         if key.startswith("seed.")
     }
-    vocab = None
-    if "vocab" in entries:  # one without the reserved tokens fails the canonical check
-        vocab = dt.Vocab(entries["vocab"].split()[len(dt.RESERVED):])
     return config, stage, seeds, provenance, vocab
 
 
@@ -193,7 +189,6 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         name_blob = name.encode("utf-8")
         buf.write(struct.pack("<I", len(name_blob)))
         buf.write(name_blob)
-        buf.write(struct.pack("<B", _PARTITION_CODE[ckpt.store.partition(name)]))
         buf.write(struct.pack("<B", arr.ndim))
         for extent in arr.shape:
             buf.write(struct.pack("<Q", extent))
@@ -258,9 +253,6 @@ def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
         previous, name = name, _read_exact(buf, name_len, "record name").decode("utf-8")
         if name <= previous:
             raise CheckpointError(f"corrupt checkpoint: record {name!r} is out of name order")
-        (part_code,) = struct.unpack("<B", _read_exact(buf, 1, f"{name} partition"))
-        if part_code not in _PARTITION_NAME:
-            raise CheckpointError(f"corrupt checkpoint: bad partition tag for {name!r}")
         (rank,) = struct.unpack("<B", _read_exact(buf, 1, f"{name} rank"))
         shape = tuple(
             struct.unpack("<Q", _read_exact(buf, 8, f"{name} extent"))[0]
@@ -271,13 +263,13 @@ def _parse_checkpoint(buf: io.BytesIO) -> Checkpoint:
             values = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
         if not np.isfinite(values).all():
             raise CheckpointError(f"corrupt checkpoint: non-finite values in {name!r}")
-        store.add(name, values, _PARTITION_NAME[part_code])
+        store.add(name, values)
 
-    expected = {(n, s, p) for n, s, p in mm.param_layout(config)}
-    actual = {(n, store[n].shape, store.partition(n)) for n in store.names()}
+    expected = set(mm.param_layout(config))
+    actual = {(n, store[n].shape) for n in store.names()}
     if expected != actual:
-        missing = {n for n, _, _ in expected - actual}
-        extra = {n for n, _, _ in actual - expected}
+        missing = {n for n, _ in expected - actual}
+        extra = {n for n, _ in actual - expected}
         raise CheckpointError(
             "checkpoint parameters do not match the embedded config "
             f"(missing/mismatched: {sorted(missing)[:3]}, unexpected: {sorted(extra)[:3]})"
@@ -449,8 +441,7 @@ def _names_stage(fn):
 @_names_stage
 def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
                    noise: NoiseConfig, steps: int, seed: int,
-                   batch_size: int = 16, lr: float = 1e-3,
-                   vocab: dt.Vocab | None = None,
+                   batch_size: int = 16, lr: float = 1e-3, *, vocab: dt.Vocab,
                    clean_frac: float = 0.5) -> StageResult:
     """Stage (a): train the backbone to reconstruct corrupted sentences.
 

@@ -164,9 +164,9 @@ def _op_cases():
         "gelu": (lambda p: ad.gelu(p["x"]), {"x": x}),
         "_tanh": (lambda p: ad._make("_tanh", (p["x"],)), {"x": x}),
         "_rsqrt": (lambda p: ad._make("_rsqrt", (p["x"],)), {"x": 0.5 + rng.random((3, 4))}),
-        "_ln_xhat": (lambda p: ad._make("_ln_xhat", (p["a"],), {"eps": 1e-5}), {"a": a}),
+        "_ln_xhat": (lambda p: ad._make("_ln_xhat", (p["a"],)), {"a": a}),
         "_layer_norm_grad": (
-            lambda p: ad._make("_layer_norm_grad", (p["a"], p["gain"], p["g"]), {"eps": 1e-5}),
+            lambda p: ad._make("_layer_norm_grad", (p["a"], p["gain"], p["g"])),
             {"a": a, "gain": rng.standard_normal((2, 1, 4)), "g": rng.standard_normal((2, 3, 4))},
         ),
         "_gelu_grad": (lambda p: ad._make("_gelu_grad", (p["x"], p["g"])),
@@ -924,7 +924,7 @@ def _chain_layer_norm_vjp(node, g, needs):
     """``layer_norm``'s VJP as the primitive chain that ``_layer_norm_grad`` replaced."""
     x, gain, bias = node.inputs
     xc = ad.sub(x, _row_mean(x))
-    inv = ad._make("_rsqrt", (ad.add(_row_mean(ad.mul(xc, xc)), node.attrs["eps"]),))
+    inv = ad._make("_rsqrt", (ad.add(_row_mean(ad.mul(xc, xc)), ad._LN_EPS),))
     xhat = ad.mul(xc, inv)
     dxhat = ad.mul(g, gain)
     dx = ad.mul(inv, ad.sub(dxhat, ad.add(_row_mean(dxhat),

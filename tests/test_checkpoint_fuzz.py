@@ -1,7 +1,7 @@
 """Property test: a mutated checkpoint is rejected by name or loads as its own bytes.
 
-Each example takes the bytes of one of ``canonical_checkpoints()`` (without
-adapters; with adapters and an embedded vocabulary) and applies one
+Each example takes the bytes of one of ``canonical_checkpoints()`` (one
+without adapters, two with; each embeds a vocabulary) and applies one
 mutation: a bit flip, a truncation, inserted bytes, a forged 8-byte extent
 or a deletion. ``checkpoint_from_bytes`` must then raise ``CheckpointError``
 or return a checkpoint whose ``checkpoint_bytes`` are the mutated bytes, so
@@ -34,8 +34,8 @@ def layout(index: int) -> tuple[list[int], list[int]]:
     at = len(header)
     for record in records:
         name_len = int.from_bytes(record[:4], "little")
-        rank = record[4 + name_len + 1]
-        fields = 4 + name_len + 2 + 8 * rank
+        rank = record[4 + name_len]
+        fields = 4 + name_len + 1 + 8 * rank
         structure += range(at, at + fields)
         extents += range(at + fields - 8 * rank, at + fields, 8)
         at += len(record)

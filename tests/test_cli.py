@@ -116,3 +116,33 @@ def test_decode_input_errors_are_one_usage_error_line(case, named, tmp_path, cap
     (line,) = [line for line in err.splitlines() if "error:" in line]
     assert line.startswith("metaphrase decode: error: ") and named in line
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_unwritable_output_fails_before_any_search(tmp_path, capsys, monkeypatch):
+    ckpt, inp = small_checkpoint(tmp_path / "model.ckpt"), tmp_path / "in.txt"
+    inp.write_text("cat runs\ndog runs\n")
+    searches = []
+    search = dec._search
+    monkeypatch.setattr(dec, "_search", lambda *a, **k: searches.append(1) or search(*a, **k))
+    out = tmp_path / "nodir" / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", str(ckpt), str(inp), str(out)])
+    assert exc.value.code == 2
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert line.startswith("metaphrase decode: error: ") and str(out) in line
+    assert searches == []
+
+
+def test_failed_decode_leaves_the_output_empty(tmp_path, monkeypatch):
+    ckpt, inp = small_checkpoint(tmp_path / "model.ckpt"), tmp_path / "in.txt"
+    inp.write_text("cat runs\n")
+    out = tmp_path / "out.txt"
+    out.write_text("an earlier run's line\n")
+
+    def failing_search(*args, **kwargs):
+        raise ValueError("search failed")
+
+    monkeypatch.setattr(dec, "_search", failing_search)
+    with pytest.raises(ValueError, match="search failed"):
+        dec.generate_file(ckpt, inp, out, dec.DecodeConfig())
+    assert out.read_text() == ""

@@ -18,6 +18,7 @@ from metaphrase import pipeline as pl
 CONFIG = mm.ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16,
                         vocab_size=12, max_len=6, adapter_hidden=4,
                         adapter_placement=frozenset())
+VOCAB = dt.Vocab([f"w{i}" for i in range(CONFIG.vocab_size - len(dt.RESERVED))])
 STOP = mt.StopCriteria(max_steps=1)
 
 
@@ -29,7 +30,7 @@ def ctx(tmp_path_factory):
 
     def checkpoint(stage, parents):
         return pl.Checkpoint(config=CONFIG, stage=stage, seeds={}, provenance=["p"] * parents,
-                             store=store)
+                             store=store, vocab=VOCAB)
 
     pretrained_path = root / "pretrained.ckpt"
     pl.save_checkpoint(checkpoint("pretrained", 0), pretrained_path)
@@ -48,7 +49,7 @@ def _const(*shape):
 
 def _store_with_w():
     store = mm.ParamStore()
-    store.add("w", np.zeros(2), "adapter")
+    store.add("w", np.zeros(2))
     return store
 
 
@@ -102,10 +103,8 @@ CASES = [
      lambda c: replace(CONFIG, adapter_placement=mm.DEFAULT_PLACEMENT, adapter_hidden=0),
      ValueError, "adapter_hidden must be positive when adapters are placed"),
     ("param_store_duplicate",
-     lambda c: _store_with_w().add("w", np.zeros(2), "adapter"),
+     lambda c: _store_with_w().add("w", np.zeros(2)),
      ValueError, "duplicate parameter 'w'"),
-    ("param_store_partition", lambda c: mm.ParamStore().add("w", np.zeros(2), "head"),
-     ValueError, "unknown partition 'head' for 'w'"),
     ("param_store_set_shape", lambda c: _store_with_w().set("w", np.zeros(3)),
      ValueError, "shape mismatch for 'w': (3,) vs (2,)"),
     ("meta_train_mode",

@@ -547,19 +547,6 @@ class TestGenerateFile:
         assert count == 2
         assert mx.evaluate_corpus(out, ref, inp).pairs == 2
 
-    def test_checkpoint_without_vocab_rejected(self, tmp_path):
-        vocab = dt.Vocab(["cat"])
-        cfg = toy_config(vocab_size=len(vocab))
-        store = mm.build_model(cfg, seed=2)
-        ckpt = pl.Checkpoint(config=cfg, stage="pretrained", seeds={},
-                             provenance=[], store=store, vocab=None)
-        path = tmp_path / "novocab.ckpt"
-        pl.save_checkpoint(ckpt, path)
-        inp = tmp_path / "in.txt"
-        inp.write_text("cat\n")
-        with pytest.raises(ValueError, match="vocabulary"):
-            dec.generate_file(path, inp, tmp_path / "out.txt", dec.DecodeConfig())
-
 
 @pytest.mark.slow
 def test_copy_trained_checkpoint_copies_inputs(tmp_path):

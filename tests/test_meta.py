@@ -30,8 +30,8 @@ def only_row(node):
 
 def make_store(**arrays):
     store = ParamStore()
-    for name, (vals, part) in arrays.items():
-        store.add(name, np.asarray(vals, dtype=np.float64), part)
+    for name, vals in arrays.items():
+        store.add(name, np.asarray(vals, dtype=np.float64))
     return store
 
 
@@ -81,7 +81,7 @@ class TestHyper:
 
 class TestInnerAdapt:
     def test_constant_loss_is_fixed_point(self):
-        store = make_store(phi=([1.0, -2.0], "adapter"))
+        store = make_store(phi=[1.0, -2.0])
 
         def flat_loss(params, batch):
             return ad.sum_all(ad.constant(np.zeros(1)))
@@ -91,7 +91,7 @@ class TestInnerAdapt:
 
     def test_single_sgd_step_closed_form(self):
         phi0, a, alpha = 2.0, 0.5, 0.1
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         adapted, losses = mt.inner_adapt(store, ["phi"], [a], hyper(alpha=alpha), quadratic_loss)
         assert only_row(adapted["phi"])[0] == pytest.approx(phi0 - alpha * (phi0 - a), abs=1e-15)
         assert losses.shape == (1, 1)
@@ -99,7 +99,7 @@ class TestInnerAdapt:
 
     def test_four_steps_match_iterated_formula(self):
         phi0, a, alpha = 2.0, 0.5, 0.1
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         adapted, _ = mt.inner_adapt(store, ["phi"], [a], hyper(alpha=alpha, inner_steps=4), quadratic_loss)
         expected = phi0
         for _ in range(4):
@@ -110,7 +110,7 @@ class TestInnerAdapt:
 
     def test_each_task_row_takes_its_own_steps(self):
         phi0, centers, alpha = 2.0, [0.5, -1.0, 3.0], 0.1
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         adapted, losses = mt.inner_adapt(store, ["phi"], centers, hyper(alpha=alpha, inner_steps=2),
                                          quadratic_loss)
         assert adapted["phi"].shape == (3, 1, 1, 1)
@@ -121,7 +121,7 @@ class TestInnerAdapt:
             assert losses[0, t] == pytest.approx(0.5 * (phi0 - a) ** 2)
 
     def test_first_order_values_match_second_order(self):
-        store = make_store(phi=([2.0, -1.0], "adapter"))
+        store = make_store(phi=[2.0, -1.0])
         second, _ = mt.inner_adapt(store, ["phi"], [0.3], hyper(inner_steps=3), quadratic_loss)
         first, _ = mt.inner_adapt(store, ["phi"], [0.3], hyper(inner_steps=3, order_mode="first"), quadratic_loss)
         np.testing.assert_allclose(second["phi"].value, first["phi"].value, atol=1e-15)
@@ -130,7 +130,7 @@ class TestInnerAdapt:
 class TestOuterGradient:
     def test_second_order_scalar_surrogate(self):
         phi0, a, b, alpha = 1.7, 0.2, -0.4, 0.25
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         task = Task(support=a, query=b)
         grads, _ = mt.outer_gradient(store, ["phi"], [task], hyper(alpha=alpha), quadratic_loss)
         adapted = phi0 - alpha * (phi0 - a)
@@ -139,7 +139,7 @@ class TestOuterGradient:
 
     def test_first_order_scalar_surrogate(self):
         phi0, a, b, alpha = 1.7, 0.2, -0.4, 0.25
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         task = Task(support=a, query=b)
         grads, _ = mt.outer_gradient(
             store, ["phi"], [task], hyper(alpha=alpha, order_mode="first"), quadratic_loss
@@ -151,7 +151,7 @@ class TestOuterGradient:
         phi0, a, b = 1.0, 0.3, -0.9
         diffs = []
         for alpha in (0.2, 0.1, 0.05, 0.025):
-            store = make_store(phi=([phi0], "adapter"))
+            store = make_store(phi=[phi0])
             task = Task(support=a, query=b)
             g2, _ = mt.outer_gradient(store, ["phi"], [task], hyper(alpha=alpha), quadratic_loss)
             g1, _ = mt.outer_gradient(
@@ -188,7 +188,7 @@ class TestOuterGradient:
         assert report.passed, report.per_leaf
 
     def test_empty_query_rejected(self):
-        store = make_store(phi=([1.0], "adapter"))
+        store = make_store(phi=[1.0])
         with pytest.raises(ValueError, match="query"):
             mt.outer_gradient(store, ["phi"], [Task(support=[0.1], query=[])],
                               hyper(), quadratic_loss)
@@ -380,7 +380,7 @@ def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transf
 
 class TestMetaStep:
     def test_theta_untouched(self):
-        store = make_store(phi=([1.0, 2.0], "adapter"), theta=([5.0, 6.0], "backbone"))
+        store = make_store(phi=[1.0, 2.0], theta=[5.0, 6.0])
 
         def loss_fn(params, batch):
             mixed = ad.mul(params["phi"], params["theta"])
@@ -395,7 +395,7 @@ class TestMetaStep:
 
     def test_sgd_outer_update_formula(self):
         phi0, a, b, alpha, beta = 1.7, 0.2, -0.4, 0.25, 0.05
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         task = Task(support=a, query=b)
         train_on(store, [task], hyper(alpha=alpha, beta=beta))
         adapted = phi0 - alpha * (phi0 - a)
@@ -405,7 +405,7 @@ class TestMetaStep:
     def test_task_sum_across_meta_batch(self):
         phi0, alpha, beta = 1.0, 0.1, 0.01
         tasks = [Task(support=0.2, query=0.5), Task(support=-0.3, query=1.5)]
-        store = make_store(phi=([phi0], "adapter"))
+        store = make_store(phi=[phi0])
         train_on(store, tasks, hyper(alpha=alpha, beta=beta, meta_batch_tasks=2))
         total_grad = 0.0
         for t in tasks:
@@ -415,7 +415,7 @@ class TestMetaStep:
 
     def test_clipping_inactive_below_threshold(self):
         for clip in (1.0, 1e9):
-            store = make_store(phi=([1.001], "adapter"))
+            store = make_store(phi=[1.001])
             task = Task(support=1.0, query=1.0)  # tiny gradients
             train_on(store, [task], hyper(clip_norm=clip))
             if clip == 1.0:
@@ -436,7 +436,7 @@ class TestMetaStep:
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(42)
-            store = make_store(phi=(rng.standard_normal(4), "adapter"))
+            store = make_store(phi=rng.standard_normal(4))
 
             def sampler(n):
                 return [Task(support=rng.standard_normal(4), query=rng.standard_normal(4))
@@ -452,7 +452,7 @@ class TestMetaStep:
 
 class TestMetaTrain:
     def test_zero_steps_is_noop(self):
-        store = make_store(phi=([1.0, 2.0], "adapter"))
+        store = make_store(phi=[1.0, 2.0])
         before = store["phi"].copy()
         history = mt.meta_train(store, ["phi"], lambda n: [], hyper(),
                                 mt.StopCriteria(max_steps=0), quadratic_loss)
@@ -461,7 +461,7 @@ class TestMetaTrain:
 
     def test_one_step_applies_the_outer_gradient(self):
         task = Task(support=0.3, query=0.8)
-        store = make_store(phi=([1.5], "adapter"))
+        store = make_store(phi=[1.5])
         grads, metrics = mt.outer_gradient(store, ["phi"], [task], hyper(), quadratic_loss)
         expected = store["phi"] - hyper().beta * grads["phi"]
         history = train_on(store, [task], hyper())
@@ -481,7 +481,7 @@ class TestMetaTrain:
             ]
 
         val_tasks = [Task(support=3.0, query=3.05), Task(support=2.9, query=3.0)]
-        store = make_store(phi=([0.0], "adapter"))
+        store = make_store(phi=[0.0])
         hy = hyper(alpha=0.1, beta=0.2, meta_batch_tasks=3)
         before = mt.evaluate_adaptation(store, ["phi"], val_tasks, hy, quadratic_loss)
         history = mt.meta_train(store, ["phi"], sampler, hy,
@@ -504,7 +504,7 @@ class TestMetaTrain:
         assert lines[2].startswith("2,0.4,0.2,0.3,")
 
     def test_non_finite_loss_propagates(self):
-        store = make_store(phi=([1e200], "adapter"))
+        store = make_store(phi=[1e200])
         with pytest.raises(ad.NonFiniteError):
             train_on(store, [Task(support=0.0, query=0.0)], hyper())
 
@@ -514,7 +514,7 @@ class TestTrainLoop:
 
     def run(self, val_losses, eval_every=1):
         """The k-th step that validates reads ``val_losses[k - 1]``, on every call."""
-        store = make_store(phi=([0.0], "adapter"), theta=([5.0], "backbone"))
+        store = make_store(phi=[0.0], theta=[5.0])
         steps, by_step = [], {}
 
         def step_fn():
@@ -550,7 +550,7 @@ class TestTrainLoop:
             self.run([1.0, float("nan")])
 
     def test_validation_overflow_names_its_op_and_step(self):
-        store = make_store(phi=([0.0], "adapter"))
+        store = make_store(phi=[0.0])
         big = ad.constant(np.full(2, 1e200))
         with pytest.raises(ad.NonFiniteError, match=r"'mul' at step 1$"):
             mt.train_loop(store, ["phi"], lambda: ({"phi": np.array([-1.0])}, 0.5, 0.25),

@@ -52,11 +52,17 @@ class TestBuild:
         assert not np.array_equal(a["tok_embed"], b["tok_embed"])
 
     def test_partition_tags(self):
-        store = mm.build_model(toy_config(), seed=0)
-        theta, phi = mm.partition_params(store)
-        assert set(theta) | set(phi) == set(store.names())
-        assert not set(theta) & set(phi)
-        assert all("adapter" in n or "ln" in n for n in phi)
+        for placement in (mm.DEFAULT_PLACEMENT, frozenset(mm.ADAPTER_SITES)):
+            store = mm.build_model(toy_config(adapter_placement=placement), seed=0)
+            theta, phi = mm.partition_params(store)
+            assert set(theta) | set(phi) == set(store.names())
+            assert not set(theta) & set(phi)
+            adapters = {n for n in store.names() if ".adapter_" in n}
+            norms = {n for n in store.names() if n.endswith((".gain", ".bias"))}
+            assert len(adapters) == 4 * len(placement)  # one layer a side, four arrays a site
+            assert set(phi) == adapters | norms
+            assert all(store.partition(n) == "adapter" for n in adapters)
+            assert all(store.partition(n) == "norm" for n in norms)
 
     def test_adapters_disabled_leaves_norms_in_phi(self):
         store = mm.build_model(toy_config(adapter_placement=frozenset()), seed=0)
@@ -403,7 +409,7 @@ class TestParamCounts:
         t = tiny_transformer
         leaves = t.store.leaves()
         grads = ad.gradient_values(t.loss_fn(leaves, t.pairs), leaves)
-        dead = [name for name, _, _ in mm.param_layout(t.config)
+        dead = [name for name, _ in mm.param_layout(t.config)
                 if np.abs(grads[name]).max() <= 1e-12]
         assert dead == []
 
@@ -411,7 +417,7 @@ class TestParamCounts:
         cfg = toy_config(n_enc_layers=2, n_dec_layers=3,
                          adapter_placement=frozenset(mm.ADAPTER_SITES))
         store = mm.build_model(cfg, seed=0)
-        built = [(n, arr.shape, store.partition(n)) for n, arr in store.items()]
+        built = [(n, arr.shape) for n, arr in store.items()]
         assert mm.param_layout(cfg) == built
 
 

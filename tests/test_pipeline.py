@@ -2,9 +2,10 @@
 
 ``tests/data/chain_hashes.json`` pins the checkpoint hashes of a tiny chain
 (``golden_chain``). ``PYTHONPATH=src python tests/test_pipeline.py`` prints
-each entry's pinned hash, this tree's hash, whether it changed, and the
-sha256 of its parameter records: the bytes after the config text, which a
-change to the config text alone leaves as they were.
+each entry's pinned hash, this tree's hash, whether it changed, and a
+digest of its parameters: the sha256 of each record's name and float32
+payload, in name order, which a change to the config text or to the record
+layout leaves as it was.
 """
 
 import json
@@ -35,6 +36,11 @@ def tiny_config(**kw):
     )
     base.update(kw)
     return mm.ModelConfig(**base)
+
+
+def filler_vocab(size):
+    """A vocabulary of ``size`` tokens: the reserved ones, then w0, w1, ..."""
+    return dt.Vocab([f"w{i}" for i in range(size - len(dt.RESERVED))])
 
 
 def tiny_world(n_pairs=24, n_domains=2, seed=0):
@@ -89,8 +95,8 @@ class TestCheckpointFormat:
         config = tiny_config(adapter_placement=frozenset(), **cfg_kw)
         store = mm.build_model(config, seed=3)
         return pl.Checkpoint(
-            config=config, stage=stage, seeds={"bundle": 3}, provenance=[],
-            store=store, vocab=vocab,
+            config=config, stage=stage, seeds={"bundle": 3}, provenance=[], store=store,
+            vocab=filler_vocab(config.vocab_size) if vocab is None else vocab,
         )
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -147,7 +153,7 @@ class TestCheckpointFormat:
         blob = pl.checkpoint_bytes(self.make_ckpt())
         name = b"enc.0.ffn.w1.w"
         assert blob.count(name) == 1
-        at = blob.index(name) + len(name) + 2  # past the partition tag and the rank
+        at = blob.index(name) + len(name) + 1  # past the rank
         assert blob[at - 1] == 2
         patched = blob[:at] + b"".join(e.to_bytes(8, "little") for e in extents) + blob[at + 16:]
         with pytest.raises(pl.CheckpointError, match="truncated while reading enc.0.ffn.w1.w"):
@@ -170,6 +176,13 @@ class TestCheckpointFormat:
         with pytest.raises(pl.CheckpointError, match="version"):
             pl.checkpoint_from_bytes(bytes(blob))
 
+    def test_version_1_file_rejected(self):
+        # Format version 1, whose records carry a partition tag byte, no longer loads.
+        blob = pl.checkpoint_bytes(self.make_ckpt())
+        with pytest.raises(pl.CheckpointError,
+                           match=r"^unsupported checkpoint version 1 \(expected 2\)$"):
+            pl.checkpoint_from_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+
     def test_config_parameter_mismatch_rejected(self):
         ckpt = self.make_ckpt()
         blob = pl.checkpoint_bytes(ckpt)
@@ -180,7 +193,7 @@ class TestCheckpointFormat:
 
     def test_extra_parameter_rejected(self):
         ckpt = self.make_ckpt()
-        ckpt.store.add("enc.0.attn.wk.b", np.zeros(8), "backbone")
+        ckpt.store.add("enc.0.attn.wk.b", np.zeros(8))
         blob = pl.checkpoint_bytes(ckpt)
         with pytest.raises(pl.CheckpointError, match=r"unexpected: \['enc.0.attn.wk.b'\]"):
             pl.checkpoint_from_bytes(blob)
@@ -198,17 +211,19 @@ class TestCheckpointFormat:
             pl.checkpoint_from_bytes(patched)
 
     def test_config_text_encoding(self):
-        config = tiny_config(adapter_placement=frozenset({"enc_ffn", "dec_attn"}))
+        config = tiny_config(vocab_size=7, adapter_placement=frozenset({"enc_ffn", "dec_attn"}))
         ckpt = pl.Checkpoint(config=config, stage="pretrained", seeds={"b": 2, "a": 1},
-                             provenance=[], store=mm.build_model(config, seed=3))
+                             provenance=[], store=mm.build_model(config, seed=3),
+                             vocab=dt.Vocab(["alpha", "beta"]))
         blob = pl.checkpoint_bytes(ckpt)
         text = blob[12:12 + int.from_bytes(blob[8:12], "little")].decode()
         assert text == (
             "stage = pretrained\nprovenance = \nseed.a = 1\nseed.b = 2\n"
             "model.d_model = 8\nmodel.n_heads = 2\nmodel.n_enc_layers = 1\n"
-            "model.n_dec_layers = 1\nmodel.d_ff = 16\nmodel.vocab_size = 40\n"
+            "model.n_dec_layers = 1\nmodel.d_ff = 16\nmodel.vocab_size = 7\n"
             "model.max_len = 12\nmodel.adapter_hidden = 4\n"
             "model.adapter_placement = dec_attn enc_ffn\n"
+            "vocab = <s> </s> <pad> <mask> <unk> alpha beta\n"
         )
         assert pl.checkpoint_from_bytes(blob).config == config
 
@@ -226,21 +241,12 @@ class TestCheckpointFormat:
         with pytest.raises(pl.CheckpointError, match="embedded vocab has 8 tokens"):
             pl.checkpoint_from_bytes(with_config_text(blob, b" beta\n", b" beta gamma\n"))
 
-    def test_partition_tags_survive(self):
-        config = tiny_config()
-        store = mm.build_model(config, seed=1)
-        ckpt = pl.Checkpoint(config=config, stage="pretrained", seeds={},
-                             provenance=[], store=store)
-        loaded = pl.checkpoint_from_bytes(pl.checkpoint_bytes(ckpt))
-        for name in store.names():
-            assert loaded.store.partition(name) == store.partition(name)
-
     def test_provenance_count_enforced(self):
         config = tiny_config(adapter_placement=frozenset())
         store = mm.build_model(config, seed=0)
         with pytest.raises(ValueError, match="parents"):
             pl.Checkpoint(config=config, stage="meta_trained", seeds={},
-                          provenance=[], store=store)
+                          provenance=[], store=store, vocab=filler_vocab(config.vocab_size))
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         ckpt = self.make_ckpt()
@@ -306,7 +312,7 @@ def split_records(blob):
     header, records = blob[:at], []
     while at < len(blob):
         start = at
-        at += 4 + int.from_bytes(blob[at:at + 4], "little") + 1  # name, partition tag
+        at += 4 + int.from_bytes(blob[at:at + 4], "little")  # name
         rank = blob[at]
         shape = [int.from_bytes(blob[at + 1 + 8 * i:at + 9 + 8 * i], "little")
                  for i in range(rank)]
@@ -328,13 +334,15 @@ def records_reversed(blob):
     (lambda b: with_config_text(b, b"seed.bundle = 3\n", b"seed.bundle=3\n"), "canonical"),
     (lambda b: with_config_text(b, b"seed.bundle = 3\n", b"seed.bundle = 3\n\n"), "malformed"),
     (lambda b: with_config_text(b, b"provenance = \n", b""), "missing field 'provenance'"),
+    (lambda b: with_config_text(b, f"vocab = {' '.join(filler_vocab(40).tokens())}\n".encode(),
+                                b""), "missing field 'vocab'"),
     (records_reversed, "out of name order"),
     # The deleted tie_embeddings and ln_eps lines, which older files carry.
     (lambda b: with_config_text(b, b"model.adapter_placement = \n",
                                 b"model.adapter_placement = \nmodel.tie_embeddings = 1\n"
                                 b"model.ln_eps = 1e-05\n"), "canonical"),
 ], ids=["unknown_key", "repeated_key", "no_spaces", "blank_line", "no_provenance",
-        "records_reversed", "deleted_fields"])
+        "no_vocab", "records_reversed", "deleted_fields"])
 def test_non_canonical_checkpoint_bytes_rejected(patch, message):
     # Each form would load as a checkpoint whose content_hash() is not the
     # sha256 of the bytes it came from.
@@ -346,13 +354,13 @@ def test_non_canonical_checkpoint_bytes_rejected(patch, message):
 
 
 def canonical_checkpoints():
-    vocab = dt.Vocab([f"w{i}" for i in range(35)])
+    vocab = filler_vocab(40)
     plain = tiny_config(adapter_placement=frozenset())
     adapted = tiny_config()
     parent = "ab" * 32
     return [
         pl.Checkpoint(config=plain, stage="pretrained", seeds={"pretrain": 7}, provenance=[],
-                      store=mm.build_model(plain, seed=1)),
+                      store=mm.build_model(plain, seed=1), vocab=vocab),
         pl.Checkpoint(config=adapted, stage="meta_trained", seeds={"b": 2, "a": 1},
                       provenance=[parent], store=mm.build_model(adapted, seed=2), vocab=vocab),
         pl.Checkpoint(config=adapted, stage="finetuned", seeds={}, provenance=[parent, "cd" * 32],
@@ -753,12 +761,16 @@ if __name__ == "__main__":
     import tempfile
 
     pinned = json.loads(CHAIN_HASHES.read_text())
-    params = {}  # content hash -> sha256 of the parameter records
+    params = {}  # content hash -> digest of the parameter names and payloads
 
     def record_params(ckpt):
         blob = pl.checkpoint_bytes(ckpt)
-        digest = hashlib.sha256(b"".join(split_records(blob)[1])).hexdigest()
-        params[hashlib.sha256(blob).hexdigest()] = digest
+        digest = hashlib.sha256()
+        for record in split_records(blob)[1]:
+            name_end = 4 + int.from_bytes(record[:4], "little")
+            rank = record[name_end]
+            digest.update(record[:name_end] + record[name_end + 1 + 8 * rank:])  # name, payload
+        params[hashlib.sha256(blob).hexdigest()] = digest.hexdigest()
         return ckpt
 
     with tempfile.TemporaryDirectory() as tmp:
