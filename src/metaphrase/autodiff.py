@@ -70,14 +70,18 @@ gradient of a layer norm is a ``_layer_norm_grad`` node, its gain gradient
 reads the normalised input from an ``_ln_xhat`` node, and the gradient of a
 GELU is a ``_gelu_grad`` node. Their forwards repeat, op for op, the
 primitive chains they replace, so first-order gradients are bitwise those
-of the chains. Their VJPs are built from the primitives (the VJP of
+of the chains. These fused kernels, like ``gelu`` and ``softmax_lastdim``,
+work in place on one or two arrays of their own (never an input), running
+the same IEEE operations in the same order as their out-of-place forms, so
+every value is bitwise equal. Their VJPs are built from the primitives (the VJP of
 ``_ln_xhat`` is a ``_layer_norm_grad`` with a unit gain), so gradients of
 gradients need no other op.
 
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
 but the nodes they return link no inputs, so nothing is kept alive for a
-backward pass that will never come (inference). The scope also enters
-numpy's error state once, where recorded ops enter it once each.
+backward pass that will never come (inference). The scope enters numpy's
+error state once, and so does each ``backward`` walk; ops outside both
+enter it once each.
 
 A ``backward`` run inside ``no_graph()`` is a value-only pass: the same VJPs
 compute the same gradient values bit for bit, but build no gradient graph.
@@ -120,7 +124,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -320,13 +323,27 @@ class _Op(NamedTuple):
 
 _OPS: dict[str, _Op] = {}
 
-# False inside a no_graph() scope; True inside a checked() scope. Module
+# False inside a no_graph() scope; True inside a checked() scope; True where
+# numpy's error state already ignores over/invalid/divide (see _quiet). Module
 # state, so not thread-safe; the package is single-threaded.
 _recording = True
 _checking = False
+_quieted = False
 
 
 @contextmanager
+def _quiet(recording: bool):
+    """Set ``_recording`` and ignore numpy's over/invalid/divide errors until exit."""
+    global _recording, _quieted
+    outer = _recording, _quieted
+    _recording, _quieted = recording, True
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        _recording, _quieted = outer
+
+
 def no_graph():
     """Evaluate primitives without recording a graph (inference only).
 
@@ -336,14 +353,7 @@ def no_graph():
     recording state and numpy error state are restored on exit, also when an
     op raises.
     """
-    global _recording
-    outer = _recording
-    _recording = False
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            yield
-    finally:
-        _recording = outer
+    return _quiet(False)
 
 
 @contextmanager
@@ -367,7 +377,7 @@ def checked():
 def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node:
     op = _OPS[op_id]
     try:
-        if not _recording:
+        if _quieted:
             value = op.fwd(attrs, *[n.value for n in inputs])
         else:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -722,8 +732,17 @@ _GELU_A = 0.044715
 
 
 def _fwd_gelu(attrs, x):
+    # 0.5 * x * (1 + tanh(c * (x + a * (x * x * x)))), op for op in two arrays.
     # x * x * x, not x**3: numpy sends a cube to libm pow, some 70x slower.
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * (x * x * x))))
+    out, u = 0.5 * x, x * x
+    u *= x
+    np.multiply(_GELU_A, u, out=u)
+    np.add(x, u, out=u)
+    np.multiply(_GELU_C, u, out=u)
+    np.tanh(u, out=u)
+    np.add(1.0, u, out=u)
+    out *= u
+    return out
 
 
 def _vjp_gelu(node, g):
@@ -736,11 +755,26 @@ _OPS["gelu"] = _Op(_fwd_gelu, _vjp_gelu, reads=(0,))
 def _fwd_gelu_grad(attrs, x, g):
     # g * d/dx [0.5 x (1 + tanh(u))], u = c(x + a x^3), in the order of the
     # primitive chain it replaces, so every value is bitwise that chain's.
+    # In place: x2 becomes du, t becomes the sum, s holds sech2 and its term.
     x2 = x * x
-    t = np.tanh((x + (x2 * x) * _GELU_A) * _GELU_C)
-    sech2 = 1.0 + (t * t) * -1.0
-    du = (1.0 + x2 * (3.0 * _GELU_A)) * _GELU_C
-    return g * ((1.0 + t) * 0.5 + ((x * sech2) * du) * 0.5)
+    t = x2 * x
+    t *= _GELU_A
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    s = t * t
+    s *= -1.0
+    np.add(1.0, s, out=s)
+    x2 *= 3.0 * _GELU_A
+    np.add(1.0, x2, out=x2)
+    x2 *= _GELU_C
+    np.add(1.0, t, out=t)
+    t *= 0.5
+    np.multiply(x, s, out=s)
+    s *= x2
+    s *= 0.5
+    t += s
+    return np.multiply(g, t, out=t if g.shape == t.shape else None)
 
 
 def _vjp_gelu_grad(node, v, needs):
@@ -794,8 +828,10 @@ _OPS["_rsqrt"] = _Op(_fwd_rsqrt, _vjp_rsqrt, reads_output=True)
 
 def _fwd_softmax_lastdim(attrs, x):
     # Subtracting the row max is a mathematical no-op; it only guards exp.
-    z = np.exp(x - x.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    z = x - x.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _vjp_softmax_lastdim(node, g):
@@ -853,7 +889,8 @@ def _ln_centre_and_scale(x):
 
 def _fwd_ln_xhat(attrs, x):
     xc, inv = _ln_centre_and_scale(x)
-    return xc * inv
+    xc *= inv
+    return xc
 
 
 def _vjp_ln_xhat(node, u):
@@ -867,12 +904,19 @@ _OPS["_ln_xhat"] = _Op(_fwd_ln_xhat, _vjp_ln_xhat, reads=(0,))
 
 
 def _fwd_layer_norm_grad(attrs, x, gain, g):
-    # layer_norm's input gradient r P(g * gain), with P as in _vjp_ln_xhat.
-    xc, inv = _ln_centre_and_scale(x)
-    xhat = xc * inv
+    # layer_norm's input gradient r P(g * gain), with P as in _vjp_ln_xhat:
+    # inv * (dxhat + (mean(dxhat) + xhat * mean(dxhat * xhat)) * -1), in place.
+    xhat, inv = _ln_centre_and_scale(x)
+    xhat *= inv
     dxhat = g * gain
-    mean = dxhat.mean(axis=-1, keepdims=True)
-    return inv * (dxhat + (mean + xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * -1.0)
+    out = dxhat * xhat
+    proj = out.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=out)
+    np.add(dxhat.mean(axis=-1, keepdims=True), out, out=out)
+    out *= -1.0
+    np.add(dxhat, out, out=out)
+    np.multiply(inv, out, out=out)
+    return out
 
 
 def _row_mean(x: Node) -> Node:
@@ -1037,20 +1081,18 @@ def _topo_order(outputs: Sequence[Node], floor: int = 0) -> list[Node]:
     Inputs whose serial is below ``floor`` are not visited.
     """
     order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(o, False) for o in reversed(outputs)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for inp in reversed(node.inputs):
-            if inp.serial >= floor and id(inp) not in seen:
-                stack.append((inp, False))
+    seen: dict[Node, bool] = {}
+    for root in outputs:
+        stack = [] if root in seen else [(root, iter(root.inputs))]
+        seen[root] = True
+        while stack:
+            for inp in stack[-1][1]:  # resumes where the last descent left off
+                if inp not in seen and inp.serial >= floor:
+                    seen[inp] = True
+                    stack.append((inp, iter(inp.inputs)))
+                    break
+            else:
+                order.append(stack.pop()[0])
     return order
 
 
@@ -1083,25 +1125,13 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
     pass). Either way each interior adjoint is dropped once its VJP has run;
     only the adjoints of requested entries are kept.
 
-    A recording pass also releases values as it goes: it sets ``value`` to
-    None on an interior node without the read mark (``Node.read``) as soon
-    as nothing of the pass can use it. A walked forward node goes once the
-    walk has passed it, a consumed adjoint once no adjoint entry holds it,
-    and the other nodes a VJP built once that VJP has returned: the nodes
-    younger than a serial taken before the call that the returned gradients
-    reach, which are all of them that are still alive. The output, the
-    requested nodes and the returned gradients are kept, and a leaf has no
-    inputs and is never released. A marked value has a reader that a
-    later ``backward`` may run, through this output, through the returned
-    gradients (second order) or through any other graph, so its results do
-    not change. An unmarked value has no such reader: no VJP reads it, or
-    only the VJP of a node without the requires-gradient bit, or only the
-    gradient of a frozen partner in a product, none of which a ``backward``
-    can request. A caller that reads an unmarked interior node's value
-    afterwards finds None there, and an op given such a node raises
-    ``ReleasedValueError``; this includes a returned gradient that nothing
-    reads, once a later recording ``backward`` has walked it. A value-only
-    pass releases nothing.
+    A recording pass also releases, as it goes, each interior value without
+    the read mark (``Node.read``) once nothing of the pass can use it (see
+    the module docstring); the output, the requested nodes and the returned
+    gradients are kept. An op given a released node raises
+    ``ReleasedValueError``, also for a returned gradient that nothing reads
+    once a later recording ``backward`` has walked it. A value-only pass
+    releases nothing.
 
     A non-finite output or gradient raises ``NonFiniteError`` naming the op
     that made it (see the module docstring).
@@ -1115,7 +1145,8 @@ def backward(output: Node, wrt: Mapping[str, Node]) -> dict[str, Node]:
         check_finite(_read(output, "backward"), "the output of backward")
     except NonFiniteError:
         _raise_at_first_non_finite(output)
-    result = _walk(output, dict(wrt))
+    with _quiet(_recording):
+        result = _walk(output, dict(wrt))
     check_boundary(((f"gradient of {name!r}", g.value) for name, g in result.items()),
                    lambda: backward(output, wrt))
     return result
@@ -1128,45 +1159,50 @@ def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
     floor = min((n.serial for n in leaves.values()), default=0)
     order = _topo_order((output,), floor)
     # Only nodes on a path from a requested node to the output need adjoints.
-    # Such a node descends from a requested node, so it takes gradients.
-    wanted = {id(n) for n in leaves.values()}
-    relevant: set[int] = set()
+    # Such a node descends from a requested node, so it takes gradients. Sets
+    # and maps are keyed on the nodes themselves, which hash by identity.
+    wanted = set(leaves.values())
+    relevant: set[Node] = set()
     for n in order:
-        if id(n) in wanted or n.requires_grad and any(id(i) in relevant for i in n.inputs):
-            relevant.add(id(n))
+        if n in wanted or n.requires_grad and not relevant.isdisjoint(n.inputs):
+            relevant.add(n)
+    is_relevant = relevant.__contains__
     seed = constant(np.ones(output.shape))
-    adjoint: dict[int, Node] = {id(output): seed}
-    # Recording only: node id -> how many adjoint entries hold the node. The
-    # output and the requested nodes are held throughout.
-    held = Counter(wanted | {id(output), id(seed)}) if recording else None
+    adjoint: dict[Node, Node] = {output: seed}
+    # Recording only: node -> how many adjoint entries hold it. The output and
+    # the requested nodes are held throughout.
+    held = dict.fromkeys(wanted | {output, seed}, 1) if recording else None
 
+    passed: list[Node] = []  # recording: walked past without an adjoint, released before a VJP
     for n in reversed(order):
-        g = adjoint.get(id(n))
-        if g is None or n.op is None:
+        if n not in adjoint:
             if recording:
-                _release_unread((n,), held)
+                passed.append(n)
             continue
-        if id(n) not in wanted:
-            del adjoint[id(n)]
+        if passed:
+            _release_unread(passed, held)
+            passed = []
+        g = adjoint[n]
+        if n not in wanted:
+            del adjoint[n]
             if recording:
-                held[id(g)] -= 1
-        needs = tuple(id(i) in relevant for i in n.inputs)
-        if not any(needs):
-            continue  # a requested node whose inputs lie below the floor
-        # Every node the VJP builds is younger than ``start``.
-        start = next(_serials)
+                held[g] -= 1
+        needs = tuple(map(is_relevant, n.inputs))
+        if True not in needs:
+            continue  # a requested leaf, or a requested node whose inputs lie below the floor
+        if recording:  # what may go after this step; the VJP builds only younger nodes
+            spent, start = [n, g], next(_serials)
         vjp = _OPS[n.op].vjp
-        grads = vjp(n, g, needs) if len(needs) > 1 else vjp(n, g)
-        spent = [n, g]  # what may go after this step, with the nodes the VJP built
+        grads = vjp(n, g, needs) if needs[1:] else vjp(n, g)
         for inp, gi, need in zip(n.inputs, grads, needs):
             if not need:
                 continue
-            prev = adjoint.get(id(inp))
-            total = adjoint[id(inp)] = gi if prev is None else add(prev, gi)
+            prev = adjoint[inp] if inp in adjoint else None
+            total = adjoint[inp] = gi if prev is None else add(prev, gi)
             if recording:
-                held[id(total)] += 1
+                held[total] = held.get(total, 0) + 1
                 if prev is not None:
-                    held[id(prev)] -= 1
+                    held[prev] -= 1
                     spent.append(prev)
         if recording:
             # Those still alive are reachable from the gradients through
@@ -1176,19 +1212,21 @@ def _walk(output: Node, leaves: dict[str, Node]) -> dict[str, Node]:
                 built += [i for i in m.inputs if i.serial >= start]
             _release_unread(spent + built, held)
 
-    return {name: adjoint.get(id(n)) or constant(np.zeros(n.shape))
+    if passed:
+        _release_unread(passed, held)
+    return {name: adjoint.get(n) or constant(np.zeros(n.shape))
             for name, n in leaves.items()}
 
 
-def _release_unread(nodes: Iterable[Node], held: Counter) -> None:
+def _release_unread(nodes: Iterable[Node], held: dict[Node, int]) -> None:
     """Set ``value = None`` on each interior node without the read mark, unless held.
 
-    ``held`` counts the holds on each node id; a node with none may go.
+    ``held`` counts the holds on each node; a node with none may go.
     Leaves, and nodes built inside ``no_graph()``, link no inputs and are
     never released. Every release of ``backward`` goes through here.
     """
     for n in nodes:
-        if n.inputs and not n.read and not held.get(id(n)):
+        if n.inputs and not n.read and not held.get(n):
             n.value = None
 
 

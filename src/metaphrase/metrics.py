@@ -4,7 +4,9 @@ All metrics work on whitespace token lists with ``data.MARKERS`` stripped.
 BLEU is the standard modified-precision geometric mean with a brevity
 penalty; n-gram orders longer than the candidate are dropped from the mean
 rather than zeroing it (a three-token candidate scores BLEU-4 over orders
-1..3). BLEU is scored per corpus: counts aggregate over pairs before the
+1..3). An empty candidate (a decode that emitted the end marker first)
+adds no n-gram and a length of 0, and a corpus with no candidate n-gram
+scores 0. BLEU is scored per corpus: counts aggregate over pairs before the
 ratio (a one-pair corpus gives sentence-level BLEU). It is unsmoothed by
 default; ``EvalConfig.smooth_eps`` adds epsilon to zero counts, and the
 report flags which mode produced it.
@@ -56,8 +58,6 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
     for candidate, refs in zip(candidates, references):
         candidate = strip_markers(candidate)
         refs = [strip_markers(r) for r in refs]
-        if not candidate:
-            raise ValueError("empty candidate")
         if not refs or any(not r for r in refs):
             raise ValueError("empty reference set")
         for k in range(1, n + 1):
@@ -73,7 +73,6 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
         cand_len += len(candidate)
         ref_len += min((abs(len(ref) - len(candidate)), len(ref)) for ref in refs)[1]
 
-    # Every candidate has unigrams, so at least one order counts.
     log_sum, orders = 0.0, 0
     for hits, count in zip(clipped, total):
         if count == 0:
@@ -85,6 +84,8 @@ def corpus_bleu(candidates: Sequence[Sequence[str]],
             else:
                 return 0.0
         log_sum += math.log(hits / count)
+    if not orders:
+        return 0.0  # every candidate is empty
     precision = math.exp(log_sum / orders)
     bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return precision * bp

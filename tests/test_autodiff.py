@@ -969,3 +969,124 @@ def test_fused_norm_and_gelu_gradients_match_their_primitive_chains(tiny_transfo
         scale = np.abs(chain[n]).max()
         assert scale > 0.0, n
         assert np.abs(fused[n] - chain[n]).max() <= 1e-12 * scale, n
+
+
+# The fused kernels as they were written out of place, kept verbatim: the
+# in-place kernels must run the same IEEE operations in the same order.
+def _out_of_place_centre_and_scale(x):
+    xc = x + x.mean(axis=-1, keepdims=True) * -1.0
+    return xc, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad._LN_EPS)
+
+
+def _out_of_place_ln_xhat(attrs, x):
+    xc, inv = _out_of_place_centre_and_scale(x)
+    return xc * inv
+
+
+def _out_of_place_layer_norm_grad(attrs, x, gain, g):
+    xc, inv = _out_of_place_centre_and_scale(x)
+    xhat = xc * inv
+    dxhat = g * gain
+    mean = dxhat.mean(axis=-1, keepdims=True)
+    return inv * (dxhat + (mean + xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * -1.0)
+
+
+def _out_of_place_gelu(attrs, x):
+    return 0.5 * x * (1.0 + np.tanh(ad._GELU_C * (x + ad._GELU_A * (x * x * x))))
+
+
+def _out_of_place_gelu_grad(attrs, x, g):
+    x2 = x * x
+    t = np.tanh((x + (x2 * x) * ad._GELU_A) * ad._GELU_C)
+    sech2 = 1.0 + (t * t) * -1.0
+    du = (1.0 + x2 * (3.0 * ad._GELU_A)) * ad._GELU_C
+    return g * ((1.0 + t) * 0.5 + ((x * sech2) * du) * 0.5)
+
+
+def _out_of_place_softmax(attrs, x):
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+_OUT_OF_PLACE = {
+    "_ln_xhat": (_out_of_place_ln_xhat, ("x",)),
+    "_layer_norm_grad": (_out_of_place_layer_norm_grad, ("x", "gain", "g")),
+    "gelu": (_out_of_place_gelu, ("x",)),
+    "_gelu_grad": (_out_of_place_gelu_grad, ("x", "g")),
+    "softmax_lastdim": (_out_of_place_softmax, ("x",)),
+}
+
+
+def _kernel_inputs(shape, gain_shape, g_shape=None, specials=False):
+    rng = np.random.default_rng(sum(shape))
+    arrays = {"x": 3.0 * rng.standard_normal(shape), "gain": rng.standard_normal(gain_shape),
+              "g": rng.standard_normal(g_shape or shape)}
+    if specials:
+        # Whole rows of one special, and single entries among finite ones.
+        flat_x, flat_g = arrays["x"].reshape(-1, shape[-1]), arrays["g"].reshape(-1, shape[-1])
+        for row, special in enumerate([np.inf, -np.inf, np.nan]):
+            flat_x[row] = special
+            flat_x[row + 3, row] = special
+            flat_g[row + 6, row + 1] = special
+        flat_x[9, :3] = [np.inf, -np.inf, np.nan]
+        arrays["gain"].reshape(-1)[2] = np.nan
+    for a in arrays.values():
+        a.flags.writeable = False
+    return arrays
+
+
+KERNEL_CASES = {
+    "stacked": _kernel_inputs((3, 8, 12, 64), (3, 1, 1, 64)),
+    "decode_rows": _kernel_inputs((10, 1, 64), (64,)),
+    "two_dim": _kernel_inputs((5, 7), (7,)),
+    "non_finite": _kernel_inputs((4, 12, 16), (4, 1, 16), specials=True),
+    "wider_adjoint": _kernel_inputs((1, 6, 8), (8,), g_shape=(3, 6, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+@pytest.mark.parametrize("op", sorted(_OUT_OF_PLACE))
+def test_in_place_kernels_are_bitwise_their_out_of_place_forms(op, case):
+    reference, names = _OUT_OF_PLACE[op]
+    arrays = KERNEL_CASES[case]
+    inputs = [arrays[n] for n in names]
+    with np.errstate(all="ignore"):
+        want = reference(None, *inputs)
+        got = ad._OPS[op].fwd(None, *inputs)  # a write into an input raises
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestErrorState:
+    """``backward`` enters numpy's error state once and restores it on exit."""
+
+    @staticmethod
+    def _graph():
+        # x * x overflows to inf inside a recorded op; the softmax maps its
+        # -inf to 0, so the output and the gradient are finite.
+        x = ad.leaf("x", np.array([1e200, -2.0, 3.0]))
+        y = ad.softmax_lastdim(ad.scale(ad.mul(x, x), -1.0))
+        return x, ad.sum_all(ad.mul(y, np.array([1.0, 2.0, 3.0])))
+
+    @pytest.mark.parametrize("run", ["backward", "gradient_values"])
+    def test_a_pass_leaves_the_error_state_as_it_found_it(self, run):
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, out = self._graph()
+            assert np.geterr() == before
+            getattr(ad, run)(out, {"x": x})
+        assert np.geterr() == before
+
+    def test_a_vjp_that_overflows_under_checked_restores_it(self):
+        before = np.geterr()
+        x = ad.leaf("x", np.array([1e-200, 2e-200]))
+        out = ad.sum_all(ad.scale(ad.scale(x, 1e300), 1e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ad.checked(), pytest.raises(ad.NonFiniteError, match="output of 'scale'$"):
+                ad.backward(out, {"x": x})
+            assert np.geterr() == before
+            with pytest.raises(ad.NonFiniteError, match="output of 'scale'$"):
+                ad.backward(out, {"x": x})  # the boundary re-runs it under checked()
+        assert np.geterr() == before

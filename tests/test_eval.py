@@ -64,9 +64,15 @@ class TestBleu:
         wrapped = ["<s>"] + CAT + ["</s>"]
         assert bleu(wrapped, [CAT_REF], 2) == pytest.approx(bleu(CAT, [CAT_REF], 2))
 
-    def test_empty_candidate_rejected(self):
-        with pytest.raises(ValueError, match="empty candidate"):
-            bleu([], [CAT_REF], 2)
+    def test_empty_candidate_scores_zero_and_empty_reference_is_rejected(self):
+        # An empty candidate (a decode of the end marker alone) adds no n-gram
+        # and a length of 0; with no candidate n-gram at all a corpus scores 0.
+        assert bleu([], [CAT_REF], 2) == 0.0
+        assert bleu(["<s>", "</s>"], [CAT_REF], 4, smooth_eps=0.1) == 0.0
+        assert mx.corpus_bleu([[], []], [[CAT_REF], [CAT]], 1) == 0.0
+        # Next to a full match it adds only its reference's length.
+        both = mx.corpus_bleu([CAT, []], [[CAT], [CAT_REF]], 2)
+        assert both == pytest.approx(math.exp(1.0 - 7 / 3))
         with pytest.raises(ValueError, match="empty reference"):
             bleu(CAT, [[]], 2)
 

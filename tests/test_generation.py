@@ -528,7 +528,7 @@ class TestGenerateFile:
 
     def test_scoring_reads_the_lines_decoding_read(self, tmp_path):
         # \x1c and \u2028 separate tokens inside a line, not lines. At seed 0
-        # both lines decode to words; an empty output line fails scoring.
+        # both lines decode to words.
         ckpt_path = self.make_checkpoint(tmp_path, seed=0)
         inp, ref, out = tmp_path / "in.txt", tmp_path / "ref.txt", tmp_path / "out.txt"
         inp.write_text("cat\x1cruns\ndog\u2028hides\n", encoding="utf-8")
@@ -536,6 +536,32 @@ class TestGenerateFile:
         count = dec.generate_file(ckpt_path, inp, out, dec.DecodeConfig(max_decode_len=8))
         assert count == 2
         assert mx.evaluate_corpus(out, ref, inp).pairs == count
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_a_decode_of_the_end_marker_alone_scores_zero(self, tmp_path, strategy):
+        # The final norm's zero gain leaves its bias, which only the end
+        # marker's embedding row matches: every source decodes to [BOS, EOS].
+        vocab = dt.Vocab(("cat", "dog", "runs", "hides"))
+        cfg = toy_config(vocab_size=len(vocab))
+        store = mm.build_model(cfg, seed=2)
+        tok = np.zeros((cfg.vocab_size, cfg.d_model))
+        tok[dt.EOS, 0] = 1.0
+        store.set("tok_embed", tok)
+        store.set("dec.final_ln.gain", np.zeros(cfg.d_model))
+        store.set("dec.final_ln.bias", tok[dt.EOS])
+        ckpt_path = tmp_path / "model.ckpt"
+        pl.save_checkpoint(pl.Checkpoint(config=cfg, stage="pretrained", seeds={"bundle": 2},
+                                         provenance=[], store=store, vocab=vocab), ckpt_path)
+        inp, ref, out = tmp_path / "in.txt", tmp_path / "ref.txt", tmp_path / "out.txt"
+        inp.write_text("cat runs\ndog hides\n")
+        ref.write_text("cat runs\ndog hides\n")
+        count = dec.generate_file(ckpt_path, inp, out,
+                                  dec.DecodeConfig(strategy=strategy, max_decode_len=8))
+        assert count == 2 and out.read_text() == "\n\n"
+        report = mx.evaluate_corpus(out, ref, inp)
+        assert report.pairs == 2
+        assert report.scores == {"BLEU-2": 0.0, "BLEU-4": 0.0, "iBLEU": 0.0,
+                                 "ROUGE-1": 0.0, "ROUGE-2": 0.0}
 
     def test_blank_source_lines_are_skipped_by_decoding_and_scoring(self, tmp_path):
         # At seed 0 both non-blank lines decode to words, as above.

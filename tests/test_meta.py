@@ -378,6 +378,45 @@ def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transf
     assert held <= 0.35 * total
 
 
+class TestWalkPins:
+    """Exact counts of what a step builds and what its inner loop keeps.
+
+    Recorded before the walk's bookkeeping was rewritten; a change to how the
+    walk keeps its books must build the same nodes and release the same values.
+    """
+
+    def test_interior_bytes_held_by_the_second_order_inner_loop(self, tiny_transformer):
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        adapted, _ = mt.inner_adapt(t.store, phi, [t.pairs[:4], t.pairs[4:]],
+                                    hyper(inner_steps=2, meta_batch_tasks=2), t.loss_fn)
+        interior = [n for n in ad.Graph(list(adapted.values())).nodes if n.inputs]
+        total = 8 * sum(math.prod(n.shape) for n in interior)
+        held = sum(n.value.nbytes for n in interior if n.value is not None)
+        assert (held, total) == (448_512, 1_457_728)
+
+    @pytest.mark.parametrize("order, nodes", [("second", 2_868), ("first", 1_200)])
+    def test_op_nodes_of_one_outer_gradient(self, tiny_transformer, monkeypatch, order, nodes):
+        built = []
+
+        class CountingNode(ad.Node):
+            __slots__ = ()
+
+            def __init__(self, op, inputs, attrs, value, name=None):
+                super().__init__(op, inputs, attrs, value, name)
+                if op is not None:
+                    built.append(op)
+
+        t = tiny_transformer
+        _, phi = mm.partition_params(t.store)
+        tasks = [Task(support=t.pairs[:2], query=t.pairs[2:4]),
+                 Task(support=t.pairs[4:6], query=t.pairs[6:])]
+        hy = hyper(alpha=0.05, inner_steps=2, meta_batch_tasks=2, order_mode=order)
+        monkeypatch.setattr(ad, "Node", CountingNode)
+        mt.outer_gradient(t.store, phi, tasks, hy, t.loss_fn)
+        assert len(built) == nodes
+
+
 class TestMetaStep:
     def test_theta_untouched(self):
         store = make_store(phi=[1.0, 2.0], theta=[5.0, 6.0])
