@@ -73,15 +73,14 @@ primitive chains they replace, so first-order gradients are bitwise those
 of the chains. These fused kernels, like ``gelu`` and ``softmax_lastdim``,
 work in place on one or two arrays of their own (never an input), running
 the same IEEE operations in the same order as their out-of-place forms, so
-every value is bitwise equal. Their VJPs are built from the primitives (the VJP of
-``_ln_xhat`` is a ``_layer_norm_grad`` with a unit gain), so gradients of
-gradients need no other op.
+every value is bitwise equal. Their VJPs are built from the primitives
+(the VJP of ``_ln_xhat`` is a ``_layer_norm_grad`` with a unit gain), so
+gradients of gradients need no other op.
 
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
 but the nodes they return link no inputs, so nothing is kept alive for a
-backward pass that will never come (inference). The scope enters numpy's
-error state once, and so does each ``backward`` walk; ops outside both
-enter it once each.
+backward pass that will never come (inference). The scope and each
+``backward`` walk enter numpy's error state once, other ops once each.
 
 A ``backward`` run inside ``no_graph()`` is a value-only pass: the same VJPs
 compute the same gradient values bit for bit, but build no gradient graph.
