@@ -381,8 +381,8 @@ def test_second_order_inner_loop_holds_under_half_its_interior_bytes(tiny_transf
 class TestWalkPins:
     """Exact counts of what a step builds and what its inner loop keeps.
 
-    Recorded before the walk's bookkeeping was rewritten; a change to how the
-    walk keeps its books must build the same nodes and release the same values.
+    How ``backward`` keeps its books is free to change, but it must build the
+    same nodes and release the same values.
     """
 
     def test_interior_bytes_held_by_the_second_order_inner_loop(self, tiny_transformer):
