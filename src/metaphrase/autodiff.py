@@ -77,6 +77,19 @@ every value is bitwise equal. Their VJPs are built from the primitives
 (the VJP of ``_ln_xhat`` is a ``_layer_norm_grad`` with a unit gain), so
 gradients of gradients need no other op.
 
+An op call is kept short because decoding makes thousands of them on small
+arrays. A public wrapper turns each non-Node argument into a constant with
+an inline ``isinstance`` test. Inside a scope that has entered numpy's error
+state, ``_make`` passes the values of a one- or two-input op to its forward
+as positional arguments, and unpacks a list only for three or more inputs.
+Outside such a scope it enters the error state for the one call. The
+layer-norm and softmax kernels call the reduction ufuncs (``np.add.reduce``,
+``np.maximum.reduce``) directly, not ``ndarray.mean/max/sum``, whose Python
+wrappers cost more than the reduction at decode sizes. A mean is that sum
+divided by the count, as in ``ndarray.mean``, so every value is bitwise
+equal. A node's ``attrs`` is never mutated, so nodes may share one dict:
+all ``matmul`` nodes of one flag pair do.
+
 Inside a ``no_graph()`` scope primitives still compute their values eagerly,
 but the nodes they return link no inputs, so nothing is kept alive for a
 backward pass that will never come (inference). The scope and each
@@ -242,6 +255,10 @@ class Node:
     does. ``backward`` differentiates only with respect to nodes that have
     it, so no VJP of a node without it ever runs.
 
+    ``attrs`` is read-only, since nodes may share one dict (see ``matmul``):
+    code that needs other attributes builds a new dict, as ``_vjp_slice``
+    does with ``{**node.attrs, ...}``.
+
     ``read`` is the read mark: true once a recorded node exists whose VJP
     can read this value (see ``_Op``). ``shape`` outlives ``value``: a
     recording ``backward`` sets ``value`` to None on each interior node
@@ -281,10 +298,6 @@ def constant(values) -> Node:
     """Create an unnamed constant leaf (receives no gradient)."""
     arr = np.asarray(values, dtype=np.float64)
     return Node(None, (), None, arr)
-
-
-def _as_node(x) -> Node:
-    return x if isinstance(x, Node) else constant(x)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +390,13 @@ def _make(op_id: str, inputs: Sequence[Node], attrs: dict | None = None) -> Node
     op = _OPS[op_id]
     try:
         if _quieted:
-            value = op.fwd(attrs, *[n.value for n in inputs])
+            arity = len(inputs)
+            if arity == 1:
+                value = op.fwd(attrs, inputs[0].value)
+            elif arity == 2:
+                value = op.fwd(attrs, inputs[0].value, inputs[1].value)
+            else:
+                value = op.fwd(attrs, *[n.value for n in inputs])
         else:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 value = op.fwd(attrs, *(n.value for n in inputs))
@@ -827,9 +846,9 @@ _OPS["_rsqrt"] = _Op(_fwd_rsqrt, _vjp_rsqrt, reads_output=True)
 
 def _fwd_softmax_lastdim(attrs, x):
     # Subtracting the row max is a mathematical no-op; it only guards exp.
-    z = x - x.max(axis=-1, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -853,9 +872,9 @@ def _fwd_layer_norm(attrs, x, gain, bias):
         raise ShapeError(
             f"layer_norm gain/bias must end in ({d},), got {gain.shape}/{bias.shape}"
         )
-    m = x.mean(axis=-1, keepdims=True)
+    m = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - m
-    v = (xc * xc).mean(axis=-1, keepdims=True)
+    v = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     try:
         out = xc / np.sqrt(v + _LN_EPS) * gain + bias
     except ValueError as exc:
@@ -882,8 +901,9 @@ _OPS["layer_norm"] = _Op(_fwd_layer_norm, _vjp_layer_norm, reads=(0, 1))
 def _ln_centre_and_scale(x):
     # (x - mean, 1 / sqrt(var + eps)) in the order of the primitive chain
     # the layer-norm gradient ops replace, so their values are bitwise its.
-    xc = x + x.mean(axis=-1, keepdims=True) * -1.0
-    return xc, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    d = x.shape[-1]
+    xc = x + np.add.reduce(x, axis=-1, keepdims=True) / d * -1.0
+    return xc, 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + _LN_EPS)
 
 
 def _fwd_ln_xhat(attrs, x):
@@ -905,13 +925,14 @@ _OPS["_ln_xhat"] = _Op(_fwd_ln_xhat, _vjp_ln_xhat, reads=(0,))
 def _fwd_layer_norm_grad(attrs, x, gain, g):
     # layer_norm's input gradient r P(g * gain), with P as in _vjp_ln_xhat:
     # inv * (dxhat + (mean(dxhat) + xhat * mean(dxhat * xhat)) * -1), in place.
+    d = x.shape[-1]
     xhat, inv = _ln_centre_and_scale(x)
     xhat *= inv
     dxhat = g * gain
     out = dxhat * xhat
-    proj = out.mean(axis=-1, keepdims=True)
+    proj = np.add.reduce(out, axis=-1, keepdims=True) / d
     np.multiply(xhat, proj, out=out)
-    np.add(dxhat.mean(axis=-1, keepdims=True), out, out=out)
+    np.add(np.add.reduce(dxhat, axis=-1, keepdims=True) / d, out, out=out)
     out *= -1.0
     np.add(dxhat, out, out=out)
     np.multiply(inv, out, out=out)
@@ -978,95 +999,112 @@ _OPS["cross_entropy_with_logits"] = _Op(_fwd_cross_entropy, _vjp_cross_entropy, 
 # ---------------------------------------------------------------------------
 
 
+# One attrs dict per flag pair, shared by every matmul node (see ``Node``).
+_MATMUL_ATTRS = {(ta, tb): {"trans_a": ta, "trans_b": tb}
+                 for ta in (False, True) for tb in (False, True)}
+
+
 def matmul(a, b, trans_a: bool = False, trans_b: bool = False) -> Node:
     """``op(a) @ op(b)``, where ``op`` swaps the last two axes of a flagged operand."""
-    attrs = {"trans_a": bool(trans_a), "trans_b": bool(trans_b)}
-    return _make("matmul", (_as_node(a), _as_node(b)), attrs)
+    return _make("matmul", (a if isinstance(a, Node) else constant(a),
+                            b if isinstance(b, Node) else constant(b)),
+                 _MATMUL_ATTRS[bool(trans_a), bool(trans_b)])
 
 
 def add(a, b) -> Node:
-    return _make("add", (_as_node(a), _as_node(b)))
+    return _make("add", (a if isinstance(a, Node) else constant(a),
+                         b if isinstance(b, Node) else constant(b)))
 
 
 def sub(a, b) -> Node:
-    return add(_as_node(a), scale(_as_node(b), -1.0))
+    a = a if isinstance(a, Node) else constant(a)
+    return add(a, scale(b, -1.0))
 
 
 def mul(a, b) -> Node:
-    return _make("mul", (_as_node(a), _as_node(b)))
+    return _make("mul", (a if isinstance(a, Node) else constant(a),
+                         b if isinstance(b, Node) else constant(b)))
 
 
 def scale(x, c: float) -> Node:
-    return _make("scale", (_as_node(x),), {"c": float(c)})
+    return _make("scale", (x if isinstance(x, Node) else constant(x),), {"c": float(c)})
 
 
 def relu(x) -> Node:
-    return _make("relu", (_as_node(x),))
+    return _make("relu", (x if isinstance(x, Node) else constant(x),))
 
 
 def gelu(x) -> Node:
-    return _make("gelu", (_as_node(x),))
+    return _make("gelu", (x if isinstance(x, Node) else constant(x),))
 
 
 def softmax_lastdim(x) -> Node:
-    return _make("softmax_lastdim", (_as_node(x),))
+    return _make("softmax_lastdim", (x if isinstance(x, Node) else constant(x),))
 
 
 def layer_norm(x, gain, bias) -> Node:
-    return _make("layer_norm", (_as_node(x), _as_node(gain), _as_node(bias)))
+    return _make("layer_norm", (x if isinstance(x, Node) else constant(x),
+                                gain if isinstance(gain, Node) else constant(gain),
+                                bias if isinstance(bias, Node) else constant(bias)))
 
 
 def embed_lookup(table, ids) -> Node:
     ids = np.asarray(ids, dtype=np.int64)
-    return _make("embed_lookup", (_as_node(table),), {"ids": ids})
+    return _make("embed_lookup", (table if isinstance(table, Node) else constant(table),),
+                 {"ids": ids})
 
 
 def concat(xs: Sequence, axis: int = -1) -> Node:
-    return _make("concat", tuple(_as_node(x) for x in xs), {"axis": axis})
+    return _make("concat", tuple(x if isinstance(x, Node) else constant(x) for x in xs),
+                 {"axis": axis})
 
 
 def slice_axis(x, axis: int, start: int, stop: int) -> Node:
-    return _make(
-        "slice", (_as_node(x),), {"axis": axis, "start": int(start), "stop": int(stop)}
-    )
+    return _make("slice", (x if isinstance(x, Node) else constant(x),),
+                 {"axis": axis, "start": int(start), "stop": int(stop)})
 
 
 def reshape(x, shape) -> Node:
-    return _make("reshape", (_as_node(x),), {"shape": tuple(int(s) for s in shape)})
+    return _make("reshape", (x if isinstance(x, Node) else constant(x),),
+                 {"shape": tuple(int(s) for s in shape)})
 
 
 def transpose_last2(x) -> Node:
-    return _make("transpose_last2", (_as_node(x),))
+    return _make("transpose_last2", (x if isinstance(x, Node) else constant(x),))
 
 
 def cross_entropy_with_logits(logits, targets) -> Node:
     """Per-position cross-entropy: shape = logits.shape[:-1]."""
     targets = np.asarray(targets, dtype=np.int64)
-    return _make("cross_entropy_with_logits", (_as_node(logits),), {"targets": targets})
+    return _make("cross_entropy_with_logits",
+                 (logits if isinstance(logits, Node) else constant(logits),),
+                 {"targets": targets})
 
 
 def mask_fill(x, mask, value: float) -> Node:
     mask = np.asarray(mask, dtype=bool)
-    return _make("mask_fill", (_as_node(x),), {"mask": mask, "value": float(value)})
+    return _make("mask_fill", (x if isinstance(x, Node) else constant(x),),
+                 {"mask": mask, "value": float(value)})
 
 
 def sum_all(x) -> Node:
-    return _sum_to(_as_node(x), ())
+    return _sum_to(x if isinstance(x, Node) else constant(x), ())
 
 
 def mean_all(x) -> Node:
-    x = _as_node(x)
+    x = x if isinstance(x, Node) else constant(x)
     return scale(sum_all(x), 1.0 / math.prod(x.shape))
 
 
 def sum_to(x, shape) -> Node:
     """``x`` summed down to ``shape``, the inverse of broadcasting ``shape`` to x's."""
-    return _sum_to(_as_node(x), tuple(shape))
+    return _sum_to(x if isinstance(x, Node) else constant(x), tuple(shape))
 
 
 def broadcast_to(x, shape) -> Node:
     """``x`` broadcast to ``shape``; its VJP sums back with ``sum_to``."""
-    return _make("_broadcast_to", (_as_node(x),), {"shape": tuple(shape)})
+    return _make("_broadcast_to", (x if isinstance(x, Node) else constant(x),),
+                 {"shape": tuple(shape)})
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ report flags which mode produced it.
 iBLEU = alpha * BLEU(candidate, reference) - (1 - alpha) * BLEU(candidate,
 source): high overlap with the reference is rewarded, copying the source is
 penalized. Corpus reports use alpha = ``IBLEU_ALPHA`` = 0.9 with BLEU-4
-inside.
+inside. A corpus's ROUGE-n is the mean over the pairs whose reference has at
+least n tokens, so a one-word reference leaves ROUGE-2 to the other pairs.
 
 ``evaluate_corpus`` splits its generated, reference and source files into
 lines as decoding splits its input: through ``data.read_lines``, the reader
@@ -141,6 +142,19 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
+def _corpus_rouge(candidates, references, n: int) -> float:
+    """Mean ROUGE-n over the pairs whose reference has at least ``n`` tokens.
+
+    A shorter reference has no n-gram to recall, so its pair is left out;
+    only a corpus in which no reference is long enough raises.
+    """
+    scored = [rouge_n(c, r, n) for c, r in zip(candidates, references)
+              if len(strip_markers(r)) >= n]
+    if not scored:
+        raise ValueError(f"ROUGE-{n} needs a reference of at least {n} tokens; none has")
+    return sum(scored) / len(scored)
+
+
 def _read_token_lines(path) -> list[list[str]]:
     return [line.split() for line in read_lines(path)]
 
@@ -168,10 +182,8 @@ def evaluate_corpus(generated_path, reference_path, source_path,
         "BLEU-2": 100.0 * corpus_bleu(generated, single_refs, 2, eps),
         "BLEU-4": 100.0 * bleu4,
         "iBLEU": 100.0 * ibleu(bleu4, bleu4_src),
-        "ROUGE-1": 100.0 * sum(rouge_n(c, r, 1) for c, r in zip(generated, references))
-        / len(generated),
-        "ROUGE-2": 100.0 * sum(rouge_n(c, r, 2) for c, r in zip(generated, references))
-        / len(generated),
+        "ROUGE-1": 100.0 * _corpus_rouge(generated, references, 1),
+        "ROUGE-2": 100.0 * _corpus_rouge(generated, references, 2),
     }
     return MetricReport(
         scores=scores,

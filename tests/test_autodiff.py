@@ -971,8 +971,9 @@ def test_fused_norm_and_gelu_gradients_match_their_primitive_chains(tiny_transfo
         assert np.abs(fused[n] - chain[n]).max() <= 1e-12 * scale, n
 
 
-# The fused kernels as they were written out of place, kept verbatim: the
-# in-place kernels must run the same IEEE operations in the same order.
+# The fused kernels as they were written out of place, and the layer-norm
+# forward as it was written with ndarray.mean, kept verbatim: the kernels
+# must run the same IEEE operations in the same order.
 def _out_of_place_centre_and_scale(x):
     xc = x + x.mean(axis=-1, keepdims=True) * -1.0
     return xc, 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad._LN_EPS)
@@ -1003,12 +1004,20 @@ def _out_of_place_gelu_grad(attrs, x, g):
     return g * ((1.0 + t) * 0.5 + ((x * sech2) * du) * 0.5)
 
 
+def _out_of_place_layer_norm(attrs, x, gain, bias):
+    m = x.mean(axis=-1, keepdims=True)
+    xc = x - m
+    v = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc / np.sqrt(v + ad._LN_EPS) * gain + bias
+
+
 def _out_of_place_softmax(attrs, x):
     z = np.exp(x - x.max(axis=-1, keepdims=True))
     return z / z.sum(axis=-1, keepdims=True)
 
 
 _OUT_OF_PLACE = {
+    "layer_norm": (_out_of_place_layer_norm, ("x", "gain", "bias")),
     "_ln_xhat": (_out_of_place_ln_xhat, ("x",)),
     "_layer_norm_grad": (_out_of_place_layer_norm_grad, ("x", "gain", "g")),
     "gelu": (_out_of_place_gelu, ("x",)),
@@ -1021,6 +1030,7 @@ def _kernel_inputs(shape, gain_shape, g_shape=None, specials=False):
     rng = np.random.default_rng(sum(shape))
     arrays = {"x": 3.0 * rng.standard_normal(shape), "gain": rng.standard_normal(gain_shape),
               "g": rng.standard_normal(g_shape or shape)}
+    arrays["bias"] = rng.standard_normal(gain_shape)
     if specials:
         # Whole rows of one special, and single entries among finite ones.
         flat_x, flat_g = arrays["x"].reshape(-1, shape[-1]), arrays["g"].reshape(-1, shape[-1])

@@ -222,6 +222,20 @@ class TestCorpus:
             else:
                 assert 0.0 <= value <= 100.0
 
+    def test_one_word_reference_leaves_rouge_2_to_the_other_pairs(self, tmp_path):
+        paths = [self.write(tmp_path, name, ["hello world", "yes"])
+                 for name in ("gen.txt", "ref.txt", "src.txt")]
+        report = mx.evaluate_corpus(*paths)
+        assert report.pairs == 2
+        assert report.scores["ROUGE-1"] == pytest.approx(100.0)
+        assert report.scores["ROUGE-2"] == pytest.approx(100.0)  # "hello world" alone
+
+    def test_rouge_2_with_no_reference_of_two_tokens_raises(self, tmp_path):
+        paths = [self.write(tmp_path, name, ["hello", "yes"])
+                 for name in ("gen.txt", "ref.txt", "src.txt")]
+        with pytest.raises(ValueError, match="ROUGE-2 needs a reference of at least 2 tokens"):
+            mx.evaluate_corpus(*paths)
+
     @pytest.mark.parametrize("bad", ["gen.txt", "ref.txt", "src.txt"])
     def test_non_utf8_file_names_path_and_line(self, tmp_path, bad):
         paths = {name: self.write(tmp_path, name, ["a b", "c d"])

@@ -461,6 +461,35 @@ class TestMixedLengths:
             cache.select(rows)
 
 
+class TestDecodePins:
+    """Exact counts of the op nodes that decoding builds.
+
+    How an op is dispatched is free to change, but encoding and each
+    decoder step must build the same nodes.
+    """
+
+    def test_op_nodes_of_encoding_and_three_decoder_steps(self, monkeypatch):
+        built = []
+
+        class CountingNode(ad.Node):
+            __slots__ = ()
+
+            def __init__(self, op, inputs, attrs, value, name=None):
+                super().__init__(op, inputs, attrs, value, name)
+                if op is not None:
+                    built.append(op)
+
+        cfg, store = random_model(11, n_dec_layers=2)
+        monkeypatch.setattr(ad, "Node", CountingNode)
+        params = mm.as_nodes(store)
+        with ad.no_graph():
+            cache = mixed_cache(params, cfg)
+            encoded = len(built)
+            for tokens in ([dt.BOS] * 5, [5, 6, 7, 8, 9], [4, 4, 10, 11, 5]):
+                _, cache = mm.decoder_step(params, cfg, cache, tokens)
+        assert (encoded, len(built) - encoded) == (183, 587)
+
+
 class TestTopIds:
     def test_ties_across_the_kth_value_go_to_the_lowest_ids(self):
         rows = np.array([[0.0, -1.0, 0.0, -1.0, -1.0, -2.0, 0.0],  # three tied at the top
