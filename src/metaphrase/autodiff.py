@@ -1017,7 +1017,7 @@ def add(a, b) -> Node:
 
 
 def sub(a, b) -> Node:
-    a = a if isinstance(a, Node) else constant(a)
+    a = a if isinstance(a, Node) else constant(a)  # made before b's, in argument order
     return add(a, scale(b, -1.0))
 
 
