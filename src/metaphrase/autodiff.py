@@ -528,9 +528,9 @@ def _fwd_matmul(attrs, a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if attrs["trans_a"]:
-        a = np.swapaxes(a, -1, -2)
+        a = a.swapaxes(-1, -2)
     if attrs["trans_b"]:
-        b = np.swapaxes(b, -1, -2)
+        b = b.swapaxes(-1, -2)
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     return a @ b

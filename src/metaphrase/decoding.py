@@ -19,6 +19,15 @@ therefore runs the decoder on one new position per hypothesis, with the
 same layer code as ``model.forward_batch``, and a beam decode takes no more
 decoder steps than its longer beam.
 
+Nothing that does not change is redone. ``select`` moves only the
+self-attention prefix while every row keeps its source: a source's rows
+stay together and reorder only among themselves, so once its beams are full
+a step copies cross-attention memory only when some source gains or loses
+rows (a finished greedy row, a beam left with fewer live hypotheses). A
+``ParamStore`` passed in enters through its cached frozen leaves, checked
+once per array (``model.ParamStore``), so decoding the same store again
+builds and checks no leaf; a ``set`` makes that name's leaf anew.
+
 Decoding checks finiteness at its boundaries, not after every op: the
 encoded cache, each decoder step's log-probs and ``hypothesis_score``'s
 rows. Each is an ``autodiff.check_boundary``, the one re-run rule: a failed

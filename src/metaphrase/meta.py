@@ -320,7 +320,7 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
                     raise DivergenceError(f"validation loss diverged at step {step}: {val_loss}")
                 if best_val is None or val_loss < best_val:
                     best_val = val_loss
-                    best = {n: np.array(params[n], copy=True) for n in names}
+                    best = {n: params[n] for n in names}  # read-only: set replaces, never writes
 
         history.append(HistoryRow(step, support_loss, query_loss, val_loss, norm,
                                   time.perf_counter() - t0))

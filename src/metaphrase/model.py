@@ -34,7 +34,9 @@ mapping, which is how adapted (inner-loop updated) parameters flow through
 without touching the store. ``as_nodes`` is the one leaf rule: a store
 enters the model frozen, every leaf without the requires-gradient bit
 unless named trainable, so a forward on a store marks no value for a
-backward.
+backward. A store's frozen leaves are built and checked once per array and
+reused until ``ParamStore.set`` replaces it; trainable leaves are new on
+every call.
 """
 
 from __future__ import annotations
@@ -114,15 +116,24 @@ class ModelConfig:
 
 
 class ParamStore:
-    """Named float64 parameter arrays; a name's partition is ``partition_of(name)``."""
+    """Named float64 parameter arrays; a name's partition is ``partition_of(name)``.
+
+    ``add`` and ``set`` keep a read-only array (see ``_read_only``), so they
+    are the only way to change one. The store keeps one checked
+    frozen leaf per array: ``leaves`` builds it on first use and reuses it
+    until ``set`` replaces that name's array. A forward on an unchanged store
+    (decoding, scoring, validation, the frozen part of a training step) then
+    checks no array and builds no leaf again.
+    """
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
+        self._frozen: dict[str, Node] = {}
 
     def add(self, name: str, values: np.ndarray) -> None:
         if name in self._arrays:
             raise ValueError(f"duplicate parameter {name!r}")
-        self._arrays[name] = np.asarray(values, dtype=np.float64)
+        self._arrays[name] = _read_only(values)
 
     def __contains__(self, name: str) -> bool:
         return name in self._arrays
@@ -132,12 +143,13 @@ class ParamStore:
 
     def set(self, name: str, values: np.ndarray) -> None:
         old = self._arrays[name]
-        values = np.asarray(values, dtype=np.float64)
+        values = _read_only(values)
         if values.shape != old.shape:
             raise ValueError(
                 f"shape mismatch for {name!r}: {values.shape} vs {old.shape}"
             )
         self._arrays[name] = values
+        self._frozen.pop(name, None)
 
     def names(self) -> list[str]:
         return list(self._arrays)
@@ -151,17 +163,43 @@ class ParamStore:
     def leaves(self, trainable: Iterable[str] | None = None) -> dict[str, Node]:
         """One leaf per parameter: each trainable, or only the names in ``trainable``.
 
-        A frozen leaf takes no gradient, so no value is kept for one.
+        A trainable leaf is built fresh on every call. A frozen leaf takes no
+        gradient, so no value is kept for one, and it is the store's cached
+        leaf of that name (built and checked once per array).
         """
-        keep = None if trainable is None else set(trainable)
-        return {name: ad.leaf(name, arr, keep is None or name in keep)
-                for name, arr in self._arrays.items()}
+        if trainable is None:
+            return {name: ad.leaf(name, arr) for name, arr in self._arrays.items()}
+        keep = set(trainable)
+        out = {}
+        for name, arr in self._arrays.items():
+            if name in keep:
+                out[name] = ad.leaf(name, arr)
+            else:
+                node = self._frozen.get(name)
+                if node is None:
+                    node = self._frozen[name] = ad.leaf(name, arr, False)
+                out[name] = node
+        return out
 
     def copy(self) -> "ParamStore":
+        """A store of the same arrays: they are read-only, so they are shared."""
         out = ParamStore()
-        for name, arr in self._arrays.items():
-            out.add(name, arr.copy())
+        out._arrays = dict(self._arrays)
         return out
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float64 array: marked in place, or copied if it is a view.
+
+    An array that holds its own data is marked, so whoever passed it can no
+    longer write it either. A view is copied first, since its base may be
+    writeable.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def partition_params(store: ParamStore) -> tuple[list[str], list[str]]:
@@ -365,10 +403,11 @@ def _attend(p, prefix, config, queries, kv, mask):
     """Multi-head attention of the queries over per-head (K, V)."""
     q = _linear(p, f"{prefix}.wq", queries)
     dh = config.d_head
+    factor = 1.0 / math.sqrt(dh)
     heads = []
     for h, (kh, vh) in enumerate(kv):
         qh = ad.slice_axis(q, -1, h * dh, (h + 1) * dh)
-        scores = ad.scale(ad.matmul(qh, kh, trans_b=True), 1.0 / np.sqrt(dh))
+        scores = ad.scale(ad.matmul(qh, kh, trans_b=True), factor)
         if mask is not None:
             scores = ad.mask_fill(scores, mask, NEG_FILL)
         heads.append(ad.matmul(ad.softmax_lastdim(scores), vh))
@@ -527,29 +566,46 @@ class KVCache:
     position, and no row is broadcast over others. A row is one hypothesis
     of any search: greedy rows and beam hypotheses of many sources, of
     every length, share one cache.
+
+    ``sources[r]`` is the index of row r's source, and a row's memory
+    depends on its source alone. So memory moves only when a ``select``
+    changes some row's source; while every row keeps its source, as beam
+    hypotheses reordered within their source do, the memory stays as it is
+    and only the self-attention prefix moves.
     """
 
     memory: list
     prefix: list
     length: int
+    sources: np.ndarray
 
     @classmethod
     def join(cls, caches) -> "KVCache":
-        """Fresh caches (no position decoded) as one: their rows and segments in order."""
+        """Fresh caches (no position decoded) as one: their rows and segments in order.
+
+        Each cache's source indices are offset past the ones before it.
+        """
         memory = [sum(layers, []) for layers in zip(*(cache.memory for cache in caches))]
-        return cls(memory, caches[0].prefix, 0)
+        offsets = np.cumsum([0] + [len(cache.sources) for cache in caches[:-1]])
+        sources = np.concatenate([c.sources + o for c, o in zip(caches, offsets)])
+        return cls(memory, caches[0].prefix, 0, sources)
 
     def select(self, rows) -> "KVCache":
         """The cache with its rows reordered (or repeated) by ``rows``.
 
-        Memory rows move together with prefix rows, so each hypothesis keeps
-        its own source. ``rows`` keep each segment's rows consecutive and
-        the segments in order, and a segment left without rows is dropped;
-        rows that interleave segments raise ``ValueError``. A fresh cache (no
-        position decoded) keeps its empty prefix, so one source can start
-        several hypotheses.
+        Each hypothesis keeps its own source. When every row of the result
+        has the source of the row it replaces, the memory is kept as it is;
+        otherwise memory rows move together with prefix rows. ``rows`` keep
+        each segment's rows consecutive and the segments in order, and a
+        segment left without rows is dropped; rows that interleave segments
+        raise ``ValueError``. A fresh cache (no position decoded) keeps its
+        empty prefix, so one source can start several hypotheses.
         """
         rows = np.asarray(rows, dtype=np.int64)
+        sources = self.sources[rows]
+        prefix = self.prefix if self.length == 0 else _take_rows(self.prefix, rows)
+        if np.array_equal(sources, self.sources):
+            return KVCache(self.memory, prefix, self.length, sources)
         counts = _segment_rows(self.memory[0])
         starts = np.cumsum(counts) - counts
         segment = np.searchsorted(starts, rows, side="right") - 1
@@ -558,8 +614,7 @@ class KVCache:
                              f"segments of {counts} rows")
         picks = [(g, rows[segment == g] - starts[g]) for g in np.unique(segment)]
         memory = [[_take_rows(layer[g], local) for g, local in picks] for layer in self.memory]
-        prefix = self.prefix if self.length == 0 else _take_rows(self.prefix, rows)
-        return KVCache(memory, prefix, self.length)
+        return KVCache(memory, prefix, self.length, sources)
 
 
 def _take_rows(pairs, rows):
@@ -574,8 +629,9 @@ def encode_source(params, config: ModelConfig, src_tokens) -> KVCache:
     ``KVCache.join`` puts caches of several lengths side by side.
     """
     p = as_nodes(params)
-    memory = _encode(p, config, np.asarray(src_tokens, dtype=np.int64), None)
-    return KVCache(memory, [None] * config.n_dec_layers, 0)
+    src = np.asarray(src_tokens, dtype=np.int64)
+    memory = _encode(p, config, src, None)
+    return KVCache(memory, [None] * config.n_dec_layers, 0, np.arange(len(src)))
 
 
 def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[Node, KVCache]:
@@ -592,7 +648,7 @@ def decoder_step(params, config: ModelConfig, cache: KVCache, tokens) -> tuple[N
     tokens = np.asarray(tokens, dtype=np.int64)[:, None]
     logits, prefix = _decode(p, config, cache.memory, cache.prefix, cache.length, tokens,
                              None, None)
-    return logits, KVCache(cache.memory, prefix, cache.length + 1)
+    return logits, KVCache(cache.memory, prefix, cache.length + 1, cache.sources)
 
 
 # ---------------------------------------------------------------------------

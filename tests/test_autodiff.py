@@ -48,6 +48,16 @@ class TestPrimitiveValues:
         with pytest.raises(ad.ShapeError, match="out of range"):
             ad.embed_lookup(np.ones((4, 2)), np.array([0, 5]))
 
+    def test_embed_id_equal_to_the_row_count_names_the_range(self):
+        with pytest.raises(ad.ShapeError,
+                           match=r"^embed ids out of range \[0, 4\): min 0, max 4$"):
+            ad.embed_lookup(np.ones((4, 2)), np.array([0, 4]))
+
+    def test_cross_entropy_targets_must_match_the_logits_rows(self):
+        with pytest.raises(ad.ShapeError, match=r"^targets shape \(2, 4\) must match "
+                                                r"logits rows \(2, 3\)$"):
+            ad.cross_entropy_with_logits(np.zeros((2, 3, 5)), np.zeros((2, 4), dtype=np.int64))
+
     def test_gelu_cube_by_products_matches_the_power(self):
         def with_power(x):
             return 0.5 * x * (1.0 + np.tanh(ad._GELU_C * (x + ad._GELU_A * x**3)))
@@ -566,6 +576,30 @@ class TestNeedsGradMask:
         alone, alone_nodes = grad_and_nodes(False)
         np.testing.assert_array_equal(alone, both)
         assert alone_nodes < both_nodes
+
+    def test_layer_norm_builds_only_the_gradients_of_its_trainable_gain_or_bias(
+            self, monkeypatch):
+        rng = np.random.default_rng(16)
+        x = ad.constant(rng.standard_normal((2, 3, 4)))
+        values = {"gain": 1.0 + 0.1 * rng.standard_normal(4), "bias": rng.standard_normal(4)}
+        made = _count_made(monkeypatch)
+
+        def grads_and_nodes(wanted):
+            ops = {n: ad.leaf(n, v, n in wanted) for n, v in values.items()}
+            out = _readout(ad.layer_norm(x, ops["gain"], ops["bias"]))
+            made.clear()
+            grads = ad.backward(out, {n: ops[n] for n in wanted})
+            return {n: g.value for n, g in grads.items()}, Counter(made)
+
+        both, both_nodes = grads_and_nodes(("gain", "bias"))
+        gain, gain_nodes = grads_and_nodes(("gain",))
+        bias, bias_nodes = grads_and_nodes(("bias",))
+        np.testing.assert_array_equal(gain["gain"], both["gain"])
+        np.testing.assert_array_equal(bias["bias"], both["bias"])
+        assert gain.keys() == {"gain"} and bias.keys() == {"bias"}
+        assert both_nodes - gain_nodes == Counter({"_sum_to": 1}) and not gain_nodes - both_nodes
+        assert both_nodes - bias_nodes == Counter({"_ln_xhat": 1, "mul": 1, "_sum_to": 1})
+        assert not bias_nodes - both_nodes
 
     def test_phi_gradients_bitwise_equal_with_backbone_requested(self, tiny_transformer):
         leaves = tiny_transformer.store.leaves()

@@ -232,6 +232,7 @@ class TestIncrementalDecoding:
                 np.testing.assert_array_equal(v_moved.value, v.value[rows])
         assert len({row.tobytes() for row in logits.value}) == 3
         np.testing.assert_array_equal(permuted.value, logits.value[rows])
+        np.testing.assert_array_equal(selected.sources, rows)  # the rows' sources moved
 
     def test_select_on_a_fresh_cache_repeats_memory_rows(self):
         cfg, store = random_model(11, n_dec_layers=2)
@@ -436,6 +437,53 @@ class TestMixedLengths:
                     np.testing.assert_array_equal(logits.value[rows], part.value)
                     start += len(group)
         assert [len(layer) for layer in cache.memory] == [3, 3]
+
+    def test_a_cache_keeps_each_rows_source(self):
+        cfg, store = random_model(11, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        rows = [1, 1, 0, 4, 3]
+        with ad.no_graph():
+            cache = mixed_cache(params, cfg)
+            np.testing.assert_array_equal(cache.sources, np.arange(len(MIXED_SOURCES)))
+            _, stepped = mm.decoder_step(params, cfg, cache, [dt.BOS] * 5)
+            selected = stepped.select(rows)
+        assert stepped.sources is cache.sources
+        np.testing.assert_array_equal(selected.sources, rows)
+
+    def test_select_that_keeps_every_rows_source_keeps_the_memory(self):
+        cfg, store = random_model(11, n_dec_layers=2)
+        params = mm.as_nodes(store)
+        rows = [1, 0, 2, 4, 3, 5, 6]  # reordered within sources 0 and 2
+        tokens = np.arange(4, 11)
+        with ad.no_graph():
+            cache = mixed_cache(params, cfg).select([0, 0, 1, 2, 2, 3, 4])
+            _, cache = mm.decoder_step(params, cfg, cache, [dt.BOS] * 7)
+            selected = cache.select(rows)
+            logits, _ = mm.decoder_step(params, cfg, cache, tokens)
+            moved, _ = mm.decoder_step(params, cfg, selected, tokens[rows])
+        assert selected.memory is cache.memory
+        np.testing.assert_array_equal(selected.sources, [0, 0, 1, 2, 2, 3, 4])
+        for (k, v), (k_moved, v_moved) in zip(cache.prefix, selected.prefix):
+            np.testing.assert_array_equal(k_moved.value, k.value[rows])
+            np.testing.assert_array_equal(v_moved.value, v.value[rows])
+        np.testing.assert_array_equal(moved.value, logits.value[rows])
+
+    def test_beam_search_moves_memory_only_when_a_source_loses_rows(self, monkeypatch):
+        cfg, store = random_model(7, n_dec_layers=2)
+        kept = []
+        real_select = mm.KVCache.select
+
+        def recorded_select(cache, rows):
+            selected = real_select(cache, rows)
+            kept.append((len(cache.sources), len(rows), selected.memory is cache.memory))
+            return selected
+
+        monkeypatch.setattr(mm.KVCache, "select", recorded_select)
+        dec.decode(store, cfg, np.array([dt.BOS, 7, 7, 6, dt.EOS]),
+                   dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10))
+        # The memory moves while the beams fill (1 -> 2 -> 4 rows), then stays.
+        # Selects of every row in order are skipped.
+        assert kept == [(1, 2, False), (2, 4, False), (4, 4, True), (4, 4, True)]
 
     def test_select_keeps_segments_in_order_and_drops_empty_ones(self):
         cfg, store = random_model(11, n_dec_layers=2)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from metaphrase import autodiff as ad
+from metaphrase import data as dt
+from metaphrase import decoding as dec
 from metaphrase import model as mm
+from metaphrase import pipeline as pl
 
 
 def toy_config(**kw):
@@ -442,6 +445,90 @@ class TestLeafRule:
         leaves = tiny_transformer.store.leaves()
         copied = mm.as_nodes(leaves)
         assert copied == leaves and copied is not leaves
+
+    def test_frozen_leaves_are_built_once_per_array(self, tiny_transformer):
+        store = tiny_transformer.store
+        name = "enc.0.ln1.gain"
+        first = mm.as_nodes(store)
+        store.set(name, 2.0 * store[name])
+        second = mm.as_nodes(store)
+        assert all(second[n] is first[n] for n in store.names() if n != name)
+        assert second[name] is not first[name] and not second[name].requires_grad
+        np.testing.assert_array_equal(second[name].value, 2.0 * first[name].value)
+        assert mm.as_nodes(store)[name] is second[name]
+
+    def test_trainable_names_always_get_fresh_trainable_leaves(self, tiny_transformer):
+        store = tiny_transformer.store
+        _, phi = mm.partition_params(store)
+        frozen = mm.as_nodes(store)
+        first, second = mm.as_nodes(store, phi), mm.as_nodes(store, phi)
+        for n in store.names():
+            if n in phi:
+                assert first[n] is not second[n] and frozen[n] not in (first[n], second[n])
+                assert first[n].requires_grad and second[n].requires_grad
+            else:
+                assert first[n] is second[n] is frozen[n]
+        every = store.leaves()
+        assert all(every[n].requires_grad and every[n] is not frozen[n] for n in store.names())
+        assert mm.as_nodes(store) == frozen
+
+    def test_store_arrays_change_only_through_add_and_set(self):
+        store = mm.ParamStore()
+        given, base = np.ones(3), np.ones((2, 3))
+        store.add("w", given)
+        store.add("v", base[1])
+        frozen = mm.as_nodes(store)
+        for write in (lambda: given.__setitem__(0, np.nan),
+                      lambda: store["w"].__setitem__(0, np.nan),
+                      lambda: frozen["w"].value.__setitem__(0, np.nan),
+                      lambda: store["v"].__setitem__(0, np.nan)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        base[1, 0] = np.nan  # a view was copied: writing its base changes no parameter
+        np.testing.assert_array_equal(store["w"], np.ones(3))
+        np.testing.assert_array_equal(store["v"], np.ones(3))
+        assert mm.as_nodes(store) == frozen
+
+    def test_a_non_finite_set_fails_every_decode_before_any_decoder_step(self, tmp_path,
+                                                                          monkeypatch):
+        vocab = dt.Vocab(("cat", "dog", "runs"))
+        cfg = toy_config(vocab_size=len(vocab))
+        ckpt = pl.Checkpoint(config=cfg, stage="pretrained", seeds={"bundle": 2},
+                             provenance=[], store=mm.build_model(cfg, seed=2), vocab=vocab)
+        monkeypatch.setattr(pl, "load_checkpoint", lambda path: ckpt)
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("cat runs\ndog\n")
+        src = np.array([dt.BOS, len(dt.RESERVED), dt.EOS])
+        dc = dec.DecodeConfig(max_decode_len=6)
+
+        def decode_three_ways():
+            dec.decode(ckpt.store, cfg, src, dc)
+            dec.decode_batch(ckpt.store, cfg, [src, src[:2]], dc)
+            dec.generate_file("model.ckpt", inp, out, dc)
+
+        decode_three_ways()
+        name = "dec.0.ffn.w1.w"
+        bad = np.array(ckpt.store[name])
+        bad[1, 2] = np.nan
+        ckpt.store.set(name, bad)
+        run = []
+
+        def recorded(attr):
+            original = getattr(mm, attr)
+
+            def call(*args):
+                run.append(attr)
+                return original(*args)
+            return call
+
+        for attr in ("encode_source", "decoder_step"):
+            monkeypatch.setattr(mm, attr, recorded(attr))
+        for call in (lambda: dec.decode(ckpt.store, cfg, src, dc),
+                     lambda: dec.decode_batch(ckpt.store, cfg, [src, src[:2]], dc),
+                     lambda: dec.generate_file("model.ckpt", inp, out, dc)):
+            with pytest.raises(ad.NonFiniteError, match=f"^non-finite values in leaf '{name}'$"):
+                call()
+        assert run == []
 
 
 class TestInsertAdapters:
