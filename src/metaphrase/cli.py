@@ -6,9 +6,10 @@ Subcommands:
   (``experiments.build_world_files``).
 * ``decode CHECKPOINT INPUT OUTPUT``: decode every non-blank line of INPUT
   to OUTPUT, in order (``decoding.generate_file``). A file that cannot be
-  read or written, a corrupt checkpoint or input, or a setting the
-  checkpoint's model cannot decode is a usage error (exit status 2) whose
-  one line names the file or setting.
+  read or written, a corrupt checkpoint or input, an input line longer
+  than the checkpoint's model takes, or a setting that model cannot decode
+  is a usage error (exit status 2) whose one line names the file (and
+  line) or setting.
 """
 
 from __future__ import annotations

@@ -165,9 +165,14 @@ def load_pairs(path, vocab: Vocab) -> list[ParaphrasePair]:
     return pairs
 
 
+def sentence_lines(path) -> list[tuple[int, str]]:
+    """Each non-blank line, stripped, with its 1-based number; blank lines count."""
+    return [(n, line) for n, line in enumerate(map(str.strip, read_lines(path)), start=1) if line]
+
+
 def load_sentences(path, vocab: Vocab) -> list[np.ndarray]:
-    """One sentence per line, preprocessed."""
-    return [preprocess(line, vocab) for line in map(str.strip, read_lines(path)) if line]
+    """One sentence per non-blank line, preprocessed."""
+    return [preprocess(line, vocab) for _, line in sentence_lines(path)]
 
 
 def pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

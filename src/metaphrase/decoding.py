@@ -9,24 +9,32 @@ candidates, so its returned score never falls below greedy's.
 
 Decoding is incremental and records no autodiff graph: sources are
 encoded once, inside ``autodiff.no_graph()``, into a ``model.KVCache``. The
-cache keeps, one row per hypothesis, the source's per-head cross-attention
+cache keeps, for each decoder row, its source's per-head cross-attention
 keys and values plus each decoder layer's self-attention keys and values,
 which grow by one position per step. Each source runs a width-1 beam, and
-beam search a beam of its width next to it; all beams advance in lockstep,
-each decoder step carrying every live hypothesis, and the rows that go on
-(by parent hypothesis) are picked with one ``KVCache.select``. A step
-therefore runs the decoder on one new position per hypothesis, with the
-same layer code as ``model.forward_batch``, and a beam decode takes no more
-decoder steps than its longer beam.
+beam search a beam of its width next to it; all beams advance in lockstep.
+A step's decoder rows are its distinct hypotheses: the distinct (source,
+prefix) pairs among every beam's live hypotheses, each hypothesis reading
+its pair's row. So a greedy hypothesis that equals a hypothesis of its
+source's wide beam is not decoded twice; that changes no value, since a
+row's log-probs depend on its source and prefix alone, bit for bit (last
+paragraph). The rows that go on (by parent row and new token) are picked
+with one ``KVCache.select``. A step
+therefore runs the decoder on one new position per distinct hypothesis,
+with the same layer code as ``model.forward_batch``, and a beam decode
+takes no more decoder steps than its longer beam. Candidates are ranked on
+arrays (``_prune``), and an id list is built only for a hypothesis that is
+kept or finished.
 
 Nothing that does not change is redone. ``select`` moves only the
 self-attention prefix while every row keeps its source: a source's rows
 stay together and reorder only among themselves, so once its beams are full
 a step copies cross-attention memory only when some source gains or loses
-rows (a finished greedy row, a beam left with fewer live hypotheses). A
-``ParamStore`` passed in enters through its cached frozen leaves, checked
-once per array (``model.ParamStore``), so decoding the same store again
-builds and checks no leaf; a ``set`` makes that name's leaf anew.
+rows (a greedy hypothesis that leaves or rejoins its wide beam, a finished
+greedy row, a beam left with fewer live hypotheses). A ``ParamStore``
+passed in enters through its cached frozen leaves, checked once per array
+(``model.ParamStore``), so decoding the same store again builds and checks
+no leaf; a ``set`` makes that name's leaf anew.
 
 Decoding checks finiteness at its boundaries, not after every op: the
 encoded cache, each decoder step's log-probs and ``hypothesis_score``'s
@@ -37,9 +45,10 @@ error also names the decoder step. The re-run sees the inputs of the first
 run, since a ``KVCache`` is never mutated.
 
 ``decode_batch`` decodes sources of every length in one lockstep search:
-their hypotheses are stacked into one decoder step, with no padding. The
-sources are sorted by length, each length is encoded once, and the rows of
-one length attend over their own cross-attention memory segment. Every
+their distinct hypotheses are stacked into one decoder step, with no
+padding. The sources are sorted by length, each length is encoded once,
+and the rows of one length attend over their own cross-attention memory
+segment. Every
 other op of a step is row-wise or a stacked matmul that computes each row
 with the same kernel call as a batch of one, so each source gets bit for
 bit the ids and log-probs it gets when decoded alone; ``decode`` is the
@@ -107,77 +116,129 @@ def _hyp_score(logprob_sum: float, n_emitted: int, length_penalty: float) -> flo
 
 
 def _top_ids(rows, k: int) -> np.ndarray:
-    """Each row's ``k`` best column ids, best first, ties to the lowest id.
+    """Each finite row's ``k`` best column ids, best first, ties to the lowest id.
 
     Equals ``np.argsort(-rows, axis=-1, kind="stable")[:, :k]`` without
-    sorting whole rows: only the entries at or above a row's k-th best
-    value are sorted. Argmax is the first column, at a hundredth of the cost.
+    sorting whole rows: k argmax passes, each taking every row's best
+    remaining id (the lowest of tied ones) and then hiding it. That is
+    several times cheaper than one ``np.argpartition`` at decoding's sizes.
     """
+    k = min(k, rows.shape[-1])
     if k == 1:
         return rows.argmax(axis=-1)[:, None]
-    k = min(k, rows.shape[-1])
-    kth = np.partition(rows, -k, axis=-1)[:, -k, None]
-    r, c = np.nonzero(rows >= kth)  # at least k per row, ids ascending
-    c = c[np.lexsort((c, -rows[r, c], r))]  # by row, then best first, then lowest id
-    starts = np.searchsorted(r, np.arange(len(rows)))
-    return c[starts[:, None] + np.arange(k)]
+    rest = rows.copy()
+    ids = np.empty((len(rows), k), dtype=np.int64)
+    every = np.arange(len(rows))
+    for i in range(k):
+        ids[:, i] = best = rest.argmax(axis=-1)
+        rest[every, best] = -np.inf
+    return ids
 
 
-def _prune(rows, live, done, widths) -> list[int]:
+def _prune(rows, at, live, done, widths):
     """Expand, rank and prune every beam's live hypotheses in place.
 
-    ``rows`` are the log-probs of the hypotheses in ``live``, beam by beam.
-    A hypothesis of beam b proposes its ``widths[b]`` best next tokens, ties
-    to the lowest id (a width-1 beam is greedy search); those ending in the
-    end marker join the beam's ``done``, the best ``widths[b]`` others stay
-    live. Returns the kept hypotheses' parent rows, in the new ``live`` order.
+    ``rows`` are the log-probs of a step's distinct hypotheses, and the h-th
+    hypothesis of ``live``, counted beam by beam, reads row ``at[h]``. A
+    hypothesis of beam b proposes its ``widths[b]`` best next tokens, ties
+    to the lowest id (a width-1 beam is greedy search), and each beam's
+    candidates are ranked by (-summed log-prob, ids). In that order, those
+    ending in the end marker join the beam's ``done`` and the best
+    ``widths[b]`` others stay live, until the beam keeps ``widths[b]`` and
+    holds ``widths[b]`` done. The ranking runs on arrays of plain numbers:
+    one gather gives every candidate's token and summed log-prob, ids are
+    compared only where two sums of a beam tie, and only a kept or finished
+    candidate gets an id list. Returns the kept hypotheses' parent rows and
+    new tokens, in the new ``live`` order. Width-1 beams alone (greedy
+    search) take ``_prune_greedy``, the same rule in a few Python steps.
     """
+    if max(widths) == 1:
+        return _prune_greedy(rows, at, live, done)
+    hyps = [hyp for beam in live for hyp in beam]
+    sizes = [len(beam) for beam in live]
     tops = _top_ids(rows, max(widths))
-    parents = []
-    r = 0
-    for b, width in enumerate(widths):
-        candidates = []
-        for ids, logprob in live[b]:
-            for tok in tops[r, :width]:
-                candidates.append((ids + [int(tok)], logprob + float(rows[r, tok]), r))
-            r += 1
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        kept = []
-        for ids, logprob, parent in candidates:
-            if ids[-1] == dt.EOS:
-                done[b].append((ids, logprob))
-            elif len(kept) < width:
-                kept.append((ids, logprob))
-                parents.append(parent)
-            if len(kept) >= width and len(done[b]) >= width:
-                break
-        live[b] = kept
-    return parents
+    # Each hypothesis's candidates: the first widths[b] ids of its row's tops.
+    h, j = np.nonzero(np.arange(tops.shape[1]) < np.repeat(widths, sizes)[:, None])
+    beam = np.repeat(np.arange(len(widths)), sizes)[h]
+    tok = tops[at[h], j]
+    total = rows[at[h], tok] + np.array([lp for _, lp in hyps])[h]
+    order = np.lexsort((-total, beam))  # a tie keeps (hypothesis, rank) order
+    sums, beams = total[order], beam[order]
+    if np.any((sums[1:] == sums[:-1]) & (beams[1:] == beams[:-1])):  # rank ties by the ids
+        ranks = np.empty(len(hyps), dtype=np.int64)  # every live prefix has one length
+        ranks[sorted(range(len(hyps)), key=lambda i: hyps[i][0])] = np.arange(len(hyps))
+        order = np.lexsort((tok, ranks[h], -total, beam))
+    beam, h, tok, total = beam[order], h[order], tok[order], total[order]
+    eos = tok == dt.EOS
+    first = np.searchsorted(beam, beam)  # each candidate's beam's first candidate
+    ended = np.cumsum(eos) - eos
+    ended = ended - ended[first]  # end-marker candidates before it in its beam
+    width = np.asarray(widths)[beam]
+    keep = np.arange(len(beam)) - first - ended < width  # fewer kept before it than width
+    finish = eos & (keep | (np.array([len(d) for d in done])[beam] + ended < width))
+    keep &= ~eos
+    live[:] = [[] for _ in widths]
+    picked = np.flatnonzero(keep | finish)
+    for b, i, t, lp, ends in zip(beam[picked].tolist(), h[picked].tolist(), tok[picked].tolist(),
+                                 total[picked].tolist(), finish[picked].tolist()):
+        (done[b] if ends else live[b]).append((hyps[i][0] + [t], lp))
+    return at[h[keep]], tok[keep]
+
+
+def _prune_greedy(rows, at, live, done):
+    """``_prune`` of width-1 beams: a hypothesis's one candidate is its row's best token."""
+    best = rows.argmax(axis=-1).tolist()
+    rows_at = iter(at.tolist())
+    parents, tokens = [], []
+    for b, beam in enumerate(live):
+        if beam:
+            (ids, logprob), = beam
+            r = next(rows_at)
+            t = best[r]
+            hyp = (ids + [t], logprob + float(rows[r, t]))
+            if t == dt.EOS:
+                done[b].append(hyp)
+                live[b] = []
+            else:
+                live[b] = [hyp]
+                parents.append(r)
+                tokens.append(t)
+    return np.array(parents, dtype=np.int64), np.array(tokens, dtype=np.int64)
 
 
 def _search(params, config, cache, n: int, dc: DecodeConfig) -> list[tuple[tuple, list]]:
     """Greedy (ids, summed log-prob) and beam pool of each of the cache's ``n`` rows.
 
     Every source runs a width-1 beam, its greedy search, and beam search a
-    wider beam next to it. All beams advance in lockstep, their live
-    hypotheses source by source as a step's rows; one ``cache.select`` picks
-    the rows that go on, unless they are all rows in order. A source's pool
-    holds its wide beam's finished and live hypotheses, or nothing.
+    wider beam next to it. All beams advance in lockstep, and a step's rows
+    are its distinct hypotheses, the distinct (source, prefix) pairs among
+    all live ones. A row is keyed by its parent row and new token, which is
+    its (source, prefix) since the parent rows are distinct. Keys in order
+    keep a source's rows together and the sources in order; one
+    ``cache.select`` picks the parent rows, unless they are all rows in
+    order. A source's pool holds its wide beam's finished and live
+    hypotheses, or nothing.
     """
     width = dc.beam_width if dc.strategy == "beam" else 1
     per_source = [1] if width == 1 else [1, width]
     widths = per_source * n
     live = [[([dt.BOS], 0.0)] for _ in widths]
     done = [[] for _ in widths]
-    parents = [b // len(per_source) for b in range(len(widths))]  # each beam's source row
-    held = n
-    while parents and cache.length + 1 < dc.max_decode_len:  # the prefixes' length
-        if parents != list(range(held)):
-            cache = cache.select(parents)
-        rows, cache = _next_logprobs(params, config, cache,
-                                     [ids for hyps in live for ids, _ in hyps])
-        held = len(rows)
-        parents = _prune(rows, live, done, widths)
+    at = np.repeat(np.arange(n), len(per_source))  # every beam starts on its source's row
+    picks, prefixes = list(range(n)), [[dt.BOS]] * n
+    while at.size and cache.length + 1 < dc.max_decode_len:  # the prefixes' length
+        if picks != list(range(len(cache.sources))):
+            cache = cache.select(picks)
+        rows, cache = _next_logprobs(params, config, cache, prefixes)
+        parents, tokens = _prune(rows, at, live, done, widths)
+        kept = [ids for hyps in live for ids, _ in hyps]
+        if width == 1:  # one hypothesis per source: each is its own row, in order
+            picks, prefixes, at = parents.tolist(), kept, np.arange(len(kept))
+        else:
+            keys, first, at = np.unique(parents * config.vocab_size + tokens,
+                                        return_index=True, return_inverse=True)
+            picks = (keys // config.vocab_size).tolist()
+            prefixes = [kept[h] for h in first.tolist()]
     pools = [done[b] + live[b] for b in range(len(widths))]
     return [(pools[b][0], pools[b + 1] if width > 1 else [])
             for b in range(0, len(widths), len(per_source))]
@@ -219,6 +280,14 @@ def _check_decode_len(config: mm.ModelConfig, dc: DecodeConfig) -> None:
                          f"({dc.max_decode_len} > {config.max_len})")
 
 
+def _check_source_lens(config: mm.ModelConfig, sources, where) -> None:
+    """Every source fits the model's positions; ``where(i)`` names source i in the error."""
+    for i, src in enumerate(sources):
+        if len(src) > config.max_len:
+            raise ValueError(f"{where(i)}: source length {len(src)} exceeds max_len "
+                             f"{config.max_len}")
+
+
 def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> list[np.ndarray]:
     """Token ids for each source, in order, marker-wrapped.
 
@@ -226,9 +295,12 @@ def decode_batch(params, config: mm.ModelConfig, sources, dc: DecodeConfig) -> l
     length decode in one lockstep search, at most ``_MAX_BATCH`` at a time,
     in order of length. ``params`` is a ParamStore or a name -> Node
     mapping. A sequence cut off at the length cap carries no closing marker.
+    A source longer than the model's ``max_len`` is a ``ValueError`` naming
+    its index, raised before any search.
     """
     _check_decode_len(config, dc)
     sources = [np.asarray(src, dtype=np.int64) for src in sources]
+    _check_source_lens(config, sources, lambda i: f"source {i}")
     params = mm.as_nodes(params)
     order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     out: list[np.ndarray] = [None] * len(sources)
@@ -269,14 +341,19 @@ def hypothesis_score(params, config, src_tokens, ids, dc: DecodeConfig) -> float
 def generate_file(checkpoint_path, input_path, output_path, dc: DecodeConfig) -> int:
     """Decode every non-blank input line to the output file, in order; returns the count.
 
-    ``data.load_sentences`` reads the input; ``metrics.evaluate_corpus`` drops
-    the same blank and whitespace-only source lines, with their references.
-    The output is opened before anything is decoded: an unwritable one fails
-    fast, and a failed decode leaves it empty, never stale.
+    ``data.sentence_lines`` reads the input, as ``data.load_sentences`` does;
+    ``metrics.evaluate_corpus`` drops the same blank and whitespace-only
+    source lines, with their references. A line whose source is longer than
+    the model's ``max_len`` is a ``ValueError`` naming ``path:line``. The
+    output is opened only after these checks and before anything is
+    decoded: an unwritable one fails fast, and a failed decode leaves it
+    empty, never stale.
     """
     ckpt = pl.load_checkpoint(checkpoint_path)
-    sources = dt.load_sentences(input_path, ckpt.vocab)
+    lines = dt.sentence_lines(input_path)
+    sources = [dt.preprocess(line, ckpt.vocab) for _, line in lines]
     _check_decode_len(ckpt.config, dc)
+    _check_source_lens(ckpt.config, sources, lambda i: f"{input_path}:{lines[i][0]}")
     with open(output_path, "w", encoding="utf-8") as fout:
         outputs = decode_batch(ckpt.store, ckpt.config, sources, dc)
         fout.writelines(dt.detokenize(out, ckpt.vocab) + "\n" for out in outputs)

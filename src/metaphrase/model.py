@@ -402,6 +402,11 @@ def _split_heads(config, k, v):
 def _attend(p, prefix, config, queries, kv, mask):
     """Multi-head attention of the queries over per-head (K, V)."""
     q = _linear(p, f"{prefix}.wq", queries)
+    return _linear(p, f"{prefix}.wo", _attend_heads(config, q, kv, mask))
+
+
+def _attend_heads(config, q, kv, mask):
+    """Each head's attention of the projected queries ``q``, the heads joined on the width."""
     dh = config.d_head
     factor = 1.0 / math.sqrt(dh)
     heads = []
@@ -411,8 +416,7 @@ def _attend(p, prefix, config, queries, kv, mask):
         if mask is not None:
             scores = ad.mask_fill(scores, mask, NEG_FILL)
         heads.append(ad.matmul(ad.softmax_lastdim(scores), vh))
-    merged = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
-    return _linear(p, f"{prefix}.wo", merged)
+    return heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
 
 
 def _embed(p, table_name, ids, pos_name, config, start=0):
@@ -459,7 +463,8 @@ def _cross_attend(p, prefix, config, queries, segments, mask):
     """Cross-attention of the queries' row blocks, each over its own memory segment.
 
     One segment is one ``_attend`` of every row under ``mask``. Several
-    come only from a ``KVCache``, whose sources have no padding: each
+    come only from a ``KVCache``, whose sources have no padding: the query
+    and output projections run once over every row, and between them each
     segment's block of consecutive rows is sliced out on the row axis,
     attends alone, and the blocks are joined back in order. Every other op
     of a decoder step is row-wise or a stacked matmul with one kernel call
@@ -467,12 +472,12 @@ def _cross_attend(p, prefix, config, queries, segments, mask):
     """
     if len(segments) == 1:
         return _attend(p, prefix, config, queries, segments[0], mask)
+    q = _linear(p, f"{prefix}.wq", queries)
     blocks, start = [], 0
     for kv, n in zip(segments, _segment_rows(segments)):
-        rows = ad.slice_axis(queries, 0, start, start + n)
-        blocks.append(_attend(p, prefix, config, rows, kv, None))
+        blocks.append(_attend_heads(config, ad.slice_axis(q, 0, start, start + n), kv, None))
         start += n
-    return ad.concat(blocks, axis=0)
+    return _linear(p, f"{prefix}.wo", ad.concat(blocks, axis=0))
 
 
 def _decoder_layer(p, config, i, x, past_kv, memory, self_mask, cross_mask):

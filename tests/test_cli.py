@@ -1,5 +1,6 @@
 """The ``metaphrase`` console script: synth-data and decode."""
 
+import numpy as np
 import pytest
 
 from metaphrase import cli
@@ -91,6 +92,7 @@ def small_checkpoint(path, max_len=24):
     ("missing_input", "none.txt"),
     ("non_utf8_input", "bad.txt:2: not UTF-8 text"),
     ("decode_len_above_max_len", "max_decode_len exceeds the model's max_len (20 > 12)"),
+    ("over_long_line", "in.txt:2: source length 18 exceeds max_len 12"),
 ])
 def test_decode_input_errors_are_one_usage_error_line(case, named, tmp_path, capsys):
     ckpt, inp = small_checkpoint(tmp_path / "model.ckpt", max_len=12), tmp_path / "in.txt"
@@ -106,6 +108,8 @@ def test_decode_input_errors_are_one_usage_error_line(case, named, tmp_path, cap
     elif case == "non_utf8_input":
         args[1] = str(tmp_path / "bad.txt")
         (tmp_path / "bad.txt").write_bytes(b"cat runs\ndog \xff runs\n")
+    elif case == "over_long_line":
+        inp.write_text("cat runs\n" + "dog " * 16 + "\n")
     else:
         args[-1] = "20"
     with pytest.raises(SystemExit) as exc:
@@ -116,6 +120,27 @@ def test_decode_input_errors_are_one_usage_error_line(case, named, tmp_path, cap
     (line,) = [line for line in err.splitlines() if "error:" in line]
     assert line.startswith("metaphrase decode: error: ") and named in line
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_an_over_long_line_fails_before_any_decoder_step(tmp_path, capsys, monkeypatch):
+    ckpt, inp = small_checkpoint(tmp_path / "model.ckpt", max_len=12), tmp_path / "in.txt"
+    inp.write_text("cat runs\n\n" + "dog " * 16 + "\ncat\n")  # line 3, after a blank one
+    monkeypatch.setattr(dec, "_MAX_BATCH", 1)  # a lockstep search per line
+    steps = []
+    step = mm.decoder_step
+    monkeypatch.setattr(mm, "decoder_step", lambda *a: steps.append(1) or step(*a))
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decode", str(ckpt), str(inp), str(out), "--max-len", "12"])
+    assert exc.value.code == 2
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert line.endswith(f"error: {inp}:3: source length 18 exceeds max_len 12")
+    assert steps == [] and not out.exists()
+    loaded = pl.load_checkpoint(ckpt)
+    sources = [np.array([dt.BOS, 5, dt.EOS])] * 2 + [np.arange(18) % 7]
+    with pytest.raises(ValueError, match="^source 2: source length 18 exceeds max_len 12$"):
+        dec.decode_batch(loaded.store, loaded.config, sources, dec.DecodeConfig(max_decode_len=12))
+    assert steps == []
 
 
 def test_unwritable_output_fails_before_any_search(tmp_path, capsys, monkeypatch):

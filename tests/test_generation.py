@@ -420,6 +420,27 @@ class TestMixedLengths:
                                      dc)[0] for src in MIXED_SOURCES]
             assert mixed == alone  # ids, summed log-probs and pools, bit for bit
 
+    def test_each_step_decodes_one_row_per_distinct_source_and_prefix(self, monkeypatch):
+        cfg, store = random_model(7, n_dec_layers=2)
+        sources = MIXED_SOURCES + [MIXED_SOURCES[0]]  # a repeated source keeps its own rows
+        steps = []
+        real_prune = dec._prune
+
+        def recorded_prune(rows, at, live, done, widths):
+            keys = [(b // 2, tuple(ids)) for b, beam in enumerate(live) for ids, _ in beam]
+            pairs = set(zip(keys, at.tolist()))
+            steps.append((len(rows), len(keys), len(set(keys)), len(pairs)))
+            return real_prune(rows, at, live, done, widths)
+
+        monkeypatch.setattr(dec, "_prune", recorded_prune)
+        out = dec.decode_batch(store, cfg, sources,
+                               dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10))
+        assert list(out[0]) == list(out[-1])
+        # One row per distinct key, and each key's hypotheses read one row.
+        assert all(rows == keys == pairs for rows, _, keys, pairs in steps)
+        assert steps[0][:2] == (len(sources), 2 * len(sources))  # one row per source starts
+        assert all(rows < hyps for rows, hyps, _, _ in steps[1:])  # greedy rows shared
+
     def test_step_of_several_segments_equals_each_segment_alone(self):
         cfg, store = random_model(11, n_dec_layers=2)
         params = mm.as_nodes(store)
@@ -468,8 +489,10 @@ class TestMixedLengths:
             np.testing.assert_array_equal(v_moved.value, v.value[rows])
         np.testing.assert_array_equal(moved.value, logits.value[rows])
 
-    def test_beam_search_moves_memory_only_when_a_source_loses_rows(self, monkeypatch):
-        cfg, store = random_model(7, n_dec_layers=2)
+    @staticmethod
+    def recorded_selects(seed, monkeypatch):
+        """(rows before, rows after, memory kept) of each select of one beam-3 decode."""
+        cfg, store = random_model(seed, n_dec_layers=2)
         kept = []
         real_select = mm.KVCache.select
 
@@ -481,9 +504,18 @@ class TestMixedLengths:
         monkeypatch.setattr(mm.KVCache, "select", recorded_select)
         dec.decode(store, cfg, np.array([dt.BOS, 7, 7, 6, dt.EOS]),
                    dec.DecodeConfig(strategy="beam", beam_width=3, max_decode_len=10))
-        # The memory moves while the beams fill (1 -> 2 -> 4 rows), then stays.
-        # Selects of every row in order are skipped.
-        assert kept == [(1, 2, False), (2, 4, False), (4, 4, True), (4, 4, True)]
+        return kept
+
+    def test_beam_search_moves_memory_only_when_a_source_loses_rows(self, monkeypatch):
+        # The first step decodes the source's one row. The greedy hypothesis
+        # then stays in the wide beam, so the source holds 3 rows; each row
+        # has one child, in order, and selects of every row in order are skipped.
+        assert self.recorded_selects(7, monkeypatch) == [(1, 3, False)]
+
+    def test_beam_search_keeps_the_memory_once_the_beams_fill(self, monkeypatch):
+        # The memory moves while the source gains rows (1 -> 2 -> 3), then stays.
+        assert self.recorded_selects(13, monkeypatch) == [(1, 2, False), (2, 3, False),
+                                                          (3, 3, True), (3, 3, True)]
 
     def test_select_keeps_segments_in_order_and_drops_empty_ones(self):
         cfg, store = random_model(11, n_dec_layers=2)
@@ -535,7 +567,7 @@ class TestDecodePins:
             encoded = len(built)
             for tokens in ([dt.BOS] * 5, [5, 6, 7, 8, 9], [4, 4, 10, 11, 5]):
                 _, cache = mm.decoder_step(params, cfg, cache, tokens)
-        assert (encoded, len(built) - encoded) == (183, 587)
+        assert (encoded, len(built) - encoded) == (183, 539)
 
 
 class TestTopIds:
