@@ -24,7 +24,7 @@ rows see only their own values. Decoding runs the same two functions
 ``_decode``), normally inside ``autodiff.no_graph()``: the encoder memory's
 per-head keys and values are projected once per source, and each layer's
 self-attention keys and values grow by one position per step
-(``KVCache``). A cache holds one row per hypothesis, so hypotheses of
+(``KVCache``). A cache holds one row per decoded prefix, so prefixes of
 several sources decode in one step; each row carries its own source's
 memory, and rows whose sources differ in length attend over separate
 memory segments.
@@ -561,16 +561,16 @@ def forward_batch(params, config: ModelConfig, src, tgt, src_mask=None, tgt_mask
 
 @dataclass(frozen=True)
 class KVCache:
-    """Attention keys and values for decoding, one row per hypothesis.
+    """Attention keys and values for decoding, one row per decoded prefix.
 
     ``memory[i]`` is decoder layer i's cross-attention memory: per-head
     (K, V) segments, one per block of consecutive rows whose sources share
     a length, projected from each row's source. ``prefix[i]`` is its
     full-width self-attention (K, V) over the ``length`` positions decoded
     so far (None before the first step). Every row sits at the same
-    position, and no row is broadcast over others. A row is one hypothesis
-    of any search: greedy rows and beam hypotheses of many sources, of
-    every length, share one cache.
+    position, and no row is broadcast over others. A row is one prefix of
+    any search, which hypotheses equal to each other share: greedy and beam
+    hypotheses of many sources, of every length, share one cache.
 
     ``sources[r]`` is the index of row r's source, and a row's memory
     depends on its source alone. So memory moves only when a ``select``

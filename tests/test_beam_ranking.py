@@ -108,8 +108,8 @@ def test_prune_equals_the_reference_on_random_steps_with_ties():
             continue  # a search stops before a step with no live hypothesis
         steps += 1
         live_ref, done_ref = copy.deepcopy(live), copy.deepcopy(done)
-        for_rows = dict(rows=rows, at=at), dict(rows=rows[at], at=np.arange(len(at)))
-        for kw in for_rows:  # shared rows, and one row per hypothesis
+        layouts = dict(rows=rows, at=at), dict(rows=rows[at], at=np.arange(len(at)))
+        for kw in layouts:  # shared rows, and one row per hypothesis
             live_new, done_new = copy.deepcopy(live), copy.deepcopy(done)
             parents, tokens = dec._prune(kw["rows"], kw["at"], live_new, done_new, widths)
             live_old, done_old = copy.deepcopy(live), copy.deepcopy(done)
