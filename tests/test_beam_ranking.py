@@ -1,37 +1,20 @@
 """Beam ranking on arrays equals the per-candidate Python ranking it replaced.
 
-``_reference_top_ids`` and ``_reference_prune`` are the earlier
-implementations, kept verbatim apart from their names (and the one call
-between them): every hypothesis had its own row, and each candidate was a
-Python tuple with its own id list, sorted in Python. The tests run both on
-seeded random steps with forced ties and compare every result exactly.
+``_reference_prune`` is the earlier implementation, kept verbatim apart
+from its name and its top ids, which it takes from a stable argsort (what
+the earlier ``_top_ids`` computed): every hypothesis had its own row, and
+each candidate was a Python tuple with its own id list, sorted in Python.
+The tests run both on seeded random steps with forced ties and compare
+every result exactly.
 """
 
 import copy
 import itertools
 
 import numpy as np
-import pytest
 
 from metaphrase import data as dt
 from metaphrase import decoding as dec
-
-
-def _reference_top_ids(rows, k: int) -> np.ndarray:
-    """Each row's ``k`` best column ids, best first, ties to the lowest id.
-
-    Equals ``np.argsort(-rows, axis=-1, kind="stable")[:, :k]`` without
-    sorting whole rows: only the entries at or above a row's k-th best
-    value are sorted. Argmax is the first column, at a hundredth of the cost.
-    """
-    if k == 1:
-        return rows.argmax(axis=-1)[:, None]
-    k = min(k, rows.shape[-1])
-    kth = np.partition(rows, -k, axis=-1)[:, -k, None]
-    r, c = np.nonzero(rows >= kth)  # at least k per row, ids ascending
-    c = c[np.lexsort((c, -rows[r, c], r))]  # by row, then best first, then lowest id
-    starts = np.searchsorted(r, np.arange(len(rows)))
-    return c[starts[:, None] + np.arange(k)]
 
 
 def _reference_prune(rows, live, done, widths) -> list[int]:
@@ -43,7 +26,7 @@ def _reference_prune(rows, live, done, widths) -> list[int]:
     end marker join the beam's ``done``, the best ``widths[b]`` others stay
     live. Returns the kept hypotheses' parent rows, in the new ``live`` order.
     """
-    tops = _reference_top_ids(rows, max(widths))
+    tops = np.argsort(-rows, axis=-1, kind="stable")[:, :max(widths)]
     parents = []
     r = 0
     for b, width in enumerate(widths):
@@ -137,16 +120,3 @@ def test_prune_breaks_tied_sums_of_different_parents_by_their_ids():
         parents, tokens = dec._prune(rows, np.array([0, 0]), live, done, [2])
         assert live == [[([0, 5, 5], -2.0), ([0, 5, 6], -2.0)]]
         assert done == [[]] and parents.tolist() == [0, 0] and tokens.tolist() == [5, 6]
-
-
-@pytest.mark.parametrize("grid", [True, False], ids=["ties", "no_ties"])
-def test_top_ids_equal_the_reference_and_a_stable_argsort(grid):
-    rng = np.random.default_rng(7 + grid)
-    for _ in range(300):
-        vocab = int(rng.integers(1, 12))
-        rows = random_rows(rng, int(rng.integers(1, 9)), vocab) if grid else \
-            rng.standard_normal((int(rng.integers(1, 9)), vocab))
-        for k in range(1, vocab + 3):
-            expected = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
-            np.testing.assert_array_equal(dec._top_ids(rows, k), expected)
-            np.testing.assert_array_equal(_reference_top_ids(rows, k), expected)

@@ -510,6 +510,8 @@ class TestMixedLengths:
         # The first step decodes the source's one row. The greedy hypothesis
         # then stays in the wide beam, so the source holds 3 rows; each row
         # has one child, in order, and selects of every row in order are skipped.
+        # No source loses rows here; test_beam_search_keeps_the_memory_once_the_beams_fill
+        # checks that the memory stays once the beams are full.
         assert self.recorded_selects(7, monkeypatch) == [(1, 3, False)]
 
     def test_beam_search_keeps_the_memory_once_the_beams_fill(self, monkeypatch):
@@ -586,6 +588,17 @@ class TestTopIds:
         for k in (2, 3, 5):
             expected = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
             np.testing.assert_array_equal(dec._top_ids(rows, k), expected)
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["ties", "no_ties"])
+    def test_small_random_rows_and_k_above_the_vocabulary(self, grid):
+        rng = np.random.default_rng(7 + grid)
+        for _ in range(300):
+            shape = int(rng.integers(1, 9)), int(rng.integers(1, 12))
+            rows = rng.integers(-3, 1, size=shape).astype(np.float64) if grid else \
+                rng.standard_normal(shape)
+            for k in range(1, shape[1] + 3):
+                expected = np.argsort(-rows, axis=-1, kind="stable")[:, :k]
+                np.testing.assert_array_equal(dec._top_ids(rows, k), expected)
 
 
 class TestGenerateFile:
