@@ -30,8 +30,7 @@ orders differ only in the inner ``backward``:
   meta-gradient sums the per-task query gradients at the adapted parameters
   (FOMAML).
 
-The outer optimizer (SGD or AdamW, rate ``beta``) updates only the meta
-parameters.
+AdamW (rate ``beta``) updates only the meta parameters.
 
 Only the requested (phi) names are ever written; everything else is frozen
 by construction: a ParamStore enters through ``model.as_nodes`` with only
@@ -71,7 +70,6 @@ class TrainHyper:
     meta_batch_tasks: int = 3
     task_batch_size: int = 10
     order_mode: str = "second"
-    outer_optimizer: str = "adamw"
     clip_norm: float = 1.0
 
     def __post_init__(self):
@@ -85,11 +83,9 @@ class TrainHyper:
             check_count(name, getattr(self, name), 1)
         if self.order_mode not in ("second", "first"):
             raise ValueError(f"order_mode must be 'second' or 'first', got {self.order_mode!r}")
-        if self.outer_optimizer not in ("sgd", "adamw"):
-            raise ValueError(f"unknown outer_optimizer {self.outer_optimizer!r}")
 
 
-# AdamW constants of the outer optimizer.
+# AdamW constants.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -121,9 +117,10 @@ def adamw_step(state: OptimizerState, values: dict[str, np.ndarray],
     return out
 
 
+# No caller: perfbench's tracer wraps it by name until its next change (ROADMAP item 15).
 def sgd_step(values: dict[str, np.ndarray], grads: Mapping[str, np.ndarray],
              lr: float) -> dict[str, np.ndarray]:
-    return {name: values[name] - lr * g for name, g in grads.items()}
+    return {name: values[name] - lr * g for name, g in grads.items()}  # unexecuted: no caller
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict, float]:
@@ -222,20 +219,6 @@ def outer_gradient(params, phi_names: Sequence[str], tasks: Sequence,
     return grad_values, metrics
 
 
-def _apply_update(params, phi_names: Sequence[str], grads: dict[str, np.ndarray],
-                 hyper: TrainHyper, opt_state: OptimizerState | None) -> float:
-    """Clip, take one outer-optimizer step and write phi back; returns the grad norm."""
-    grads, norm = clip_global_norm(grads, hyper.clip_norm)
-    values = {n: params[n] for n in phi_names}
-    if hyper.outer_optimizer == "adamw":
-        new = adamw_step(opt_state, values, grads, hyper.beta)
-    else:
-        new = sgd_step(values, grads, hyper.beta)
-    for n in phi_names:
-        params.set(n, new[n])
-    return norm
-
-
 def _batch_size(batch) -> int:
     try:
         return len(batch)
@@ -288,8 +271,8 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     """Run ``stop.max_steps`` updates of ``names``; returns one row per step.
 
     ``step_fn()`` returns ``(grads, support_loss, query_loss)`` for one step;
-    the outer optimizer (learning rate ``hyper.beta``) applies the clipped
-    gradients. ``validate()`` returns a held-out loss and runs every
+    AdamW (learning rate ``hyper.beta``) applies the clipped gradients.
+    ``validate()`` returns a held-out loss and runs every
     ``stop.eval_every`` steps and at the last step. The best-validation
     parameters are written back into params before returning; with no
     ``validate`` the final parameters stand. A ``NonFiniteError`` raised
@@ -298,10 +281,7 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     it raises ``NonFiniteError`` under its name; otherwise the loss raises
     ``DivergenceError``.
     """
-    opt_state = None
-    if hyper.outer_optimizer == "adamw":
-        opt_state = OptimizerState({n: params[n].shape for n in names})
-
+    opt_state = OptimizerState({n: params[n].shape for n in names})
     history: list[HistoryRow] = []
     best, best_val = None, None
     t0 = time.perf_counter()
@@ -309,7 +289,10 @@ def train_loop(params, names: Sequence[str], step_fn: StepFn, hyper: TrainHyper,
     for step in range(1, stop.max_steps + 1):
         with ad.non_finite_context(f"at step {step}"):
             grads, support_loss, query_loss = step_fn()
-            norm = _apply_update(params, names, grads, hyper, opt_state)
+            grads, norm = clip_global_norm(grads, hyper.clip_norm)
+            new = adamw_step(opt_state, {n: params[n] for n in names}, grads, hyper.beta)
+            for n in names:
+                params.set(n, new[n])
 
             val_loss = None
             if validate is not None and (step % stop.eval_every == 0 or step == stop.max_steps):

@@ -43,9 +43,14 @@ class Task:
 
 def hyper(**kw):
     base = dict(alpha=0.1, beta=0.05, inner_steps=1, meta_batch_tasks=1,
-                task_batch_size=2, order_mode="second", outer_optimizer="sgd", clip_norm=0.0)
+                task_batch_size=2, order_mode="second", clip_norm=0.0)
     base.update(kw)
     return mt.TrainHyper(**base)
+
+
+def first_adamw_step(p, g, lr):
+    """AdamW's first step, and every step on a constant gradient: its moments give g and g * g."""
+    return p - lr * (g / (np.abs(g) + mt.ADAM_EPS) + mt.WEIGHT_DECAY * p)
 
 
 def train_on(store, tasks, hy, loss_fn=quadratic_loss):
@@ -64,8 +69,11 @@ class TestHyper:
     def test_rejects_unknown_modes(self):
         with pytest.raises(ValueError):
             hyper(order_mode="zeroth")
-        with pytest.raises(ValueError):
-            hyper(outer_optimizer="rmsprop")
+
+    def test_deleted_outer_optimizer_is_not_a_keyword(self):
+        # AdamW is the one outer update; the optimiser is not a setting any more.
+        with pytest.raises(TypeError, match="outer_optimizer"):
+            hyper(outer_optimizer="sgd")
 
     @pytest.mark.parametrize("kw", [dict(alpha=np.nan), dict(beta=np.inf)], ids=str)
     def test_rejects_non_finite_step_sizes(self, kw):
@@ -432,25 +440,29 @@ class TestMetaStep:
         assert np.array_equal(store["theta"], before)
         assert not np.array_equal(store["phi"], np.array([1.0, 2.0]))
 
-    def test_sgd_outer_update_formula(self):
+    def test_adamw_outer_update_formula(self):
         phi0, a, b, alpha, beta = 1.7, 0.2, -0.4, 0.25, 0.05
         store = make_store(phi=[phi0])
         task = Task(support=a, query=b)
-        train_on(store, [task], hyper(alpha=alpha, beta=beta))
+        hy = hyper(alpha=alpha, beta=beta)
+        grads, _ = mt.outer_gradient(store, ["phi"], [task], hy, quadratic_loss)
         adapted = phi0 - alpha * (phi0 - a)
-        expected = phi0 - beta * (1 - alpha) * (adapted - b)
-        assert store["phi"][0] == pytest.approx(expected, abs=1e-12)
+        g = (1 - alpha) * (adapted - b)
+        assert grads["phi"][0] == pytest.approx(g, abs=1e-12)
+        train_on(store, [task], hy)
+        assert store["phi"][0] == pytest.approx(first_adamw_step(phi0, g, beta), abs=1e-12)
 
     def test_task_sum_across_meta_batch(self):
-        phi0, alpha, beta = 1.0, 0.1, 0.01
+        phi0, alpha = 1.0, 0.1
         tasks = [Task(support=0.2, query=0.5), Task(support=-0.3, query=1.5)]
         store = make_store(phi=[phi0])
-        train_on(store, tasks, hyper(alpha=alpha, beta=beta, meta_batch_tasks=2))
+        grads, _ = mt.outer_gradient(store, ["phi"], tasks, hyper(alpha=alpha, meta_batch_tasks=2),
+                                     quadratic_loss)
         total_grad = 0.0
         for t in tasks:
             adapted = phi0 - alpha * (phi0 - t.support)
             total_grad += (1 - alpha) * (adapted - t.query)
-        assert store["phi"][0] == pytest.approx(phi0 - beta * total_grad, abs=1e-12)
+        assert grads["phi"][0] == pytest.approx(total_grad, abs=1e-12)
 
     def test_clipping_inactive_below_threshold(self):
         for clip in (1.0, 1e9):
@@ -482,7 +494,7 @@ class TestMetaStep:
                         for _ in range(n)]
 
             mt.meta_train(store, ["phi"], sampler,
-                          hyper(outer_optimizer="adamw", meta_batch_tasks=2),
+                          hyper(meta_batch_tasks=2),
                           mt.StopCriteria(max_steps=5), quadratic_loss)
             return store["phi"]
 
@@ -502,9 +514,9 @@ class TestMetaTrain:
         task = Task(support=0.3, query=0.8)
         store = make_store(phi=[1.5])
         grads, metrics = mt.outer_gradient(store, ["phi"], [task], hyper(), quadratic_loss)
-        expected = store["phi"] - hyper().beta * grads["phi"]
+        expected = first_adamw_step(store["phi"], grads["phi"], hyper().beta)
         history = train_on(store, [task], hyper())
-        assert np.array_equal(store["phi"], expected)
+        np.testing.assert_allclose(store["phi"], expected, rtol=1e-15)
         assert history[0].query_loss == metrics["query_loss"]
 
     def test_adaptation_improves_on_task_family(self):
@@ -574,7 +586,11 @@ class TestTrainLoop:
 
     def test_best_validation_parameters_restored(self):
         store, history = self.run([3.0, 1.0, 2.0])
-        assert store["phi"][0] == 2.0  # after the second of three SGD steps
+        # After the second of three AdamW steps on the constant gradient -1.
+        phi = 0.0
+        for _ in range(2):
+            phi = first_adamw_step(phi, -1.0, 1.0)
+        assert store["phi"][0] == pytest.approx(phi, rel=1e-15)
         assert store["theta"][0] == 5.0
         assert [(r.step, r.support_loss, r.query_loss, r.val_loss, r.grad_norm)
                 for r in history] == [(1, 0.5, 0.25, 3.0, 1.0), (2, 0.5, 0.25, 1.0, 1.0),

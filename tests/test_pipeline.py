@@ -498,23 +498,26 @@ class TestFinetuneStage:
         for name in meta_ckpt.store.names():
             assert np.array_equal(result.checkpoint.store[name], meta_ckpt.store[name])
 
-    def test_plain_single_sgd_step_equals_lr_times_grad(self, world, pretrained):
+    def test_plain_single_adamw_step_closed_form(self, world, pretrained):
         vocab, corpora, _ = world
         meta_ckpt = self.make_meta(world, pretrained).checkpoint
         pair = corpora[sorted(corpora)[1]][0]
         target = dt.CorpusSet(role="tgt", domains={"tgt": dt.SplitPairs(train=[pair])})
-        hyper = mt.TrainHyper(beta=0.01, outer_optimizer="sgd", clip_norm=0.0,
-                              task_batch_size=1)
+        hyper = mt.TrainHyper(beta=0.01, clip_norm=0.0, task_batch_size=1)
         result = pl.finetune_stage(meta_ckpt, target, hyper,
                                    mt.StopCriteria(max_steps=1), seed=0, mode="plain")
 
-        from metaphrase import autodiff as ad
         loss_fn = pl.make_pair_loss(meta_ckpt.config)
         leaves = meta_ckpt.store.leaves()
         _, phi = mm.partition_params(meta_ckpt.store)
-        grads = ad.backward(loss_fn(leaves, [pair]), {n: leaves[n] for n in phi})
+        grads = ad.gradient_values(loss_fn(leaves, [pair]), {n: leaves[n] for n in phi})
+        # A first AdamW step keeps little of the gradient's size; the norm does.
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        assert result.history[0].grad_norm == pytest.approx(norm, rel=1e-12)
         for name in phi:
-            expected = (meta_ckpt.store[name] - 0.01 * grads[name].value).astype(np.float32)
+            p, g = meta_ckpt.store[name], grads[name]
+            step = g / (np.abs(g) + mt.ADAM_EPS) + mt.WEIGHT_DECAY * p
+            expected = (p - 0.01 * step).astype(np.float32)
             np.testing.assert_allclose(result.checkpoint.store[name], expected, rtol=0, atol=1e-12)
 
     def test_pretrained_input_needs_ablation_flag(self, world, pretrained):
@@ -705,7 +708,7 @@ def golden_chain(world_dir, resume=lambda ckpt: ckpt) -> dict[str, str]:
 
     Stage (a); stage (b) ``maml`` in both orders with meta-validation and
     stage (c) ``maml`` from each; stage (b) ``plain`` with validation and
-    stage (c) ``plain`` with SGD from it. ``resume`` maps each stage's
+    stage (c) ``plain`` from it. ``resume`` maps each stage's
     checkpoint to the one that is hashed and that the next stage starts from.
     """
     settings = ex.DataSettings(n_domains=3, pairs_per_domain=40, target_train=3,
@@ -728,8 +731,8 @@ def golden_chain(world_dir, resume=lambda ckpt: ckpt) -> dict[str, str]:
     hyper = mt.TrainHyper(task_batch_size=4)
     b = resume(pl.meta_train_stage(pre, world.source, hyper, mt.StopCriteria(4), seed=34,
                                    validation=world.validation, mode="plain").checkpoint)
-    sgd = mt.TrainHyper(beta=0.05, outer_optimizer="sgd", task_batch_size=2)
-    c = resume(pl.finetune_stage(b, world.target, sgd, mt.StopCriteria(4), seed=35,
+    plain = mt.TrainHyper(beta=0.05, task_batch_size=2)
+    c = resume(pl.finetune_stage(b, world.target, plain, mt.StopCriteria(4), seed=35,
                                  mode="plain").checkpoint)
     out["b-plain"], out["c-plain"] = b.content_hash(), c.content_hash()
     return out
