@@ -316,8 +316,7 @@ def _word_factory(rng: np.random.Generator, taken: set[str]):
 
 
 def domain_family(n_domains: int, seed: int, nouns: int = 14, verbs: int = 8,
-                  places: int = 8, subst_prob: float = 1.0,
-                  reorder_prob: float = 0.6) -> list[DomainSpec]:
+                  places: int = 8) -> list[DomainSpec]:
     """Build domains with disjoint content vocabularies and synonym maps.
 
     All domains share function words and template frames, so the paraphrase
@@ -352,8 +351,8 @@ def domain_family(n_domains: int, seed: int, nouns: int = 14, verbs: int = 8,
                 synonyms=synonyms,
                 templates=templates,
                 reorders=reorders,
-                subst_prob=subst_prob,
-                reorder_prob=reorder_prob,
+                subst_prob=1.0,
+                reorder_prob=0.6,
             )
         )
     return specs

@@ -124,8 +124,6 @@ def _top_ids(rows, k: int) -> np.ndarray:
     several times cheaper than one ``np.argpartition`` at decoding's sizes.
     """
     k = min(k, rows.shape[-1])
-    if k == 1:
-        return rows.argmax(axis=-1)[:, None]
     rest = rows.copy()
     ids = np.empty((len(rows), k), dtype=np.int64)
     every = np.arange(len(rows))

@@ -62,6 +62,12 @@ def test_integer_fields_take_only_ints_in_range(cls, field, low, value):
         cls(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+def test_pretrain_lr_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="pretrain_lr"):
+        ex.RunSettings(pretrain_lr=value)
+
+
 @pytest.mark.parametrize("value", [3, None, [["enc_attn"]]], ids=repr)
 def test_adapter_placement_must_be_a_set_of_sites(value):
     with pytest.raises(ValueError, match="adapter_placement"):
