@@ -73,4 +73,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # unexecuted: tests call main(); CI runs the installed script
