@@ -14,7 +14,6 @@ did run fails it too, so no mark outlives its reason.
 
 import re
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -47,8 +46,7 @@ def _trace_calls(frame, event, arg):
     return _trace_lines if traced else None
 
 
-sys.settrace(_trace_calls)
-threading.settrace(_trace_calls)
+sys.settrace(_trace_calls)  # the package is single-threaded
 
 
 def executable_lines(code: types.CodeType) -> set[int]:
@@ -84,7 +82,6 @@ _report: list[str] = []
 
 def pytest_sessionfinish(session):
     sys.settrace(None)
-    threading.settrace(None)
     _report.extend(findings())
     if _report and session.exitstatus == pytest.ExitCode.OK:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
