@@ -2,13 +2,14 @@
 
 Builds the on-disk world (pair TSVs, unlabeled corpus, vocab),
 loads it back, runs the three training variants that make up the ablation
-ladder, and scores target-dev generations:
+ladder from one pretrained backbone, and scores target-dev generations.
+``LADDER_VARIANTS`` gives each variant's stage-(b) and stage-(c) modes:
 
-* ``baseline``: pretrain, then fine-tune adapters on the target pairs.
-* ``plain_source``: pretrain, plain adapter training on pooled source pairs,
-  then fine-tune.
-* ``meta``: pretrain, meta-train adapters on source tasks, then fine-tune
-  them by MAML over target tasks; the other two fine-tune by plain NLL.
+* ``baseline``: no stage (b), then a plain fine-tune on the target pairs.
+* ``plain_source``: plain adapter training on pooled source pairs, then a
+  plain fine-tune.
+* ``meta``: meta-train adapters on source tasks, then fine-tune them by
+  MAML over target tasks.
 
 Domain roles inside a family of n: the last domain is the target, the
 second-to-last is the meta-validation domain, the rest are sources.
@@ -68,8 +69,8 @@ class World:
     source: dt.CorpusSet
     validation: dt.CorpusSet
     target: dt.CorpusSet
-    target_dev_src: list[str]
-    target_dev_ref: list[str]
+    dev_src_path: str  # the target dev split's sources, one per line
+    dev_ref_path: str  # and their references
 
 
 def _write_pairs_tsv(path, texts):
@@ -175,8 +176,8 @@ def load_world(data_dir) -> World:
         source=dt.CorpusSet(role="src", domains=source_domains),
         validation=dt.CorpusSet(role="src", domains=validation_domains),
         target=target,
-        target_dev_src=dt.read_lines(os.path.join(data_dir, "target_dev.src.txt")),
-        target_dev_ref=dt.read_lines(os.path.join(data_dir, "target_dev.ref.txt")),
+        dev_src_path=os.path.join(data_dir, "target_dev.src.txt"),
+        dev_ref_path=os.path.join(data_dir, "target_dev.ref.txt"),
     )
 
 
@@ -213,19 +214,21 @@ def log(msg: str) -> None:
 
 def evaluate_checkpoint(ckpt_path, world: World, decode_cfg: dec.DecodeConfig,
                         out_dir) -> mx.MetricReport:
-    """Decode the target dev sources and score against references, as ``dev.*`` files."""
-    src_path = os.path.join(out_dir, "dev.src.txt")
-    ref_path = os.path.join(out_dir, "dev.ref.txt")
+    """Decode the world's target dev sources and score them, as ``dev.*`` files in out_dir."""
     gen_path = os.path.join(out_dir, "dev.gen.txt")
-    with open(src_path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in world.target_dev_src)
-    with open(ref_path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in world.target_dev_ref)
-    dec.generate_file(ckpt_path, src_path, gen_path, decode_cfg)
-    report = mx.evaluate_corpus(gen_path, ref_path, src_path)
+    dec.generate_file(ckpt_path, world.dev_src_path, gen_path, decode_cfg)
+    report = mx.evaluate_corpus(gen_path, world.dev_ref_path, world.dev_src_path)
     with open(os.path.join(out_dir, "dev.metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     return report
+
+
+def _save(result: pl.StageResult, out_dir, ckpt_name: str, history_name: str) -> str:
+    """Save a stage's checkpoint and history CSV under out_dir; return the checkpoint's path."""
+    path = os.path.join(out_dir, ckpt_name)
+    pl.save_checkpoint(result.checkpoint, path)
+    mt.write_history_csv(result.history, os.path.join(out_dir, history_name))
+    return path
 
 
 def run_pretrain(world: World, config: mm.ModelConfig, noise: pl.NoiseConfig,
@@ -235,10 +238,15 @@ def run_pretrain(world: World, config: mm.ModelConfig, noise: pl.NoiseConfig,
         seed=pl.derive_seed(seed, "pretrain"), batch_size=run.pretrain_batch,
         lr=run.pretrain_lr, vocab=world.vocab, clean_frac=run.pretrain_clean_frac,
     )
-    path = os.path.join(out_dir, "pretrained.ckpt")
-    pl.save_checkpoint(result.checkpoint, path)
-    mt.write_history_csv(result.history, os.path.join(out_dir, "pretrain_history.csv"))
-    return path
+    return _save(result, out_dir, "pretrained.ckpt", "pretrain_history.csv")
+
+
+# Each variant's (stage-(b) mode, or None for no stage (b); stage-(c) mode).
+LADDER_VARIANTS = {
+    "baseline": (None, "plain"),
+    "plain_source": ("plain", "plain"),
+    "meta": ("maml", "maml"),
+}
 
 
 def run_variant(variant: str, pretrained_path: str, world: World,
@@ -247,48 +255,32 @@ def run_variant(variant: str, pretrained_path: str, world: World,
 
     Returns the path of the fine-tuned checkpoint.
     """
+    if variant not in LADDER_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    mode_b, mode_c = LADDER_VARIANTS[variant]
     os.makedirs(out_dir, exist_ok=True)
-    pretrained = pl.load_checkpoint(pretrained_path)
-    stop_meta = mt.StopCriteria(max_steps=run.meta_steps, eval_every=run.eval_every)
-    stop_ft = mt.StopCriteria(max_steps=run.finetune_steps, eval_every=run.eval_every)
-
-    mode = "maml" if variant == "meta" else "plain"  # of stages (b) and (c)
-    if variant == "baseline":
-        ft_parent = pretrained
-        allow_pretrained = True
-    elif variant in ("plain_source", "meta"):
-        if mode == "plain":
+    parent = pl.load_checkpoint(pretrained_path)
+    if mode_b is not None:
+        steps = run.meta_steps
+        if mode_b == "plain":
             # Match the meta variant's stage-(b) data exposure: one meta
             # step visits meta_batch_tasks batches, a plain step visits one.
-            stop_meta = mt.StopCriteria(
-                max_steps=run.meta_steps * hyper.meta_batch_tasks,
-                eval_every=run.eval_every,
-            )
+            steps *= hyper.meta_batch_tasks
         stage_b = pl.meta_train_stage(
-            pretrained, world.source, hyper, stop_meta,
+            parent, world.source, hyper,
+            mt.StopCriteria(max_steps=steps, eval_every=run.eval_every),
             seed=pl.derive_seed(seed, f"{variant}-stage-b"),
-            validation=world.validation, mode=mode,
+            validation=world.validation, mode=mode_b,
         )
-        stage_b_path = os.path.join(out_dir, "meta_trained.ckpt")
-        pl.save_checkpoint(stage_b.checkpoint, stage_b_path)
-        mt.write_history_csv(stage_b.history, os.path.join(out_dir, "stage_b_history.csv"))
-        ft_parent = stage_b.checkpoint
-        allow_pretrained = False
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
+        _save(stage_b, out_dir, "meta_trained.ckpt", "stage_b_history.csv")
+        parent = stage_b.checkpoint
     stage_c = pl.finetune_stage(
-        ft_parent, world.target, hyper, stop_ft,
+        parent, world.target, hyper,
+        mt.StopCriteria(max_steps=run.finetune_steps, eval_every=run.eval_every),
         seed=pl.derive_seed(seed, f"{variant}-stage-c"),
-        mode=mode, allow_pretrained=allow_pretrained,
+        mode=mode_c, allow_pretrained=mode_b is None,
     )
-    ft_path = os.path.join(out_dir, "finetuned.ckpt")
-    pl.save_checkpoint(stage_c.checkpoint, ft_path)
-    mt.write_history_csv(stage_c.history, os.path.join(out_dir, "stage_c_history.csv"))
-    return ft_path
-
-
-LADDER_VARIANTS = ("baseline", "plain_source", "meta")
+    return _save(stage_c, out_dir, "finetuned.ckpt", "stage_c_history.csv")
 
 
 def run_ladder(world: World, config: mm.ModelConfig, noise: pl.NoiseConfig,

@@ -399,10 +399,29 @@ def _split_heads(config, k, v):
     ]
 
 
-def _attend(p, prefix, config, queries, kv, mask):
-    """Multi-head attention of the queries over per-head (K, V)."""
+def _attend(p, prefix, config, queries, segments, mask):
+    """Multi-head attention of the queries' row blocks, each over its own (K, V) segment.
+
+    A segment is the per-head (K, V) of a block of consecutive rows. One
+    segment attends every row under ``mask``. Several come only from a
+    ``KVCache``'s cross-attention memory, whose sources have no padding:
+    the query and output projections run once over every row, and between
+    them each segment's block of consecutive rows is sliced out on the row
+    axis, attends alone, and the blocks are joined back in order. Every
+    other op of a decoder step is row-wise or a stacked matmul with one
+    kernel call per row, so each row gets bit for bit what its segment
+    alone gives it.
+    """
     q = _linear(p, f"{prefix}.wq", queries)
-    return _linear(p, f"{prefix}.wo", _attend_heads(config, q, kv, mask))
+    if len(segments) == 1:
+        heads = _attend_heads(config, q, segments[0], mask)
+    else:
+        blocks, start = [], 0
+        for kv, n in zip(segments, _segment_rows(segments)):
+            blocks.append(_attend_heads(config, ad.slice_axis(q, 0, start, start + n), kv, None))
+            start += n
+        heads = ad.concat(blocks, axis=0)
+    return _linear(p, f"{prefix}.wo", heads)
 
 
 def _attend_heads(config, q, kv, mask):
@@ -444,7 +463,7 @@ def _encode(p, config, src, key_mask):
         prefix = f"enc.{i}"
         h = _norm(p, f"{prefix}.ln1", x)
         kv = _split_heads(config, *_project_kv(p, f"{prefix}.attn", h))
-        attn = _attend(p, f"{prefix}.attn", config, h, kv, key_mask)
+        attn = _attend(p, f"{prefix}.attn", config, h, [kv], key_mask)
         x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
         h = _norm(p, f"{prefix}.ln2", x)
         ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))
@@ -459,34 +478,13 @@ def _segment_rows(segments) -> list[int]:
     return [kv[0][0].shape[0] for kv in segments]
 
 
-def _cross_attend(p, prefix, config, queries, segments, mask):
-    """Cross-attention of the queries' row blocks, each over its own memory segment.
-
-    One segment is one ``_attend`` of every row under ``mask``. Several
-    come only from a ``KVCache``, whose sources have no padding: the query
-    and output projections run once over every row, and between them each
-    segment's block of consecutive rows is sliced out on the row axis,
-    attends alone, and the blocks are joined back in order. Every other op
-    of a decoder step is row-wise or a stacked matmul with one kernel call
-    per row, so each row gets bit for bit what its segment alone gives it.
-    """
-    if len(segments) == 1:
-        return _attend(p, prefix, config, queries, segments[0], mask)
-    q = _linear(p, f"{prefix}.wq", queries)
-    blocks, start = [], 0
-    for kv, n in zip(segments, _segment_rows(segments)):
-        blocks.append(_attend_heads(config, ad.slice_axis(q, 0, start, start + n), kv, None))
-        start += n
-    return _linear(p, f"{prefix}.wo", ad.concat(blocks, axis=0))
-
-
 def _decoder_layer(p, config, i, x, past_kv, memory, self_mask, cross_mask):
     """One pre-norm decoder layer; returns (output, self-attention (K, V)).
 
     ``past_kv`` is the full-width self-attention (K, V) of earlier positions
     that ``x`` does not contain (incremental decoding), or None when ``x``
     starts at position 0. ``memory`` is the cross-attention's memory: per-head
-    (K, V) segments, one per block of consecutive rows (``_cross_attend``).
+    (K, V) segments, one per block of consecutive rows (``_attend``).
     """
     prefix = f"dec.{i}"
     h = _norm(p, f"{prefix}.ln1", x)
@@ -494,10 +492,10 @@ def _decoder_layer(p, config, i, x, past_kv, memory, self_mask, cross_mask):
     if past_kv is not None:
         k = ad.concat([past_kv[0], k], axis=-2)
         v = ad.concat([past_kv[1], v], axis=-2)
-    attn = _attend(p, f"{prefix}.self", config, h, _split_heads(config, k, v), self_mask)
+    attn = _attend(p, f"{prefix}.self", config, h, [_split_heads(config, k, v)], self_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_attn", attn))
     h = _norm(p, f"{prefix}.ln2", x)
-    cross = _cross_attend(p, f"{prefix}.cross", config, h, memory, cross_mask)
+    cross = _attend(p, f"{prefix}.cross", config, h, memory, cross_mask)
     x = ad.add(x, _maybe_adapter(p, f"{prefix}.adapter_cross", cross))
     h = _norm(p, f"{prefix}.ln3", x)
     ff = _linear(p, f"{prefix}.ffn.w2", ad.gelu(_linear(p, f"{prefix}.ffn.w1", h)))

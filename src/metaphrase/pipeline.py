@@ -451,6 +451,8 @@ def pretrain_stage(config: mm.ModelConfig, corpus: Sequence[np.ndarray],
     that greedy decoding relies on, while the corrupted share carries the
     denoising objective.
     """
+    if len(corpus) == 0:
+        raise ValueError("pretrain_stage needs a corpus of at least one sentence, got none")
     base_config = replace(config, adapter_placement=frozenset())
     store = mm.build_model(base_config, seed=derive_seed(seed, "init"))
     rng = np.random.default_rng(derive_seed(seed, "pretrain_data"))
@@ -548,7 +550,10 @@ def finetune_stage(parent: Checkpoint, target: dt.CorpusSet, hyper: mt.TrainHype
     if target.role != "tgt":
         raise ValueError("finetune_stage needs the target corpus set")
 
-    (label,) = list(target.domains)
+    if len(target.domains) != 1:
+        raise ValueError(f"finetune_stage needs a target corpus set of one domain, "
+                         f"got {len(target.domains)}")
+    (label,) = target.domains
     splits = target.domains[label]
     history: list[mt.HistoryRow] = []
 

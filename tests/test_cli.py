@@ -15,7 +15,7 @@ def test_synth_data_then_decode(tmp_path, capsys):
     world_dir = tmp_path / "world"
     assert cli.main(["synth-data", str(world_dir)]) == 0
     world = ex.load_world(world_dir)
-    assert len(world.target_dev_src) == ex.DataSettings().target_valid
+    assert len(dt.read_lines(world.dev_src_path)) == ex.DataSettings().target_valid
 
     config = mm.ModelConfig(d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1, d_ff=16,
                             vocab_size=len(world.vocab), max_len=24, adapter_hidden=4)
@@ -24,7 +24,7 @@ def test_synth_data_then_decode(tmp_path, capsys):
     ckpt_path = tmp_path / "model.ckpt"
     pl.save_checkpoint(ckpt, ckpt_path)
     inp = tmp_path / "in.txt"
-    inp.write_text("\n".join(world.target_dev_src[:5]) + "\n")
+    inp.write_text("\n".join(dt.read_lines(world.dev_src_path)[:5]) + "\n")
     out = tmp_path / "out.txt"
     assert cli.main(["decode", str(ckpt_path), str(inp), str(out), "--strategy", "beam",
                      "--beam-width", "3", "--max-len", "9", "--length-penalty", "0.5"]) == 0

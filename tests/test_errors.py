@@ -121,6 +121,18 @@ CASES = [
     ("finetune_corpus_role",
      lambda c: pl.finetune_stage(c.meta_trained, c.src, mt.TrainHyper(), STOP, seed=0),
      ValueError, "finetune_stage needs the target corpus set"),
+    ("finetune_target_without_domains",
+     lambda c: pl.finetune_stage(c.meta_trained, c.tgt, mt.TrainHyper(), STOP, seed=0),
+     ValueError, "finetune_stage needs a target corpus set of one domain, got 0"),
+    ("finetune_target_of_two_domains",
+     lambda c: pl.finetune_stage(
+         c.meta_trained, dt.CorpusSet(role="tgt", domains={
+             "a": dt.SplitPairs(train=[]), "b": dt.SplitPairs(train=[])}),
+         mt.TrainHyper(), STOP, seed=0, mode="plain"),
+     ValueError, "finetune_stage needs a target corpus set of one domain, got 2"),
+    ("pretrain_empty_corpus",
+     lambda c: pl.pretrain_stage(CONFIG, [], pl.NoiseConfig(), steps=1, seed=0, vocab=VOCAB),
+     ValueError, "pretrain_stage needs a corpus of at least one sentence"),
     ("finetune_from_finetuned",
      lambda c: pl.finetune_stage(c.finetuned, c.tgt, mt.TrainHyper(), STOP, seed=0),
      pl.StageOrderError, "cannot fine-tune from stage 'finetuned'"),

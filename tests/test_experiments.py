@@ -44,8 +44,13 @@ def test_run_ladder_all_variants(tmp_path):
         ckpt = pl.load_checkpoint(out / variant / "finetuned.ckpt")
         assert ckpt.stage == "finetuned"
         assert history_steps(out / variant / "stage_c_history.csv") == [1, 2]
-    assert pl.load_checkpoint(out / "pretrained.ckpt").stage == "pretrained"
+    pretrained = pl.load_checkpoint(out / "pretrained.ckpt")
+    assert pretrained.stage == "pretrained"
     assert history_steps(out / "pretrain_history.csv") == [1, 2, 3]
+    assert not (out / "baseline" / "meta_trained.ckpt").exists()
+    assert not (out / "baseline" / "stage_b_history.csv").exists()
+    assert pl.load_checkpoint(out / "baseline" / "finetuned.ckpt").provenance == [
+        pretrained.content_hash()]
     assert history_steps(out / "meta" / "stage_b_history.csv") == [1, 2]
     assert len(history_steps(out / "plain_source" / "stage_b_history.csv")) == 4
     for variant in ("plain_source", "meta"):
